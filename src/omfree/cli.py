@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -86,6 +87,28 @@ def _cmd_identity_check(args) -> int:
 
 def _parse_vector(text: str) -> tuple:
     return tuple(int(x) for x in text.replace(",", " ").split())
+
+
+_VECTOR_TEXT = re.compile(r"\s*-?\d+(?:[\s,]+-?\d+)*\s*")
+
+
+def _bind_vector_values(argv: List[str]) -> List[str]:
+    """Rewrite ``--vector -2,1,...`` as ``--vector=-2,1,...``.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    negative number as an option, so a vector with a negative first entry
+    would otherwise be a usage error.
+    """
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--vector" and i + 1 < len(argv) and _VECTOR_TEXT.fullmatch(argv[i + 1]):
+            out.append(f"--vector={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
 
 
 def _default_vector(case: str) -> tuple:
@@ -285,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "nq", None) is not None and args.command == "certify" and args.nxi is None:
-        parser.error("--nq requires --nxi")
+    args = parser.parse_args(_bind_vector_values(sys.argv[1:] if argv is None else list(argv)))
+    if args.command == "certify" and (args.nq is None) != (args.nxi is None):
+        parser.error("--nq requires --nxi" if args.nxi is None else "--nxi requires --nq")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -465,29 +465,31 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: Optional[int] = None) ->
         raise ValueError("pullbacks of half-integral Jacobi weights are not supported")
     weight = int(form.weight)
 
-    # Clear denominators per component for fast integer accumulation.
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
+    # Clear all component denominators once and accumulate plain ints:
+    # c(n, r) = (1/den) * sum of count * (den * coefficient at n - Q(l)).
+    den = lcm(1, *(c.denominator for comp in form.components for _, c in comp.terms()))
+    acc: Dict[Tuple[int, int], int] = {}
     for coset, comp, table in zip(lat.cosets, form.components, tables):
         if not table:
             continue
-        den = coset.denominator
-        scale = 2 * den * den
-        comp_scaled: Dict[int, Fraction] = {}
+        scale = 2 * coset.denominator**2
+        comp_scaled: Dict[int, int] = {}
         for e, c in comp.terms():
             se = e * scale
             if se.denominator != 1:
                 raise AssertionError("component exponent incompatible with coset scale")
-            comp_scaled[int(se)] = c
+            comp_scaled[int(se)] = int(c * den)
+        by_norm: Dict[int, List[Tuple[int, int]]] = {}
         for (s, r), count in table.items():
-            # contribution to c(n, r) for every n with n*scale >= s
-            base = s
-            for n in range(nq + 1):
-                se = n * scale - base
-                if se < 0:
+            by_norm.setdefault(s, []).append((r, count))
+        for s, row in by_norm.items():
+            # vectors of scaled norm s feed c(n, r) through the term at n*scale - s
+            for n in range(-(-s // scale), nq + 1):
+                c = comp_scaled.get(n * scale - s)
+                if not c:
                     continue
-                c = comp_scaled.get(se)
-                if c is None:
-                    continue
-                key = (n, r)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + count * c
+                for r, count in row:
+                    key = (n, r)
+                    acc[key] = acc.get(key, 0) + count * c
+    coeffs = {key: Fraction(total, den) for key, total in acc.items()}
     return JacobiForm(weight, index, coeffs, nq)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from omfree.cli import main
 
 
@@ -92,6 +94,15 @@ def test_pullback_custom_vector(capsys):
     assert payload["config"]["vector_norm"] == "1"
 
 
+def test_pullback_vector_with_leading_minus(capsys):
+    # a separate value starting with '-' must not be read as an option
+    code, out = run(capsys, "pullback", "D8", "-k", "8", "--vector", "-2,1,0,0,0,0,0,0", "--nq", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["vector"] == [-2, 1, 0, 0, 0, 0, 0, 0]
+    assert payload["jacobi_form"]["index"] == 7
+
+
 def test_lift_dump_keys(capsys):
     code, out = run(capsys, "lift", "E7", "-k", "4", "--nq", "2", "--nxi", "2", "--json")
     payload = json.loads(out)
@@ -110,6 +121,15 @@ def test_certify_small(capsys):
     code, out = run(capsys, "certify", "D8", "--wmax", "8", "--nq", "2", "--nxi", "2")
     assert code == 0
     assert "weight 8: rank 3 vs bound 3 -> ok" in out
+
+
+@pytest.mark.parametrize("flag", ["--nq", "--nxi"])
+def test_certify_precision_flags_come_in_pairs(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "D8", "--wmax", "4", flag, "2"])
+    assert exc.value.code == 2
+    other = "--nxi" if flag == "--nq" else "--nq"
+    assert f"{flag} requires {other}" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path, capsys, monkeypatch):

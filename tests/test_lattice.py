@@ -1,18 +1,25 @@
 """Lattice registry, norms, pairings, and enumeration completeness."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import omfree.lattice as lattice_module
 from omfree.lattice import (
     UnknownLatticeError,
+    _isqrt_floor,
     enumerate_coset,
     gram_matrix,
     lattice,
     norm,
     pairing,
     pairing_counts,
+    registered_lattices,
 )
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
@@ -212,22 +219,100 @@ def test_pairing_non_integral_rejected():
 # bulk counting path agrees with the exact reference enumeration
 
 
+def reference_counts(lat, coset, vec, qmax):
+    """(s, r) tally of the exact enumeration, the oracle for pairing_counts."""
+    den = coset.denominator
+    want = {}
+    for v, q in enumerate_coset(lat, coset, qmax):
+        key = (int(2 * den * den * q), pairing(lat, v, vec))
+        want[key] = want.get(key, 0) + 1
+    return want
+
+
 @pytest.mark.parametrize("name,vec,qmax", [
     ("D8", D8_VEC, 3),
     ("E6", (3, 2, 0, 1, 1, 1), 4),
     ("E6", (3, 2, 0, 1, 1, 1), Fraction(7, 2)),
     ("E7", (3, 2, 0, 1, 1, 1, 1), 4),
+    # qmax exactly on a shell: the minimal norms of the nonzero cosets
+    ("E6", (3, 2, 0, 1, 1, 1), Fraction(2, 3)),
+    ("E7", (3, 2, 0, 1, 1, 1, 1), Fraction(3, 4)),
+    ("D8", D8_VEC, Fraction(1, 2)),
+    ("D8", D8_VEC, 1),
+    ("A2", (1, -1), Fraction(1, 3)),
+    ("A7", (1, 0, 0, 0, 0, 0, -1), Fraction(7, 16)),
+    ("A7", (2, 1, 0, 0, 0, 1, 0), Fraction(3, 2)),
+    ("D5", (1, 1, 0, 0, 1), Fraction(5, 8)),
 ])
 def test_pairing_counts_match_reference(name, vec, qmax):
     lat = lattice(name)
     for c in lat.cosets:
-        den = c.denominator
-        want = {}
-        for v, q in enumerate_coset(lat, c, qmax):
-            key = (int(2 * den * den * q), pairing(lat, v, vec))
-            want[key] = want.get(key, 0) + 1
-        got = pairing_counts(lat, c, vec, qmax)
-        assert got == want
+        assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
+
+
+@pytest.mark.parametrize("name", registered_lattices())
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_pairing_counts_property(name, data):
+    lat = lattice(name)
+    vec = data.draw(
+        st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank).filter(any).map(tuple), label="vec"
+    )
+    qmax = data.draw(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=16), label="qmax")
+    for c in lat.cosets:
+        assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
+
+
+def test_pairing_counts_sparse_tally_large_box():
+    # rank one at large qmax: the (s, r) box (~10^10 cells) is tallied sparsely
+    lat = lattice("A1")
+    for c in lat.cosets:
+        assert pairing_counts(lat, c, (3,), 10**6) == reference_counts(lat, c, (3,), 10**6)
+
+
+@pytest.mark.parametrize("box_cap", [None, 50])
+@pytest.mark.parametrize("name,vec,qmax", [
+    ("E6", (3, 2, 0, 1, 1, 1), 3),
+    ("D8", D8_VEC, Fraction(3, 2)),
+    ("A3", (1, -2, 1), Fraction(21, 4)),
+])
+def test_pairing_counts_small_steps(monkeypatch, name, vec, qmax, box_cap):
+    # a few rows per expansion step and, with box_cap, the sparse tally: many
+    # steps and many tally flushes must still count every vector once
+    monkeypatch.setattr(lattice_module, "_EXPAND_CAP", 5)
+    if box_cap is not None:
+        monkeypatch.setattr(lattice_module, "_BOX_CAP", box_cap)
+    lat = lattice(name)
+    for c in lat.cosets:
+        assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
+
+
+@pytest.mark.parametrize("name,vec,qmax,what", [
+    ("D8", D8_VEC, 10**30, "E\\*smax"),
+    ("A1", (10**6,), 10**9, "box size"),
+])
+def test_pairing_counts_int64_guard(name, vec, qmax, what):
+    lat = lattice(name)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=what):
+            pairing_counts(lat, 0, vec, qmax)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_isqrt_floor_exact_near_squares():
+    # near 2^62, float(j^2 - 1) rounds up to j^2, so the float root overshoots by one
+    roots = [1, 2, 3, 46340, 94906265, 2**31 - 1] + [2**31 - 1 - 7919 * i for i in range(1, 200)]
+    ks = sorted({k for j in roots for k in (j * j - 1, j * j, j * j + 1) if 0 <= k < 2**62})
+    got = _isqrt_floor(np.array(ks, dtype=np.int64)).tolist()
+    assert got == [isqrt(k) for k in ks]
+
+
+def test_pairing_counts_negative_qmax_is_empty():
+    assert pairing_counts(lattice("E6"), 0, (3, 2, 0, 1, 1, 1), -1) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +352,4 @@ def test_bulk_counts_match_reference_midscale():
     lat = lattice("E6")
     vec = (3, 2, 0, 1, 1, 1)
     for c in lat.cosets:
-        den = c.denominator
-        want = {}
-        for v, q in enumerate_coset(lat, c, 8):
-            key = (int(2 * den * den * q), pairing(lat, v, vec))
-            want[key] = want.get(key, 0) + 1
-        assert pairing_counts(lat, c, vec, 8) == want
+        assert pairing_counts(lat, c, vec, 8) == reference_counts(lat, c, vec, 8)
