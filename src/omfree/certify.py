@@ -11,15 +11,16 @@ schedule escalates first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .freealg import dim_upper_bound
 from .lattice import lattice, norm
 from .lifts import ParamodularForm, gritsenko_lift, multiply
+from .linalg import bareiss_rank, clear_denominators, left_kernel, solve
 from .weil import e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
 from .qseries import QSeries
@@ -35,81 +36,6 @@ CASE_VECTORS: Dict[str, Tuple[int, ...]] = {
 
 #: Root system whose weak Jacobi dimensions bound each case's orthogonal forms.
 CASE_BOUND_SYSTEM: Dict[str, str] = {"D8": "C8", "E6": "E6", "E7": "E7"}
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra
-
-
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (two-step determinant) elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, len(m)):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[row][col] * m[i][j] - m[i][col] * m[row][j]) // prev
-            m[i][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
-
-
-def left_kernel(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the left kernel: vectors v with sum_i v_i row_i = 0.
-
-    Row-reduces with an identity block attached; rows that vanish yield
-    kernel vectors, normalized to primitive integer form.
-    """
-    n = len(rows)
-    if n == 0:
-        return []
-    width = len(rows[0])
-    work = [[Fraction(x) for x in rows[i]] + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(width):
-        piv = next((i for i in range(row, n) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        d = work[row][col]
-        work[row] = [x / d for x in work[row]]
-        for i in range(n):
-            if i != row and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[row])]
-        row += 1
-        if row == n:
-            break
-    kernels = []
-    for i in range(row, n):
-        if all(x == 0 for x in work[i][:width]):
-            vec = work[i][width:]
-            den = 1
-            for x in vec:
-                den = lcm(den, x.denominator)
-            ints = [int(x * den) for x in vec]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            ints = [x // g for x in ints]
-            lead = next((x for x in ints if x), 1)
-            if lead < 0:
-                ints = [-x for x in ints]
-            kernels.append([Fraction(x) for x in ints])
-    return kernels
 
 
 @dataclass(frozen=True)
@@ -129,46 +55,23 @@ def express_in_basis(target: ParamodularForm, basis: Sequence[ParamodularForm]) 
     nq = min([target.nq] + [b.nq for b in basis])
     nxi = min([target.nxi] + [b.nxi for b in basis])
     index_set = canonical_index_set(target.level, nq, nxi)
-    ncols = len(basis)
+    keys = []
     matrix = []
     rhs = []
     for key in index_set:
         row = [b.coeffs.get(key, Fraction(0)) for b in basis]
         t = target.coeffs.get(key, Fraction(0))
         if any(x != 0 for x in row) or t != 0:
+            keys.append(key)
             matrix.append(row)
             rhs.append(t)
-    # Gaussian elimination with the right-hand side attached.
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    kept_keys = [key for key in index_set]
-    pivots = []
-    row_i = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row_i, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row_i], aug[piv] = aug[piv], aug[row_i]
-        d = aug[row_i][col]
-        aug[row_i] = [x / d for x in aug[row_i]]
-        for i in range(len(aug)):
-            if i != row_i and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row_i])]
-        pivots.append(col)
-        row_i += 1
-    if len(pivots) < ncols:
-        return ExpressResult(status="underdetermined")
-    solution = [Fraction(0)] * ncols
-    for row, col in zip(aug, pivots):
-        solution[col] = row[ncols]
-    # Verify on every coefficient of the canonical index set.
-    for key in index_set:
-        lhs = sum(
-            (x * b.coeffs.get(key, Fraction(0)) for x, b in zip(solution, basis)), Fraction(0)
-        )
-        if lhs != target.coeffs.get(key, Fraction(0)):
-            return ExpressResult(status="inconsistent", witness=key)
-    return ExpressResult(status="unique", coefficients=solution)
+    # Coefficients left out are zero on both sides, so they hold for any solution.
+    if not matrix:
+        return ExpressResult(status="underdetermined") if basis else ExpressResult(status="unique", coefficients=[])
+    sol = solve(matrix, rhs)
+    if sol.status == "inconsistent":
+        return ExpressResult(status="inconsistent", witness=keys[sol.row])
+    return ExpressResult(status=sol.status, coefficients=sol.values)
 
 
 def canonical_index_set(level: int, nq: int, nxi: int) -> List[Tuple[int, int, int]]:
@@ -385,14 +288,14 @@ def independence(
     generators: Sequence[GeneratorSpec],
     w_max: int,
     schedule: Sequence[Tuple[int, int]] = DEFAULT_SCHEDULE,
-    level: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> IndependenceCertificate:
     """Certificate of monomial independence for every weight <= w_max.
 
-    Full rank at the first precision is conclusive; deficient ranks escalate
-    through the schedule and only then are reported as inconclusive, with
-    the kernel vectors as candidate relations.
+    Coefficients are compared on the canonical index set of the lifts' own
+    level.  Full rank at the first precision is conclusive; deficient ranks
+    escalate through the schedule and only then are reported as
+    inconclusive, with the kernel vectors as candidate relations.
     """
     generators = list(generators)
     weights_list = [g.weight for g in generators]
@@ -411,13 +314,9 @@ def independence(
                 records[w] = WeightRecord(w, [], (0, 0), 0, "trivial")
                 continue
             forms = [cache.product(m) for m in monos]
-            if level is not None:
-                lvl = level
-            else:
-                lvl = forms[0].level
-            index_set = canonical_index_set(lvl, nq, nxi)
+            index_set = canonical_index_set(forms[0].level, nq, nxi)
             rows_frac = [[f.coeffs.get(key, Fraction(0)) for key in index_set] for f in forms]
-            rank = _rank_of_fraction_rows(rows_frac)
+            rank = bareiss_rank([clear_denominators(row) for row in rows_frac])
             if rank == len(monos):
                 records[w] = WeightRecord(w, monos, (len(monos), len(index_set)), rank, "independent")
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): independent")
@@ -442,16 +341,6 @@ def independence(
     )
 
 
-def _rank_of_fraction_rows(rows: Sequence[Sequence[Fraction]]) -> int:
-    int_rows = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        int_rows.append([int(x * den) for x in row])
-    return bareiss_rank(int_rows)
-
-
 def case_independence(
     case: str,
     w_max: int,
@@ -459,9 +348,7 @@ def case_independence(
     progress: Optional[Callable[[str], None]] = None,
 ) -> IndependenceCertificate:
     gens = [g for g in case_generators(case) if g.weight <= w_max]
-    cert = independence(gens, w_max, schedule, level=case_level(case), progress=progress)
-    cert.case = case
-    return cert
+    return replace(independence(gens, w_max, schedule, progress=progress), case=case)
 
 
 # ---------------------------------------------------------------------------
@@ -559,26 +446,15 @@ def verify_weight14(
     normalization diagnostic.  ``corrupt`` perturbs one lift coefficient of
     the first weight-8 generator (negative-control hook).
     """
-    v = CASE_VECTORS["D8"]
-    prec = nq * nxi + 1
-
-    def lift_of(k: int, orbit: int) -> ParamodularForm:
-        form = jacobi_eisenstein("D8", k, orbit, prec=prec)
-        return gritsenko_lift(pullback(form, v, nq=nq * nxi), nxi)
-
-    e4 = lift_of(4, 0)
-    e6 = lift_of(6, 0)
-    e8_0 = lift_of(8, 0)
+    e4, e6, e8_0, e8_1, e10_0, e10_1, e14_0, e14_1 = (
+        _eisenstein_lift_builder("D8", k, orbit)(nq, nxi)
+        for k, orbit in ((4, 0), (6, 0), (8, 0), (8, 1), (10, 0), (10, 1), (14, 0), (14, 1))
+    )
     if corrupt is not None:
         key, amount = corrupt
         coeffs = dict(e8_0.coeffs)
         coeffs[key] = coeffs.get(key, Fraction(0)) + amount
         e8_0 = ParamodularForm(e8_0.weight, e8_0.level, coeffs, e8_0.nq, e8_0.nxi)
-    e8_1 = lift_of(8, 1)
-    e10_0 = lift_of(10, 0)
-    e10_1 = lift_of(10, 1)
-    e14_0 = lift_of(14, 0)
-    e14_1 = lift_of(14, 1)
     target = e14_0 + e14_1
     basis = [
         multiply(multiply(e4, e4), e6),

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Tuple
 
+from .linalg import bareiss_rank, clear_denominators, solve
 from .qseries import QSeries, as_fraction
 
 LevelTag = Literal["SL2", "Gamma0_2", "Gamma0_3_chi", "KohnenPlus4"]
@@ -435,29 +436,18 @@ def _level2_basis_monomials(k: int) -> Tuple[Tuple[int, int, int], ...]:
     prec = 2 * dim + 4
     gens = _level2_gen_series(prec)
     chosen: List[Tuple[int, int, int]] = []
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     for expo in _level2_monomials(k):
         series = _monomial_series(expo, gens, prec)
-        vec = [series.coefficient(n) for n in range(prec)]
-        red = _reduce_against(vec, rows)
-        if any(x != 0 for x in red):
-            rows.append(red)
+        row = clear_denominators([series.coefficient(n) for n in range(prec)])
+        if bareiss_rank(rows + [row]) > len(rows):
+            rows.append(row)
             chosen.append(expo)
         if len(chosen) == dim:
             break
     if len(chosen) != dim:
         raise AssertionError(f"level-2 monomials span only {len(chosen)} of {dim} dimensions at weight {k}")
     return tuple(chosen)
-
-
-def _reduce_against(vec: List[Fraction], rows: List[List[Fraction]]) -> List[Fraction]:
-    vec = list(vec)
-    for row in rows:
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        if vec[piv] != 0:
-            f = vec[piv] / row[piv]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return vec
 
 
 def decompose_level2(f: ScalarForm) -> List[Tuple[Fraction, Tuple[int, int, int]]]:
@@ -481,40 +471,10 @@ def decompose_level2(f: ScalarForm) -> List[Tuple[Fraction, Tuple[int, int, int]
     idx = [Fraction(n) for n in range(n_coeffs)]
     matrix = [[col.coefficient(e) for col in cols] for e in idx]
     rhs = [f.series.coefficient(e) for e in idx]
-    solution = _solve_unique(matrix, rhs)
-    if solution is None:
+    sol = solve(matrix, rhs)
+    if sol.status != "unique":
         raise DecompositionError(f"form is not in the span of the level-2 monomial basis at weight {k}")
-    return [(c, expo) for c, expo in zip(solution, basis)]
-
-
-def _solve_unique(matrix: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Solve an overdetermined exact system; None if inconsistent or deficient."""
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        d = aug[r][c]
-        aug[r] = [x / d for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < n:
-        return None
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        sol[c] = row[n]
-    return sol
+    return [(c, expo) for c, expo in zip(sol.values, basis)]
 
 
 def slash_level2(f: ScalarForm, which: str) -> QSeries:

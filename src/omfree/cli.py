@@ -169,7 +169,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    schedule = [(args.nq, args.nxi)] if args.nq else list(certify.DEFAULT_SCHEDULE)
+    schedule = [(args.nq, args.nxi)] if args.nq is not None else list(certify.DEFAULT_SCHEDULE)
     progress = None if args.json or args.output else print
     report = certify.certify_freeness(args.case, args.wmax, schedule, progress=progress)
     cert = report.certificate
@@ -309,8 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_bind_vector_values(sys.argv[1:] if argv is None else list(argv)))
-    if args.command == "certify" and (args.nq is None) != (args.nxi is None):
-        parser.error("--nq requires --nxi" if args.nxi is None else "--nxi requires --nq")
+    if args.command == "certify":
+        if (args.nq is None) != (args.nxi is None):
+            parser.error("--nq requires --nxi" if args.nxi is None else "--nxi requires --nq")
+        for flag, value in (("--nq", args.nq), ("--nxi", args.nxi)):
+            if value is not None and value < 1:
+                parser.error(f"{flag} must be at least 1, got {value}")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .linalg import det, solve
 from .qseries import as_fraction
 
 Vector = Tuple[Fraction, ...]
@@ -145,23 +146,11 @@ def registered_lattices() -> List[str]:
     return sorted(_GRAMS)
 
 
-# ---------------------------------------------------------------------------
-# Exact linear algebra helpers
-
-
 def _inverse(gram) -> List[List[Fraction]]:
+    """Inverse of a nonsingular integer matrix, one exact solve per column."""
     n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    cols = [solve(gram, [int(i == j) for i in range(n)]).values for j in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _ldl(gram) -> Tuple[List[Fraction], List[List[Fraction]]]:
@@ -242,9 +231,9 @@ def lattice(name: str) -> LatticeData:
         den = lcm(1, *(x.denominator for x in rep))
         cosets.append(Coset(index=i, rep=rep, norm_mod1=norm_of(gram, rep) % 1, denominator=den))
     cosets = tuple(cosets)
-    det = _det(gram)
-    if len(cosets) != det:
-        raise AssertionError(f"discriminant group of {name} has {len(cosets)} elements, det is {det}")
+    size = det(gram)
+    if len(cosets) != size:
+        raise AssertionError(f"discriminant group of {name} has {len(cosets)} elements, det is {size}")
     return LatticeData(
         name=name,
         rank=len(gram),
@@ -252,24 +241,6 @@ def lattice(name: str) -> LatticeData:
         cosets=cosets,
         cusp_orbits=_cusp_orbits(name, cosets),
     )
-
-
-def _det(gram) -> int:
-    n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return int(det)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .classical import (
     trace_to_sl2,
 )
 from .lattice import LatticeData, lattice, norm as lattice_norm, pairing_counts
+from .linalg import solve
 from .qseries import QSeries, as_fraction
 
 
@@ -404,12 +405,10 @@ def _d8_eisenstein(k: int, orbit: int, prec: Fraction) -> ComponentForm:
         [f.constant_term(0) for f in forms],
         [f.constant_term(1) + f.constant_term(2) for f in forms],
     ]
-    target = [Fraction(1), Fraction(0)] if orbit == 0 else [Fraction(0), Fraction(1)]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det == 0:
+    sol = solve(m, [1, 0] if orbit == 0 else [0, 1])
+    if sol.status != "unique":
         raise AssertionError(f"cusp constant-term system is singular at weight {k}")
-    a = (target[0] * m[1][1] - target[1] * m[0][1]) / det
-    b = (m[0][0] * target[1] - m[1][0] * target[0]) / det
+    a, b = sol.values
     return a * forms[0] + b * forms[1]
 
 

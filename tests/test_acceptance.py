@@ -360,6 +360,6 @@ def test_c9b_duplicate_generator_kernel():
         certify.GeneratorSpec("G", 8, "fixed", lambda a, b: lift),
         certify.GeneratorSpec("G-copy", 8, "fixed", lambda a, b: lift),
     ]
-    cert = certify.independence(gens, 8, schedule=((nq, nxi),), level=24)
+    cert = certify.independence(gens, 8, schedule=((nq, nxi),))
     ok = {"w": 8, "coefficients": ["1", "-1"]} in cert.relations
     report("criterion 9b: duplicated generator yields kernel vector (1, -1)", ok)

@@ -108,6 +108,7 @@ def test_express_zero_target(small_lifts):
     res = express_in_basis(zero, [e8_0])
     assert res.status == "unique"
     assert res.coefficients == [0]
+    assert express_in_basis(zero, [zero]).status == "underdetermined"
 
 
 def test_express_detects_inconsistency(small_lifts):
@@ -138,7 +139,7 @@ def test_canonical_index_set_is_lexicographic():
 def test_independence_single_form(small_lifts):
     e4 = small_lifts[(4, 0)]
     gen = GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4)
-    cert = independence([gen], 4, schedule=((2, 2),), level=24)
+    cert = independence([gen], 4, schedule=((2, 2),))
     rec = next(r for r in cert.weights if r.weight == 4)
     assert rec.rank == 1 and rec.verdict == "independent"
 
@@ -149,7 +150,7 @@ def test_independence_duplicate_generator_kernel(small_lifts):
         GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4),
         GeneratorSpec("E4-copy", 4, "fixed", lambda nq, nxi: e4),
     ]
-    cert = independence(gens, 4, schedule=((2, 2),), level=24)
+    cert = independence(gens, 4, schedule=((2, 2),))
     rec = next(r for r in cert.weights if r.weight == 4)
     assert rec.verdict == "inconclusive"
     assert rec.rank == 1
@@ -172,7 +173,7 @@ def test_case_levels():
 def test_certificate_json_schema(small_lifts):
     e4 = small_lifts[(4, 0)]
     gen = GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4)
-    cert = independence([gen], 4, schedule=((2, 2),), level=24)
+    cert = independence([gen], 4, schedule=((2, 2),))
     payload = cert.to_json()
     text = json.dumps(payload)
     assert set(payload) == {
@@ -235,7 +236,7 @@ def test_rank_monotone_in_precision():
     gens = [g for g in case_generators("D8") if g.weight <= 12]
     ranks = {}
     for nq in (1, 2, 3):
-        cert = independence(gens, 12, schedule=((nq, nq),), level=24)
+        cert = independence(gens, 12, schedule=((nq, nq),))
         rec = next(r for r in cert.weights if r.weight == 12)
         ranks[nq] = rec.rank
     assert ranks[1] <= ranks[2] <= ranks[3]
@@ -244,8 +245,8 @@ def test_rank_monotone_in_precision():
 
 def test_certificates_replay_bit_for_bit():
     gens = [g for g in case_generators("D8") if g.weight <= 8]
-    first = independence(gens, 8, schedule=((2, 2),), level=24).to_json()
-    second = independence(gens, 8, schedule=((2, 2),), level=24).to_json()
+    first = independence(gens, 8, schedule=((2, 2),)).to_json()
+    second = independence(gens, 8, schedule=((2, 2),)).to_json()
     assert first == second
 
 

@@ -132,6 +132,18 @@ def test_certify_precision_flags_come_in_pairs(capsys, flag):
     assert f"{flag} requires {other}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nq,nxi,flag", [("0", "0", "--nq"), ("2", "0", "--nxi"), ("-1", "2", "--nq")])
+def test_certify_precision_below_one_is_usage_error(capsys, nq, nxi, flag):
+    # certify also exits 2 on an inconclusive result, so the message tells the two apart
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "D8", "--wmax", "4", "--nq", nq, "--nxi", nxi, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 1" in captured.err
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
 def test_output_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "weights.json"
     code = main(["weights", "E6", "--json", "--output", str(target)])
