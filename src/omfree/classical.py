@@ -149,72 +149,21 @@ def chi3(n: int) -> int:
     return 0 if r == 0 else (1 if r == 1 else -1)
 
 
-# ---------------------------------------------------------------------------
-# Truncated rational power series in t (internal, dense lists)
-
-
-def _series_mul(a: List[Fraction], b: List[Fraction], order: int) -> List[Fraction]:
-    out = [Fraction(0)] * order
-    for i, x in enumerate(a[:order]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order - i]):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _series_inv(a: List[Fraction], order: int) -> List[Fraction]:
-    if a[0] == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    out = [Fraction(0)] * order
-    out[0] = 1 / a[0]
-    for n in range(1, order):
-        s = Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(a) and a[k]:
-                s += a[k] * out[n - k]
-        out[n] = -s / a[0]
-    return out
-
-
-def _exp_series(a: int, order: int) -> List[Fraction]:
-    out = [Fraction(0)] * order
-    fact = 1
-    for i in range(order):
-        out[i] = Fraction(a**i, fact)
-        fact *= i + 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n,chi} for the Kronecker character of a fundamental discriminant.
 
-    Computed from the exact expansion of sum_a chi(a) t e^{at} / (e^{|D|t}-1).
-    For disc = 1 this gives the convention with B_1 = +1/2.
+    With m = |D| and the integer power sums S_e = sum_{a=1}^{m} chi(a) a^e,
+    B_{n,chi} = m^(n-1) sum_a chi(a) B_n(a/m) = sum_j C(n,j) B_j m^(j-1) S_{n-j},
+    with B_1 = -1/2.  For disc = 1 this gives the convention with B_1 = +1/2.
     """
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
-    order = n + 1
     m = abs(disc)
-    numer = [Fraction(0)] * order
-    for a in range(1, m + 1):
-        ch = kronecker_symbol(disc, a)
-        if ch:
-            ea = _exp_series(a, order)
-            numer = [x + ch * y for x, y in zip(numer, ea)]
-    # (e^{mt} - 1)/t = sum_{i>=0} m^{i+1} t^i / (i+1)!
-    denom = [Fraction(0)] * order
-    fact = 1
-    for i in range(order):
-        fact *= i + 1
-        denom[i] = Fraction(m ** (i + 1), fact)
-    series = _series_mul(numer, _series_inv(denom, order), order)
-    fact = 1
-    for i in range(1, n + 1):
-        fact *= i
-    return series[n] * fact
+    chars = [(a, kronecker_symbol(disc, a)) for a in range(1, m + 1)]
+    sums = [sum(ch * a**e for a, ch in chars if ch) for e in range(n + 1)]
+    total = sum(comb(n, j) * bernoulli(j) * m**j * sums[n - j] for j in range(n + 1))
+    return total / m
 
 
 def dirichlet_l_negative(r: int, disc: int) -> Fraction:

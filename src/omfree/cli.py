@@ -309,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_bind_vector_values(sys.argv[1:] if argv is None else list(argv)))
-    if args.command == "certify":
-        if (args.nq is None) != (args.nxi is None):
-            parser.error("--nq requires --nxi" if args.nxi is None else "--nxi requires --nq")
-        for flag, value in (("--nq", args.nq), ("--nxi", args.nxi)):
-            if value is not None and value < 1:
-                parser.error(f"{flag} must be at least 1, got {value}")
+    if args.command == "certify" and (args.nq is None) != (args.nxi is None):
+        parser.error("--nq requires --nxi" if args.nxi is None else "--nxi requires --nq")
+    for flag in ("nq", "nxi"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be at least 1, got {value}")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -6,6 +6,13 @@ scalar-index Jacobi form has slices A(n, r, M) = sum over d dividing
 gcd(n, r, M) of d^(k-1) c(n M / d^2, r / d); the boundary slice M = 0 is the
 correctly scaled level-1 Eisenstein series, which makes the coefficient
 symmetry A(n, r, M) = A(M, r, n) hold on the nose.
+
+Products are exact integer convolutions by Kronecker substitution: after
+clearing denominators, each (n, M) slice's r-polynomial is packed into one
+Python int with B-bit digits, one big-integer multiply per compatible slice
+pair does the convolution in r, and each output slice is decoded once in
+balanced base-2^B digits.  B comes from the bound
+|A(n, r, M)| <= sum |f| * max |g|, so no digit can overflow.
 """
 
 from __future__ import annotations
@@ -173,28 +180,71 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
 def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
     """Coefficient convolution; weight adds, truncation is the componentwise min.
 
-    Internally clears denominators and convolves integer tables.
+    Kronecker substitution per (n, M) slice.  Each factor's coefficients in
+    the box are scaled to integers by the lcm of their denominators; each
+    slice's r-polynomial is packed into one int sum_r c_r 2^(B (r - r0)),
+    with r0 the slice's lowest r, so narrow slices pack into short ints.  A
+    slice pair is multiplied only when n1 + n2 <= nq and M1 + M2 <= nxi, and
+    the products, aligned on their r0 sums, are added into the target
+    slice's int, which is decoded once in balanced base-2^B digits through
+    one ``int.to_bytes``.
+
+    The digit width is exact: for a fixed output (n, r, M) each f-term meets
+    at most one g-term, so |A(n, r, M)| <= sum |f| * max |g| < 2^(B-1) when
+    B >= bitlen(sum |f|) + bitlen(max |g|) + 1, and no digit overflows into
+    its neighbour.  B is rounded up to whole bytes for the decode.
     """
     if f.level != g.level:
         raise ValueError(f"level mismatch: {f.level} vs {g.level}")
     nq, nxi = min(f.nq, g.nq), min(f.nxi, g.nxi)
-    den_f = lcm(1, *(c.denominator for c in f.coeffs.values())) if f.coeffs else 1
-    den_g = lcm(1, *(c.denominator for c in g.coeffs.values())) if g.coeffs else 1
-    fi = [(k, int(v * den_f)) for k, v in f.coeffs.items() if k[0] <= nq and k[2] <= nxi]
-    gi = [(k, int(v * den_g)) for k, v in g.coeffs.items() if k[0] <= nq and k[2] <= nxi]
-    acc: Dict[Tuple[int, int, int], int] = {}
-    for (n1, r1, m1), c1 in fi:
-        for (n2, r2, m2), c2 in gi:
-            n = n1 + n2
-            if n > nq:
-                continue
-            m = m1 + m2
-            if m > nxi:
-                continue
-            key = (n, r1 + r2, m)
-            acc[key] = acc.get(key, 0) + c1 * c2
-    den = den_f * den_g
-    coeffs = {k: Fraction(v, den) for k, v in acc.items() if v}
+    den = 1
+    tables = []
+    for form in (f, g):
+        terms = [(k, v) for k, v in form.coeffs.items() if k[0] <= nq and k[2] <= nxi]
+        d = lcm(1, *(v.denominator for _, v in terms))
+        tables.append([(k, v.numerator * (d // v.denominator)) for k, v in terms])
+        den *= d
+    fi, gi = tables
+    if not fi or not gi:
+        return ParamodularForm(f.weight + g.weight, f.level, {}, nq, nxi)
+    bits = sum(abs(c) for _, c in fi).bit_length() + max(abs(c) for _, c in gi).bit_length() + 1
+    width = -(-bits // 8)
+    shift = 8 * width
+    packed = []
+    for terms in tables:
+        groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for (n, r, m), c in terms:
+            groups.setdefault((n, m), []).append((r, c))
+        slices = {}
+        for key, group in groups.items():
+            low = min(r for r, _ in group)
+            slices[key] = (low, sum(c << (shift * (r - low)) for r, c in group))
+        packed.append(slices)
+    fs, gs = packed
+    base = min(low for low, _ in fs.values()) + min(low for low, _ in gs.values())
+    acc: Dict[Tuple[int, int], int] = {}
+    for (n1, m1), (low1, a) in fs.items():
+        for (n2, m2), (low2, b) in gs.items():
+            if n1 + n2 <= nq and m1 + m2 <= nxi:
+                key = (n1 + n2, m1 + m2)
+                acc[key] = acc.get(key, 0) + (a * b << (shift * (low1 + low2 - base)))
+    half, full = 1 << (shift - 1), 1 << shift
+    coeffs: Dict[Tuple[int, int, int], Fraction] = {}
+    for (n, m), x in acc.items():
+        if not x:
+            continue
+        # only the digits from the lowest set bit to the length of |x| can be nonzero
+        lo = ((x & -x).bit_length() - 1) // shift
+        count = abs(x).bit_length() // shift + 1 - lo
+        data = (x >> (shift * lo)).to_bytes(count * width, "little", signed=True)
+        borrow = 0
+        for i in range(count):
+            d = int.from_bytes(data[i * width : (i + 1) * width], "little") + borrow
+            borrow = d >= half
+            if borrow:
+                d -= full
+            if d:
+                coeffs[(n, base + lo + i, m)] = Fraction(d, den)
     return ParamodularForm(f.weight + g.weight, f.level, coeffs, nq, nxi)
 
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 def clear_denominators(row: Sequence) -> List[int]:
     """The rational row scaled by the lcm of its denominators."""
     den = lcm(1, *(x.denominator for x in row))
-    return [int(x * den) for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _echelon(m: List[List[int]], ncols: int) -> Tuple[int, int]:

@@ -93,6 +93,14 @@ def test_c2_e7_independence():
     report("criterion 2c: 10 E7 generator lifts at K(12), weights <= 16", ok)
 
 
+def test_c2_e7_full_certificate():
+    rep = certify.certify_freeness("E7", 30, schedule=((5, 5),))
+    weights = [rec["w"] for rec in rep.weights]
+    full = all(rec["monomial_rank"] == rec["upper_bound"] for rec in rep.weights)
+    ok = rep.consistent() and weights == list(range(31)) and full
+    report("criterion 2d: E7 monomial ranks equal the dimension bounds at every weight <= 30, (5, 5)", ok)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 3: golden tables, zero tolerance
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -19,6 +20,7 @@ from omfree.classical import (
     generalized_bernoulli,
     hurwitz_class_number,
     hurwitz_oracle,
+    is_fundamental_discriminant,
     kronecker_symbol,
     plus_eisenstein_gamma0_3,
     sigma,
@@ -343,6 +345,33 @@ def test_generalized_bernoulli_values():
     assert generalized_bernoulli(1, -3) == Fraction(-1, 3)
     assert generalized_bernoulli(1, -4) == Fraction(-1, 2)
     assert generalized_bernoulli(1, 1) == Fraction(1, 2)
+
+
+def exp_series_bernoulli(disc, order):
+    """B_{n,chi} for n < order as n! [t^n] sum_a chi(a) t e^{at} / (e^{|D| t} - 1).
+
+    The numerator series is divided by (e^{|D| t} - 1) / t term by term.
+    """
+    m = abs(disc)
+    chars = [(a, kronecker_symbol(disc, a)) for a in range(1, m + 1)]
+    numer = [Fraction(sum(ch * a**i for a, ch in chars), factorial(i)) for i in range(order)]
+    denom = [Fraction(m ** (i + 1), factorial(i + 1)) for i in range(order)]
+    quot = []
+    for i in range(order):
+        quot.append((numer[i] - sum(denom[i - j] * quot[j] for j in range(i))) / denom[0])
+    return [q * factorial(n) for n, q in enumerate(quot)]
+
+
+def test_generalized_bernoulli_matches_exp_series():
+    discs = [d for d in range(-120, 121) if d not in (0, 1) and is_fundamental_discriminant(d)]
+    assert len(discs) > 60
+    for disc in discs:
+        oracle = exp_series_bernoulli(disc, 31)
+        for n in range(1, 31):
+            assert generalized_bernoulli(n, disc) == oracle[n], (n, disc)
+    oracle = exp_series_bernoulli(1, 21)
+    for n in range(21):
+        assert generalized_bernoulli(n, 1) == oracle[n], n
 
 
 def test_e2_half_rescale_example():

@@ -144,6 +144,27 @@ def test_certify_precision_below_one_is_usage_error(capsys, nq, nxi, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["pullback", "D8", "-k", "8", "--nq", "-1", "--json"], "--nq"),
+        (["pullback", "D8", "-k", "8", "--nq", "0"], "--nq"),
+        (["lift", "D8", "-k", "8", "--nq", "-1", "--nxi", "2"], "--nq"),
+        (["lift", "D8", "-k", "8", "--nxi", "0"], "--nxi"),
+        (["verify-e14", "--nq", "0", "--nxi", "2"], "--nq"),
+        (["verify-e14", "--nq", "2", "--nxi", "0", "--json"], "--nxi"),
+    ],
+)
+def test_precision_below_one_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 1" in captured.err
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
 def test_output_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "weights.json"
     code = main(["weights", "E6", "--json", "--output", str(target)])

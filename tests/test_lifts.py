@@ -5,10 +5,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from omfree.certify import case_generators
 from omfree.classical import sigma
 from omfree.lattice import lattice, norm, pairing, enumerate_coset
-from omfree.lifts import fj_slice, gritsenko_lift, hecke_V, multiply
+from omfree.lifts import ParamodularForm, fj_slice, gritsenko_lift, hecke_V, multiply
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
@@ -152,6 +154,86 @@ def test_multiply_preserves_support():
 def test_multiply_weight_adds(phi8):
     lift = gritsenko_lift(phi8, 2)
     assert multiply(lift, lift).weight == 2 * lift.weight
+
+
+def pair_loop_product(f, g):
+    """The naive convolution over every coefficient pair, the oracle for ``multiply``."""
+    nq, nxi = min(f.nq, g.nq), min(f.nxi, g.nxi)
+    acc = {}
+    for (n1, r1, m1), c1 in f.coeffs.items():
+        for (n2, r2, m2), c2 in g.coeffs.items():
+            n, m = n1 + n2, m1 + m2
+            if n <= nq and m <= nxi:
+                key = (n, r1 + r2, m)
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return ParamodularForm(f.weight + g.weight, f.level, acc, nq, nxi)
+
+
+def assert_products_equal(f, g):
+    got, want = multiply(f, g), pair_loop_product(f, g)
+    assert (got.weight, got.level, got.nq, got.nxi) == (want.weight, want.level, want.nq, want.nxi)
+    assert got.coeffs == want.coeffs
+
+
+BIG = 2**256
+COEFFICIENTS = st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from([1, 2, 3, 7, 12, 2**64 + 13]))
+
+
+@st.composite
+def sparse_forms(draw, level):
+    nq, nxi = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    keys = [
+        (n, r, m)
+        for n in range(nq + 1)
+        for m in range(nxi + 1)
+        for r in range(-isqrt(4 * n * m * level), isqrt(4 * n * m * level) + 1)
+    ]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=12, unique=True))
+    values = draw(st.lists(COEFFICIENTS, min_size=len(chosen), max_size=len(chosen)))
+    return ParamodularForm(draw(st.integers(1, 12)), level, dict(zip(chosen, values)), nq, nxi)
+
+
+@st.composite
+def form_pairs(draw):
+    level = draw(st.sampled_from([1, 2, 12, 24]))
+    return draw(sparse_forms(level)), draw(sparse_forms(level))
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_pairs())
+def test_multiply_matches_pair_loop(pair):
+    assert_products_equal(*pair)
+
+
+def test_multiply_empty_and_single_term_factors():
+    empty = ParamodularForm(4, 2, {}, 3, 2)
+    single = ParamodularForm(6, 2, {(1, -2, 1): Fraction(-5, 3)}, 2, 3)
+    assert multiply(empty, single).is_zero()
+    assert multiply(single, empty).is_zero()
+    assert multiply(single, single).coeffs == {(2, -4, 2): Fraction(25, 9)}
+    assert_products_equal(single, single)
+
+
+def test_multiply_signed_decode_borrows():
+    # one dense slice at the magnitude bound: every output digit is nonzero and
+    # the centre coefficient meets sum |f| * max |g| exactly
+    level = 24
+    rmax = isqrt(4 * level)
+    top = 2**200 - 1
+    f = ParamodularForm(4, level, {(1, r, 1): Fraction(-top) for r in range(-rmax, rmax + 1)}, 2, 2)
+    g = -1 * f
+    assert multiply(f, f).coefficient(2, 0, 2) == (2 * rmax + 1) * top**2
+    assert multiply(f, g).coefficient(2, 0, 2) == -(2 * rmax + 1) * top**2
+    assert_products_equal(f, f)
+    assert_products_equal(f, g)
+
+
+def test_multiply_e7_lifts_match_pair_loop():
+    gens = case_generators("E7")
+    f, g = gens[0].build(3, 3), gens[1].build(3, 3)
+    assert len(f.coeffs) > 50 and len(g.coeffs) > 50
+    assert_products_equal(f, g)
+    assert_products_equal(g, g)
 
 
 # ---------------------------------------------------------------------------
