@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
-from typing import Dict, List, Literal, Tuple
+from math import ceil, comb, isqrt
+from typing import List, Literal, Tuple
 
-from .linalg import bareiss_rank, clear_denominators, solve
+from .linalg import solve
 from .qseries import QSeries, as_fraction
 
 LevelTag = Literal["SL2", "Gamma0_2", "Gamma0_3_chi", "KohnenPlus4"]
@@ -26,7 +26,7 @@ class PlusSpaceError(ValueError):
 
 
 class DecompositionError(ValueError):
-    """A form could not be written exactly in the registered graded basis."""
+    """A level-2 form could not be written exactly in the level-2 Eisenstein basis."""
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def sl2_monomial_basis(k: int, prec) -> List[Tuple[Tuple[int, int], QSeries]]:
 
 
 # ---------------------------------------------------------------------------
-# Level 2: Eisenstein basis, graded monomial basis, slash expansions
+# Level 2: Eisenstein basis and its slash expansions
 
 
 def weight2_level2(prec) -> ScalarForm:
@@ -319,123 +319,63 @@ def gamma0_2_eisenstein_basis(k: int, prec) -> List[ScalarForm]:
     ]
 
 
-# Generators of the graded ring of level-2 forms used for the slash machinery:
-# the weight-2 form above and the two weight-4 Eisenstein series.
-_LEVEL2_GENS = ("w2", "e4", "e4x2")
+def _eisenstein_basis_slashed(k: int, which: str, prec: Fraction) -> List[QSeries]:
+    """The weight-k Eisenstein basis slashed by S or U, in basis order.
 
-
-def _level2_gen_series(prec) -> Dict[str, QSeries]:
-    prec = as_fraction(prec)
-    e4 = eisenstein_sl2(4, prec).series
-    return {
-        "w2": weight2_level2(prec).series,
-        "e4": e4,
-        "e4x2": e4.rescale(2).truncate(prec),
-    }
-
-
-def _level2_gen_slashed(which: str, prec) -> Dict[str, QSeries]:
-    """Exact expansions of the generators slashed by S or U.
-
-    S is inversion, U is inversion followed by translation.  Closed forms:
-      E_4 | S = E_4,                      E_4 | U = E_4
-      E_4(2 tau) | S = 2^-4 E_4(tau/2),   E_4(2 tau) | U = 2^-4 E_4((tau+1)/2)
-      w2 | S = E_2(tau/2)/2 - E_2,        w2 | U = E_2((tau+1)/2)/2 - E_2
+    S is inversion, U is inversion followed by translation.  With h = tau/2
+    for S and h = (tau+1)/2 for U the closed forms are
+      1 | S = 1,                  w2 | S = E_2(h)/2 - E_2,
+      E_k | S = E_k,              E_k(2 tau) | S = 2^-k E_k(h),
+    and the same with U in place of S.
     """
-    prec = as_fraction(prec)
-    e4 = eisenstein_sl2(4, 2 * prec).series
-    e2 = eisenstein_sl2(2, 2 * prec).series
     if which == "S":
         half = lambda f: f.rescale(Fraction(1, 2))
     elif which == "U":
         half = lambda f: f.half_twist()
     else:
         raise ValueError(f"slash must be 'S' or 'U', got {which!r}")
-    return {
-        "w2": (half(e2) / 2 - e2.truncate(prec)).truncate(prec),
-        "e4": e4.truncate(prec),
-        "e4x2": (half(e4) / Fraction(16)).truncate(prec),
-    }
+    if k == 0:
+        return [QSeries.one(prec)]
+    ek = eisenstein_sl2(k, 2 * prec).series
+    if k == 2:
+        return [half(ek) / 2 - ek.truncate(prec)]
+    return [ek.truncate(prec), half(ek) / 2**k]
 
 
-def _level2_monomials(k: int) -> List[Tuple[int, int, int]]:
-    """Exponent triples (a, b, c) with 2a + 4b + 4c = k, in fixed order."""
-    out = []
-    for a in range(k // 2 + 1):
-        rest = k - 2 * a
-        if rest % 4:
-            continue
-        for b in range(rest // 4 + 1):
-            out.append((a, b, rest // 4 - b))
-    return out
+def decompose_level2(f: ScalarForm) -> List[Fraction]:
+    """Coefficients of f in gamma0_2_eisenstein_basis(k, prec), by one exact solve.
 
-
-def _monomial_series(expo: Tuple[int, int, int], gens: Dict[str, QSeries], prec) -> QSeries:
-    result = QSeries.one(as_fraction(prec))
-    for name, e in zip(_LEVEL2_GENS, expo):
-        if e:
-            result = result * gens[name] ** e
-    return result
-
-
-@lru_cache(maxsize=None)
-def _level2_basis_monomials(k: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Subset of monomials forming a basis of M_k(Gamma0(2)), by exact elimination."""
-    dim = 1 + k // 4
-    prec = 2 * dim + 4
-    gens = _level2_gen_series(prec)
-    chosen: List[Tuple[int, int, int]] = []
-    rows: List[List[int]] = []
-    for expo in _level2_monomials(k):
-        series = _monomial_series(expo, gens, prec)
-        row = clear_denominators([series.coefficient(n) for n in range(prec)])
-        if bareiss_rank(rows + [row]) > len(rows):
-            rows.append(row)
-            chosen.append(expo)
-        if len(chosen) == dim:
-            break
-    if len(chosen) != dim:
-        raise AssertionError(f"level-2 monomials span only {len(chosen)} of {dim} dimensions at weight {k}")
-    return tuple(chosen)
-
-
-def decompose_level2(f: ScalarForm) -> List[Tuple[Fraction, Tuple[int, int, int]]]:
-    """Write a level-2 form exactly in the graded monomial basis.
-
-    Raises DecompositionError if the expansion is inconsistent with
-    membership in M_k(Gamma0(2)).
+    Every known coefficient enters the solve, and at least 1 + k//4 are
+    required: the Sturm bound of Gamma0(2) is k/4, so a form in
+    M_k(Gamma0(2)) agreeing that far with a combination of the basis equals
+    it.  Raises DecompositionError for a short expansion, a fractional
+    exponent, or a form outside the Eisenstein span (such as a cusp form).
     """
     k = int(f.weight)
-    if f.level != "Gamma0_2" or f.weight != k or k % 2:
-        raise DecompositionError(f"expected an even-weight level-2 form, got {f.level} weight {f.weight}")
-    basis = _level2_basis_monomials(k)
+    if f.level != "Gamma0_2" or f.weight != k or k % 2 or k < 0 or f.series.denominator != 1:
+        raise DecompositionError(f"expected an even-weight level-2 form with integer exponents, got {f.level} weight {f.weight}")
     prec = f.series.truncation
-    n_coeffs = int(prec)
-    if n_coeffs < len(basis):
+    n_coeffs = ceil(prec)
+    if n_coeffs < 1 + k // 4:
         raise DecompositionError(
-            f"need at least {len(basis)} coefficients at weight {k}, have O(q^{prec})"
+            f"need at least {1 + k // 4} coefficients at weight {k}, have O(q^{prec})"
         )
-    gens = _level2_gen_series(prec)
-    cols = [_monomial_series(expo, gens, prec) for expo in basis]
-    idx = [Fraction(n) for n in range(n_coeffs)]
-    matrix = [[col.coefficient(e) for col in cols] for e in idx]
-    rhs = [f.series.coefficient(e) for e in idx]
-    sol = solve(matrix, rhs)
+    basis = gamma0_2_eisenstein_basis(k, prec)
+    matrix = [[b.coefficient(n) for b in basis] for n in range(n_coeffs)]
+    sol = solve(matrix, [f.coefficient(n) for n in range(n_coeffs)])
     if sol.status != "unique":
-        raise DecompositionError(f"form is not in the span of the level-2 monomial basis at weight {k}")
-    return [(c, expo) for c, expo in zip(sol.values, basis)]
+        raise DecompositionError(f"form is not in the span of the level-2 Eisenstein basis at weight {k}")
+    return sol.values
 
 
 def slash_level2(f: ScalarForm, which: str) -> QSeries:
-    """Exact q^(1/2)-expansion of f |_k S or f |_k U for f in M_k(Gamma0(2))."""
-    decomp = decompose_level2(f)
+    """Exact q^(1/2)-expansion of f |_k S or f |_k U for f in the Eisenstein span of M_k(Gamma0(2))."""
+    coeffs = decompose_level2(f)
     prec = f.series.truncation
-    slashed_gens = _level2_gen_slashed(which, prec)
     total = QSeries.zero(prec)
-    for coeff, expo in decomp:
-        if coeff == 0:
-            continue
-        total = total + coeff * _monomial_series(expo, slashed_gens, prec)
+    for c, slashed in zip(coeffs, _eisenstein_basis_slashed(int(f.weight), which, prec)):
+        if c:
+            total = total + c * slashed
     return total
 
 

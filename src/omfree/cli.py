@@ -16,10 +16,15 @@ import sys
 from typing import List, Optional
 
 from . import __version__, certify, freealg
-from .classical import hurwitz_class_number, hurwitz_oracle
+from .classical import DecompositionError, PlusSpaceError, hurwitz_class_number, hurwitz_oracle
 from .lattice import lattice, norm
 from .lifts import gritsenko_lift
-from .weil import jacobi_eisenstein, pullback
+from .qseries import ExponentDenominatorError, TruncationError
+from .weil import InvarianceError, jacobi_eisenstein, pullback
+
+#: Mathematical failures: an exact construction or consistency check broke.
+#: They exit 65; any other ValueError or KeyError is a rejected input (64).
+_MATH_ERRORS = (DecompositionError, ExponentDenominatorError, InvarianceError, PlusSpaceError, TruncationError)
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -317,6 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--{flag} must be at least 1, got {value}")
     try:
         return args.func(args)
+    except _MATH_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 65
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

@@ -131,11 +131,11 @@ def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
         rmax = isqrt(4 * n * new_index)
         for r in range(-rmax, rmax + 1):
             g = gcd(gcd(n, r), m)
-            total = Fraction(0)
+            total = 0
             for d in divisors(g):
-                arg_n = n * m // (d * d)
-                arg_r = r // d
-                total += Fraction(d ** (k - 1)) * phi.coeffs.get((arg_n, arg_r), Fraction(0))
+                c = phi.coeffs.get((n * m // (d * d), r // d))
+                if c:
+                    total += d ** (k - 1) * c
             if total:
                 out[(n, r)] = total
     return JacobiForm(k, new_index, out, nq_out)

@@ -386,7 +386,9 @@ def _d8_eisenstein(k: int, orbit: int, prec: Fraction) -> ComponentForm:
         raise ValueError(f"D8 cusp orbit must be 0 or 1, got {orbit}")
     if k % 2 or k < 4:
         raise ValueError(f"D8 Eisenstein weights are even and >= 4, got {k}")
-    # the slash decomposition needs at least dim M_{k-4}(Gamma0(2)) coefficients
+    # decompose_level2 needs 1 + (k-4)//4 coefficients, the Sturm bound of
+    # Gamma0(2) at weight k-4; two more are kept.  The floor is also the
+    # truncation of the result.
     prec = max(prec, 1 + (k - 4) // 4 + 2)
     if k in (4, 6):
         if orbit != 0:

@@ -228,6 +228,67 @@ def test_decompose_rejects_non_modular_input():
         decompose_level2(ScalarForm(Fraction(4), "Gamma0_2", series))
 
 
+def test_decompose_rejects_fractional_exponents():
+    e4, e4x2 = gamma0_2_eisenstein_basis(4, 6)
+    series = e4.series + e4x2.series + QSeries.monomial(Fraction(1, 2), 7, 6)
+    with pytest.raises(DecompositionError, match="integer exponents"):
+        decompose_level2(ScalarForm(Fraction(4), "Gamma0_2", series))
+
+
+def w2_e4_slash(f, which):
+    """f|S or f|U through the free basis w2^a E4^b (2a + 4b = k) of M_k(Gamma0(2)).
+
+    The slash is multiplicative, so only two closed forms are quoted:
+    w2|S = E2(tau/2)/2 - E2, w2|U = E2((tau+1)/2)/2 - E2 and E4|S = E4|U = E4.
+    """
+    k, prec = int(f.weight), f.series.truncation
+    e2 = eisenstein_sl2(2, 2 * prec).series
+    half = e2.rescale(Fraction(1, 2)) if which == "S" else e2.half_twist()
+    w2, w2_slashed = weight2_level2(prec).series, half / 2 - e2.truncate(prec)
+    e4 = eisenstein_sl2(4, prec).series
+    expos = [(a, (k - 2 * a) // 4) for a in range(k // 2 + 1) if (k - 2 * a) % 4 == 0]
+    monos = [w2**a * e4**b for a, b in expos]
+    coeffs = _solve([[m.coefficient(n) for m in monos] + [f.coefficient(n)] for n in range(int(prec))], len(monos))
+    assert coeffs is not None and len(coeffs) == len(monos)
+    total = QSeries.zero(prec)
+    for c, (a, b) in zip(coeffs, expos):
+        total = total + c * w2_slashed**a * e4**b
+    return total
+
+
+@pytest.mark.parametrize("k", range(0, 26, 2))
+def test_slash_matches_w2_e4_oracle(k):
+    rng = random.Random(k)
+    for prec in (1 + k // 4, 3 + k // 4, 10):
+        basis = gamma0_2_eisenstein_basis(k, prec)
+        series = QSeries.zero(prec)
+        for b in basis:
+            series = series + Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * b.series
+        f = ScalarForm(Fraction(k), "Gamma0_2", series)
+        for which in "SU":
+            assert slash_level2(f, which) == w2_e4_slash(f, which), (k, prec, which)
+
+
+@pytest.mark.parametrize("prec", [3, 4, 8])
+def test_decompose_rejects_cusp_form(prec):
+    # (eta(tau) eta(2 tau))^8 = q - 8 q^2 + ... spans the weight-8 cusp forms of Gamma0(2)
+    series = eta_pow(8, prec) * eta_pow(8, prec).rescale(2)
+    cusp = ScalarForm(Fraction(8), "Gamma0_2", series)
+    assert series.coefficient(1) == 1 and series.coefficient(2) == -8
+    with pytest.raises(DecompositionError):
+        decompose_level2(cusp)
+    with pytest.raises(DecompositionError):
+        slash_level2(cusp, "S")
+
+
+@pytest.mark.parametrize("k", range(4, 26, 2))
+def test_decompose_needs_sturm_bound_coefficients(k):
+    short = gamma0_2_eisenstein_basis(k, k // 4)[0]
+    with pytest.raises(DecompositionError, match=f"need at least {1 + k // 4} coefficients"):
+        decompose_level2(short)
+    assert decompose_level2(gamma0_2_eisenstein_basis(k, 1 + k // 4)[0]) == [1, 0]
+
+
 # ---------------------------------------------------------------------------
 # level 3 plus space
 

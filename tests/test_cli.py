@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from omfree import weil
+from omfree.classical import ScalarForm
 from omfree.cli import main
+from omfree.qseries import QSeries
 
 
 def run(capsys, *argv):
@@ -70,6 +73,19 @@ def test_unknown_system_is_usage_error(capsys):
 def test_e8_is_usage_error(capsys):
     code = main(["weights", "E8"])
     assert code == 64
+
+
+def test_mathematical_failure_exits_65(capsys, monkeypatch):
+    real = weil.gamma0_2_eisenstein_basis
+
+    def perturbed(k, prec):
+        *rest, last = real(k, prec)
+        bumped = last.series + QSeries.monomial(1, 1, last.series.truncation)
+        return rest + [ScalarForm(last.weight, last.level, bumped)]
+
+    monkeypatch.setattr(weil, "gamma0_2_eisenstein_basis", perturbed)
+    assert main(["eisenstein", "D8", "-k", "8"]) == 65
+    assert "not in the span of the level-2 Eisenstein basis" in capsys.readouterr().err
 
 
 def test_eisenstein_dump(capsys):

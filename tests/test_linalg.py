@@ -6,7 +6,6 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from omfree.classical import _level2_basis_monomials
 from omfree.lattice import _inverse, gram_matrix, registered_lattices
 from omfree.linalg import bareiss_rank, clear_denominators, det, left_kernel, solve
 
@@ -104,26 +103,3 @@ def test_inverse_of_every_gram_matrix():
         assert [[dot(inv[i], [gram[k][j] for k in range(n)]) for j in range(n)] for i in range(n)] == [
             [int(i == j) for j in range(n)] for i in range(n)
         ], name
-
-
-# Chosen monomials (w2, E4, E4(2 tau) exponents) per weight, as selected by
-# the earlier per-row reduction.
-LEVEL2_BASIS = {
-    0: ((0, 0, 0),),
-    2: ((1, 0, 0),),
-    4: ((0, 0, 1), (0, 1, 0)),
-    6: ((1, 0, 1), (1, 1, 0)),
-    8: ((0, 0, 2), (0, 1, 1), (0, 2, 0)),
-    10: ((1, 0, 2), (1, 1, 1), (1, 2, 0)),
-    12: ((0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0)),
-    14: ((1, 0, 3), (1, 1, 2), (1, 2, 1), (1, 3, 0)),
-    16: ((0, 0, 4), (0, 1, 3), (0, 2, 2), (0, 3, 1), (0, 4, 0)),
-    18: ((1, 0, 4), (1, 1, 3), (1, 2, 2), (1, 3, 1), (1, 4, 0)),
-    20: ((0, 0, 5), (0, 1, 4), (0, 2, 3), (0, 3, 2), (0, 4, 1), (0, 5, 0)),
-    22: ((1, 0, 5), (1, 1, 4), (1, 2, 3), (1, 3, 2), (1, 4, 1), (1, 5, 0)),
-    24: ((0, 0, 6), (0, 1, 5), (0, 2, 4), (0, 3, 3), (0, 4, 2), (0, 5, 1), (0, 6, 0)),
-}
-
-
-def test_level2_basis_monomials_table():
-    assert {k: _level2_basis_monomials(k) for k in LEVEL2_BASIS} == LEVEL2_BASIS
