@@ -1,7 +1,8 @@
 """Exact linear-algebra certificates for the lifted Eisenstein generators.
 
 Monomials in the generator lifts are flattened over a canonical coefficient
-index set and their exact rank is computed by fraction-free elimination.
+index set, one row of integer numerators per monomial, and their exact rank
+is certified mod a prime when full, by fraction-free elimination otherwise.
 Full rank certifies linear independence at that weight (and hence upstream,
 since any relation among the orthogonal series would restrict to a relation
 among the pullback lifts).  Rank deficits are never reported as relations
@@ -20,7 +21,7 @@ from . import __version__
 from .freealg import dim_upper_bound
 from .lattice import lattice, norm
 from .lifts import ParamodularForm, gritsenko_lift, multiply
-from .linalg import bareiss_rank, clear_denominators, left_kernel, solve
+from .linalg import bareiss_rank, left_kernel, solve
 from .weil import e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
 from .qseries import QSeries
@@ -315,8 +316,9 @@ def independence(
                 continue
             forms = [cache.product(m) for m in monos]
             index_set = canonical_index_set(forms[0].level, nq, nxi)
-            rows_frac = [[f.coeffs.get(key, Fraction(0)) for key in index_set] for f in forms]
-            rank = bareiss_rank([clear_denominators(row) for row in rows_frac])
+            # each row is a form's numerators: its coefficients times its own denominator
+            rows = [[f.nums.get(key, 0) for key in index_set] for f in forms]
+            rank = bareiss_rank(rows)
             if rank == len(monos):
                 records[w] = WeightRecord(w, monos, (len(monos), len(index_set)), rank, "independent")
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): independent")
@@ -325,7 +327,9 @@ def independence(
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): deficient")
                 still_pending.append(w)
                 if step == len(schedule) - 1:
-                    for vec in left_kernel(rows_frac):
+                    # relations among the forms, so the kernel needs the rational rows
+                    rational = [[Fraction(x, f.den) for x in row] for f, row in zip(forms, rows)]
+                    for vec in left_kernel(rational):
                         relations.append(
                             {"w": w, "coefficients": [str(x) for x in vec]}
                         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, isqrt
-from typing import List, Literal, Tuple
+from typing import List, Literal, Optional, Tuple
 
 from .linalg import solve
 from .qseries import QSeries, as_fraction
@@ -75,13 +75,6 @@ def sigma(n: int, k: int) -> int:
             if e != d:
                 total += e**k
     return total
-
-
-def sigma_odd(n: int) -> int:
-    """Sum of the odd divisors of n."""
-    while n % 2 == 0:
-        n //= 2
-    return sigma(n, 1)
 
 
 def divisors(n: int) -> List[int]:
@@ -265,32 +258,6 @@ def eta_pow(m: int, prec) -> QSeries:
     return prod.shift(Fraction(m, 24)).truncate(prec)
 
 
-def delta_cusp_form(prec) -> ScalarForm:
-    """The normalized weight-12 cusp form q prod (1-q^n)^24."""
-    return ScalarForm(Fraction(12), "SL2", eta_pow(24, prec))
-
-
-def sl2_monomial_basis(k: int, prec) -> List[Tuple[Tuple[int, int], QSeries]]:
-    """All monomials E4^a E6^b of weight k, with expansions."""
-    if k % 2 or k < 0:
-        raise ValueError(f"weight must be even and nonnegative, got {k}")
-    e4 = eisenstein_sl2(4, prec).series if k >= 4 else None
-    e6 = eisenstein_sl2(6, prec).series if k >= 6 else None
-    out = []
-    for b in range(k // 6 + 1):
-        rest = k - 6 * b
-        if rest % 4:
-            continue
-        a = rest // 4
-        mono = QSeries.one(as_fraction(prec))
-        if a:
-            mono = mono * e4**a
-        if b:
-            mono = mono * e6**b
-        out.append(((a, b), mono))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Level 2: Eisenstein basis and its slash expansions
 
@@ -379,9 +346,10 @@ def slash_level2(f: ScalarForm, which: str) -> QSeries:
     return total
 
 
-def trace_to_sl2(f: ScalarForm) -> ScalarForm:
-    """f + f|S + f|U, a level-1 form of the same weight."""
-    total = f.series + slash_level2(f, "S") + slash_level2(f, "U")
+def trace_to_sl2(f: ScalarForm, slashed: Optional[Tuple[QSeries, QSeries]] = None) -> ScalarForm:
+    """f + f|S + f|U, a level-1 form of the same weight; ``slashed`` is (f|S, f|U) when already known."""
+    s, u = slashed or (slash_level2(f, "S"), slash_level2(f, "U"))
+    total = f.series + s + u
     if any(e.denominator != 1 for e in total.support()):
         raise AssertionError("trace has non-integer exponents; slash expansions are inconsistent")
     return ScalarForm(f.weight, "SL2", total)

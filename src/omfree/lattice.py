@@ -142,10 +142,6 @@ def gram_matrix(name: str) -> Tuple[Tuple[int, ...], ...]:
         raise UnknownLatticeError(f"unknown lattice {name!r}; known: {sorted(_GRAMS)}") from None
 
 
-def registered_lattices() -> List[str]:
-    return sorted(_GRAMS)
-
-
 def _inverse(gram) -> List[List[Fraction]]:
     """Inverse of a nonsingular integer matrix, one exact solve per column."""
     n = len(gram)

@@ -7,74 +7,131 @@ gcd(n, r, M) of d^(k-1) c(n M / d^2, r / d); the boundary slice M = 0 is the
 correctly scaled level-1 Eisenstein series, which makes the coefficient
 symmetry A(n, r, M) = A(M, r, n) hold on the nose.
 
-Products are exact integer convolutions by Kronecker substitution: after
-clearing denominators, each (n, M) slice's r-polynomial is packed into one
-Python int with B-bit digits, one big-integer multiply per compatible slice
-pair does the convolution in r, and each output slice is decoded once in
-balanced base-2^B digits.  B comes from the bound
-|A(n, r, M)| <= sum |f| * max |g|, so no digit can overflow.
+Coefficients are held as integer numerators over one common denominator,
+in lowest terms.  A lift converts its rational Jacobi input once; sums,
+scalings and products then run on integers, and ``Fraction`` values are
+built only at the boundary: the rational constructor, ``coeffs``,
+``coefficient`` and the JSON form.
+
+Products are exact integer convolutions by Kronecker substitution: each
+(n, M) slice's numerator r-polynomial is packed into one Python int with
+B-bit digits, one big-integer multiply per compatible slice pair does the
+convolution in r, and each output slice is decoded once in balanced
+base-2^B digits.  B comes from a bound on the output numerators,
+sum |f| * max |g| over the factors' numerators, so no digit can overflow.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .classical import bernoulli, divisors, sigma
 from .qseries import as_fraction
 from .weil import JacobiForm
 
+Key = Tuple[int, int, int]
 
-@dataclass(frozen=True)
+
+class _RationalView(Mapping):
+    """Read-only map from (n, r, M) to numerator / denominator as a ``Fraction``."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Dict[Key, int], den: int):
+        self._nums, self._den = nums, den
+
+    def __getitem__(self, key: Key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+
+@dataclass(frozen=True, init=False)
 class ParamodularForm:
     """Exact truncated Fourier expansion of a degree-2 form of level ``level``.
 
     Coefficients A(n, r, M) are faithful for n <= nq and M <= nxi; the
-    support satisfies 4 n M level - r^2 >= 0.
+    support satisfies 4 n M level - r^2 >= 0.  A(n, r, M) is
+    ``nums[(n, r, M)] / den``: nonzero integer numerators inside the box
+    over one positive denominator, with gcd(den, *nums) = 1.
     """
 
     weight: int
     level: int
-    coeffs: Dict[Tuple[int, int, int], Fraction]
+    nums: Dict[Key, int]
+    den: int
     nq: int
     nxi: int
 
-    def __post_init__(self):
-        clean = {
-            k: v
-            for k, v in self.coeffs.items()
-            if v != 0 and k[0] <= self.nq and k[2] <= self.nxi
-        }
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, weight: int, level: int, coeffs: Dict[Key, Fraction], nq: int, nxi: int):
+        """From exact rational (or integer) coefficients keyed by (n, r, M)."""
+        values = {k: as_fraction(v) for k, v in coeffs.items() if k[0] <= nq and k[2] <= nxi}
+        den = lcm(1, *(v.denominator for v in values.values()))
+        nums = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self._set(weight, level, nums, den, nq, nxi)
+
+    @classmethod
+    def from_numerators(
+        cls, weight: int, level: int, nums: Dict[Key, int], den: int, nq: int, nxi: int
+    ) -> "ParamodularForm":
+        """The form with A(n, r, M) = nums[(n, r, M)] / den; ``den`` is any nonzero int."""
+        form = cls.__new__(cls)
+        form._set(weight, level, nums, den, nq, nxi)
+        return form
+
+    def _set(self, weight, level, nums, den, nq, nxi) -> None:
+        nums = {k: v for k, v in nums.items() if v and k[0] <= nq and k[2] <= nxi}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+        fields = {"weight": weight, "level": level, "nums": nums, "den": den, "nq": nq, "nxi": nxi}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def coeffs(self) -> Mapping:
+        """The rational coefficients, as a read-only map to ``Fraction``."""
+        return _RationalView(self.nums, self.den)
 
     def coefficient(self, n: int, r: int, m: int) -> Fraction:
         if n > self.nq or m > self.nxi:
             raise ValueError(f"(n={n}, M={m}) beyond truncation ({self.nq}, {self.nxi})")
-        return self.coeffs.get((n, r, m), Fraction(0))
+        return Fraction(self.nums.get((n, r, m), 0), self.den)
 
-    def support(self) -> List[Tuple[int, int, int]]:
-        return sorted(self.coeffs)
+    def support(self) -> List[Key]:
+        return sorted(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other: "ParamodularForm") -> "ParamodularForm":
         if (self.weight, self.level) != (other.weight, other.level):
             raise ValueError("can only add paramodular forms of equal weight and level")
         nq, nxi = min(self.nq, other.nq), min(self.nxi, other.nxi)
-        coeffs = {k: v for k, v in self.coeffs.items() if k[0] <= nq and k[2] <= nxi}
-        for k, v in other.coeffs.items():
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = {k: a * v for k, v in self.nums.items() if k[0] <= nq and k[2] <= nxi}
+        for k, v in other.nums.items():
             if k[0] <= nq and k[2] <= nxi:
-                coeffs[k] = coeffs.get(k, Fraction(0)) + v
-        return ParamodularForm(self.weight, self.level, coeffs, nq, nxi)
+                nums[k] = nums.get(k, 0) + b * v
+        return ParamodularForm.from_numerators(self.weight, self.level, nums, den, nq, nxi)
 
     def __rmul__(self, c) -> "ParamodularForm":
         c = as_fraction(c)
-        return ParamodularForm(
-            self.weight, self.level, {k: c * v for k, v in self.coeffs.items()}, self.nq, self.nxi
-        )
+        nums = {k: c.numerator * v for k, v in self.nums.items()}
+        den = c.denominator * self.den
+        return ParamodularForm.from_numerators(self.weight, self.level, nums, den, self.nq, self.nxi)
 
     def __mul__(self, other):
         if isinstance(other, ParamodularForm):
@@ -91,10 +148,11 @@ class ParamodularForm:
     def check_symmetry(self) -> None:
         """A(n, r, M) = A(M, r, n) on the square part of the box."""
         box = min(self.nq, self.nxi)
-        for (n, r, m), c in self.coeffs.items():
-            if n <= box and m <= box:
-                if self.coeffs.get((m, r, n), Fraction(0)) != c:
-                    raise ValueError(f"A({n},{r},{m}) = {c} but A({m},{r},{n}) differs")
+        for (n, r, m), c in self.nums.items():
+            if n <= box and m <= box and self.nums.get((m, r, n), 0) != c:
+                raise ValueError(
+                    f"A({n},{r},{m}) = {Fraction(c, self.den)} but A({m},{r},{n}) differs"
+                )
 
     def to_json(self) -> dict:
         return {
@@ -117,7 +175,7 @@ def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
     """Index-raising operator: (phi | V_M)(n, r) = sum_{d | gcd(n,r,M)} d^(k-1) c(nM/d^2, r/d).
 
     gcd(0, 0, M) is M.  The output index is M times the input index, with
-    truncation floor(nq / M).
+    truncation floor(nq / M).  Integer coefficients stay integers.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
@@ -160,28 +218,34 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
     elif k < 4:
         raise ValueError(f"even lift weights start at 4, got {k}")
     nq_out = phi.nq // nxi
-    coeffs: Dict[Tuple[int, int, int], Fraction] = {}
+    # one common denominator for phi and the boundary constant; V_M keeps
+    # integer coefficients integral
+    boundary = -bernoulli(k) / (2 * k) * c00
+    den = lcm(boundary.denominator, *(c.denominator for c in phi.coeffs.values()))
+    scaled = JacobiForm(
+        k, phi.index, {key: c.numerator * (den // c.denominator) for key, c in phi.coeffs.items()}, phi.nq
+    )
+    nums: Dict[Key, int] = {}
     if c00 != 0:
-        coeffs[(0, 0, 0)] = -bernoulli(k) / (2 * k) * c00
+        nums[(0, 0, 0)] = boundary.numerator * (den // boundary.denominator)
         for n in range(1, nq_out + 1):
-            coeffs[(n, 0, 0)] = c00 * sigma(n, k - 1)
+            nums[(n, 0, 0)] = scaled.coeffs[(0, 0)] * sigma(n, k - 1)
     for m in range(1, nxi + 1):
-        slice_m = hecke_V(phi, m)
-        for (n, r), c in slice_m.coeffs.items():
+        for (n, r), c in hecke_V(scaled, m).coeffs.items():
             if n <= nq_out:
-                coeffs[(n, r, m)] = c
-    return ParamodularForm(k, phi.index, coeffs, nq_out, nxi)
+                nums[(n, r, m)] = c
+    return ParamodularForm.from_numerators(k, phi.index, nums, den, nq_out, nxi)
 
 
 # ---------------------------------------------------------------------------
-# Products and slices
+# Products
 
 
 def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
     """Coefficient convolution; weight adds, truncation is the componentwise min.
 
-    Kronecker substitution per (n, M) slice.  Each factor's coefficients in
-    the box are scaled to integers by the lcm of their denominators; each
+    Kronecker substitution per (n, M) slice, on the factors' integer
+    numerators; the product's denominator is the product of theirs.  Each
     slice's r-polynomial is packed into one int sum_r c_r 2^(B (r - r0)),
     with r0 the slice's lowest r, so narrow slices pack into short ints.  A
     slice pair is multiplied only when n1 + n2 <= nq and M1 + M2 <= nxi, and
@@ -190,23 +254,21 @@ def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
     one ``int.to_bytes``.
 
     The digit width is exact: for a fixed output (n, r, M) each f-term meets
-    at most one g-term, so |A(n, r, M)| <= sum |f| * max |g| < 2^(B-1) when
-    B >= bitlen(sum |f|) + bitlen(max |g|) + 1, and no digit overflows into
-    its neighbour.  B is rounded up to whole bytes for the decode.
+    at most one g-term, so the output numerator is at most
+    sum |f| * max |g| < 2^(B-1) in absolute value, over the numerators in
+    the box, when B >= bitlen(sum |f|) + bitlen(max |g|) + 1, and no digit
+    overflows into its neighbour.  B is rounded up to whole bytes for the
+    decode.
     """
     if f.level != g.level:
         raise ValueError(f"level mismatch: {f.level} vs {g.level}")
     nq, nxi = min(f.nq, g.nq), min(f.nxi, g.nxi)
-    den = 1
-    tables = []
-    for form in (f, g):
-        terms = [(k, v) for k, v in form.coeffs.items() if k[0] <= nq and k[2] <= nxi]
-        d = lcm(1, *(v.denominator for _, v in terms))
-        tables.append([(k, v.numerator * (d // v.denominator)) for k, v in terms])
-        den *= d
+    tables = [
+        [(k, v) for k, v in form.nums.items() if k[0] <= nq and k[2] <= nxi] for form in (f, g)
+    ]
     fi, gi = tables
     if not fi or not gi:
-        return ParamodularForm(f.weight + g.weight, f.level, {}, nq, nxi)
+        return ParamodularForm.from_numerators(f.weight + g.weight, f.level, {}, 1, nq, nxi)
     bits = sum(abs(c) for _, c in fi).bit_length() + max(abs(c) for _, c in gi).bit_length() + 1
     width = -(-bits // 8)
     shift = 8 * width
@@ -229,7 +291,7 @@ def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
                 key = (n1 + n2, m1 + m2)
                 acc[key] = acc.get(key, 0) + (a * b << (shift * (low1 + low2 - base)))
     half, full = 1 << (shift - 1), 1 << shift
-    coeffs: Dict[Tuple[int, int, int], Fraction] = {}
+    nums: Dict[Key, int] = {}
     for (n, m), x in acc.items():
         if not x:
             continue
@@ -244,13 +306,5 @@ def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
             if borrow:
                 d -= full
             if d:
-                coeffs[(n, base + lo + i, m)] = Fraction(d, den)
-    return ParamodularForm(f.weight + g.weight, f.level, coeffs, nq, nxi)
-
-
-def fj_slice(f: ParamodularForm, m: int) -> JacobiForm:
-    """The coefficient of xi^M: a Jacobi form of index level * M."""
-    if m < 0 or m > f.nxi:
-        raise ValueError(f"slice M={m} outside truncation nxi={f.nxi}")
-    coeffs = {(n, r): c for (n, r, mm), c in f.coeffs.items() if mm == m}
-    return JacobiForm(f.weight, f.level * m, coeffs, f.nq)
+                nums[(n, base + lo + i, m)] = d
+    return ParamodularForm.from_numerators(f.weight + g.weight, f.level, nums, f.den * g.den, nq, nxi)

@@ -1,11 +1,17 @@
-"""Exact linear algebra on one fraction-free integer elimination.
+"""Exact linear algebra on one fraction-free integer elimination, with a modular rank certificate.
 
 Every certificate ends in a rank, a solve or a kernel over the rationals.
-All of them run the same Bareiss forward elimination (Math. Comp. 22,
-1968) on integer rows: rational rows are first scaled by the lcm of their
-denominators, each entry after k pivot steps is a (k+1)-minor of the
-input, so every division is exact and no ``Fraction`` appears inside the
-loop.  ``Fraction`` values are built only at the end of :func:`solve`.
+Solves, kernels and determinants run the same Bareiss forward elimination
+(Math. Comp. 22, 1968) on integer rows: rational rows are first scaled by
+the lcm of their denominators, each entry after k pivot steps is a
+(k+1)-minor of the input, so every division is exact and no ``Fraction``
+appears inside the loop.  ``Fraction`` values are built only at the end of
+:func:`solve`.
+
+A rank first tries a certificate mod the prime :data:`MODULUS`: an int64
+numpy elimination that settles every full-row-rank matrix, which is the
+common case in an independence certificate.  Bareiss runs only when the
+rows are dependent mod the prime, and then gives the exact rank.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+#: The prime of the modular rank certificate.  (MODULUS - 1)^2 < 2^62, so a
+#: product of two residues and its difference with a third fit in int64.
+MODULUS = 2_147_483_647
 
 
 def clear_denominators(row: Sequence) -> List[int]:
@@ -57,10 +69,39 @@ def _echelon(m: List[List[int]], ncols: int) -> Tuple[int, int]:
     return row, sign
 
 
+def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(MODULUS) by Gaussian elimination on int64 residues."""
+    m = np.array([[x % MODULUS for x in r] for r in rows], dtype=np.int64)
+    rank = 0
+    while rank < len(m):
+        cols = np.flatnonzero(m[rank:].any(axis=0))
+        if not len(cols):
+            break
+        col = cols[0]
+        piv = rank + int(np.flatnonzero(m[rank:, col])[0])
+        m[[rank, piv]] = m[[piv, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, MODULUS) % MODULUS
+        below = m[rank + 1 :]
+        m[rank + 1 :] = (below - np.outer(below[:, col], m[rank])) % MODULUS
+        rank += 1
+    return rank
+
+
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
+    """Exact rank of an integer matrix: mod-p certificate first, Bareiss on a deficit.
+
+    The rank mod p is never above the rank over Q: a minor that is nonzero
+    mod p is a nonzero integer.  So when the rows are independent mod
+    ``MODULUS`` they are independent over Q, and their count is returned.
+    Otherwise the deficit may be an accident of the prime, and the
+    fraction-free elimination gives the exact rank.
+    """
     m = [list(r) for r in rows if any(r)]
-    return _echelon(m, len(m[0]))[0] if m else 0
+    if not m:
+        return 0
+    if _rank_mod_p(m) == len(m):
+        return len(m)
+    return _echelon(m, len(m[0]))[0]
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

@@ -217,11 +217,14 @@ class JacobiForm:
 # D8: pairs (f1, f2) of level-1 and level-2 forms
 
 
-def d8_pair_to_component(f1: ScalarForm, f2: ScalarForm) -> ComponentForm:
+def d8_pair_to_component(
+    f1: ScalarForm, f2: ScalarForm, slashed: Optional[Tuple[QSeries, QSeries]] = None
+) -> ComponentForm:
     """Components ((f1+f2)/2, (f1-f2)/2, (f2|S + f2|U)/2, (f2|S - f2|U)/2).
 
     The first three components sit on the cosets of integer norm (zero coset
-    first), the last on the half-norm coset.
+    first), the last on the half-norm coset.  ``slashed`` is (f2|S, f2|U)
+    when already known.
     """
     if f1.weight != f2.weight:
         raise ValueError(f"weight mismatch: {f1.weight} vs {f2.weight}")
@@ -230,8 +233,7 @@ def d8_pair_to_component(f1: ScalarForm, f2: ScalarForm) -> ComponentForm:
     lat = lattice("D8")
     s1 = f1.series
     s2 = f2.series
-    s2_s = slash_level2(f2, "S")
-    s2_u = slash_level2(f2, "U")
+    s2_s, s2_u = slashed or (slash_level2(f2, "S"), slash_level2(f2, "U"))
     comps = (
         (s1 + s2) / 2,
         (s1 - s2) / 2,
@@ -244,8 +246,8 @@ def d8_pair_to_component(f1: ScalarForm, f2: ScalarForm) -> ComponentForm:
 
 def d8_invariant_from_gamma02(f2: ScalarForm) -> ComponentForm:
     """Invariant component form from a level-2 form: f1 = f2 + f2|S + f2|U."""
-    f1 = trace_to_sl2(f2)
-    form = d8_pair_to_component(f1, f2)
+    slashed = slash_level2(f2, "S"), slash_level2(f2, "U")
+    form = d8_pair_to_component(trace_to_sl2(f2, slashed), f2, slashed)
     if form.component(1) != form.component(2):
         raise InvarianceError("trace construction produced unequal middle components")
     return form
@@ -294,15 +296,6 @@ def e6_from_plus(g: ScalarForm) -> ComponentForm:
     comps[i0], comps[i1], comps[i2] = f0, f1, f1
     jacobi_weight = as_fraction(g.weight) + 3
     return ComponentForm(lat, jacobi_weight, tuple(comps))
-
-
-def e6_to_plus(form: ComponentForm) -> QSeries:
-    """Inverse of e6_from_plus: rescale every component by 3 and add."""
-    total = None
-    for comp in form.components:
-        piece = comp.rescale(3)
-        total = piece if total is None else total + piece
-    return total
 
 
 def e6_from_sl2(f: ScalarForm, prec=None) -> ComponentForm:

@@ -16,7 +16,6 @@ from omfree.classical import (
     gamma0_2_eisenstein_basis,
     hurwitz_class_number,
     hurwitz_oracle,
-    sl2_monomial_basis,
     slash_level2,
     weight2_level2,
 )
@@ -24,6 +23,7 @@ from omfree.lattice import lattice, norm
 from omfree.lifts import gritsenko_lift, multiply
 from omfree.qseries import QSeries
 from omfree.weil import JacobiForm, d8_invariant_from_gamma02, jacobi_eisenstein, pullback
+from oracles import sl2_monomial_basis
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -20,6 +20,7 @@ from omfree.certify import (
     verify_weight14,
 )
 from omfree.lifts import ParamodularForm, gritsenko_lift, multiply
+from omfree.linalg import MODULUS, _rank_mod_p
 from omfree.weil import jacobi_eisenstein, pullback
 
 D8_WEIGHTS = [4, 6, 8, 8, 10, 10, 12, 12, 14, 16, 18]
@@ -56,6 +57,15 @@ def test_bareiss_rank_known_matrices():
     assert bareiss_rank([[1, 2], [3, 4]]) == 2
     assert bareiss_rank([[0, 0], [0, 0]]) == 0
     assert bareiss_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+    # regular over Q but singular mod the certificate's prime: the exact rank
+    p = MODULUS
+    for rows in ([[p, 0], [0, 1]], [[1, 1], [1, 1 + p]], [[p, 2 * p], [-3 * p, 5 * p]]):
+        assert _rank_mod_p(rows) < 2 and bareiss_rank(rows) == 2
+    # negative entries beyond 2^64, with zero, duplicate and combined rows
+    a, b = [3, -(2**64) - 5, 2**70], [-7, 2**65, -1]
+    assert bareiss_rank([a, b]) == 2
+    assert bareiss_rank([a, [0, 0, 0], a, [x + 5 * y for x, y in zip(a, b)], b]) == 2
+    assert bareiss_rank([[2**65, -(2**64)], [-(2**66), 2**65]]) == 1
 
 
 def test_bareiss_rank_big_entries():
@@ -155,6 +165,23 @@ def test_independence_duplicate_generator_kernel(small_lifts):
     assert rec.verdict == "inconclusive"
     assert rec.rank == 1
     assert {"w": 4, "coefficients": ["1", "-1"]} in cert.relations
+
+
+def test_independence_relation_on_rational_rows(small_lifts):
+    # A and B = A/7 share their numerators, so a kernel taken on numerator
+    # rows would report B - A = 0 instead of 7 B - A = 0 (monomial (0, 1),
+    # that is B, comes first)
+    e4 = small_lifts[(4, 0)]
+    seventh = Fraction(1, 7) * e4
+    assert seventh.nums == e4.nums and seventh.den == 7 * e4.den
+    gens = [
+        GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4),
+        GeneratorSpec("E4/7", 4, "fixed", lambda nq, nxi: seventh),
+    ]
+    cert = independence(gens, 4, schedule=((2, 2),))
+    rec = next(r for r in cert.weights if r.weight == 4)
+    assert rec.verdict == "inconclusive" and rec.rank == 1
+    assert cert.relations == [{"w": 4, "coefficients": ["7", "-1"]}]
 
 
 def test_case_generators_counts():

@@ -13,7 +13,6 @@ from omfree.classical import (
     cohen_class_number,
     cohen_eisenstein,
     decompose_level2,
-    delta_cusp_form,
     eisenstein_sl2,
     eta_pow,
     gamma0_2_eisenstein_basis,
@@ -24,14 +23,25 @@ from omfree.classical import (
     kronecker_symbol,
     plus_eisenstein_gamma0_3,
     sigma,
-    sigma_odd,
     slash_level2,
-    sl2_monomial_basis,
     theta_series,
     trace_to_sl2,
     weight2_level2,
 )
 from omfree.qseries import QSeries
+from oracles import sl2_monomial_basis
+
+
+def sigma_odd(n):
+    """Sum of the odd divisors of n."""
+    while n % 2 == 0:
+        n //= 2
+    return sigma(n, 1)
+
+
+def delta_cusp_form(prec):
+    """The normalized weight-12 cusp form q prod (1-q^n)^24."""
+    return ScalarForm(Fraction(12), "SL2", eta_pow(24, prec))
 
 
 def brute_sigma(n, k):

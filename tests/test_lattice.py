@@ -19,8 +19,8 @@ from omfree.lattice import (
     norm,
     pairing,
     pairing_counts,
-    registered_lattices,
 )
+from oracles import LATTICES
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 
@@ -250,7 +250,7 @@ def test_pairing_counts_match_reference(name, vec, qmax):
         assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
 
 
-@pytest.mark.parametrize("name", registered_lattices())
+@pytest.mark.parametrize("name", LATTICES)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_pairing_counts_property(name, data):

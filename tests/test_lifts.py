@@ -10,10 +10,18 @@ from hypothesis import given, settings, strategies as st
 from omfree.certify import case_generators
 from omfree.classical import sigma
 from omfree.lattice import lattice, norm, pairing, enumerate_coset
-from omfree.lifts import ParamodularForm, fj_slice, gritsenko_lift, hecke_V, multiply
+from omfree.lifts import ParamodularForm, gritsenko_lift, hecke_V, multiply
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
+
+
+def fj_slice(f, m):
+    """The coefficient of xi^M: a Jacobi form of index level * M."""
+    if m < 0 or m > f.nxi:
+        raise ValueError(f"slice M={m} outside truncation nxi={f.nxi}")
+    coeffs = {(n, r): c for (n, r, mm), c in f.coeffs.items() if mm == m}
+    return JacobiForm(f.weight, f.level * m, coeffs, f.nq)
 
 
 def random_holomorphic_jacobi(rng, weight, index, nq):
@@ -173,6 +181,9 @@ def assert_products_equal(f, g):
     got, want = multiply(f, g), pair_loop_product(f, g)
     assert (got.weight, got.level, got.nq, got.nxi) == (want.weight, want.level, want.nq, want.nxi)
     assert got.coeffs == want.coeffs
+    # integer storage in lowest terms, the same as from the rational constructor
+    assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
+    assert got == want
 
 
 BIG = 2**256

@@ -6,11 +6,19 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from omfree.lattice import _inverse, gram_matrix, registered_lattices
-from omfree.linalg import bareiss_rank, clear_denominators, det, left_kernel, solve
+from omfree.lattice import _inverse, gram_matrix
+from omfree.linalg import MODULUS, bareiss_rank, clear_denominators, det, left_kernel, solve
+from oracles import LATTICES
 
 small_ints = st.integers(-4, 4)
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# multiples of the modular-rank prime, and entries past int64 of either sign:
+# matrices that are regular over Q can be singular mod the prime
+wide_ints = st.one_of(
+    small_ints,
+    st.sampled_from([MODULUS, -MODULUS, 2 * MODULUS, MODULUS + 1]),
+    st.integers(-(2**70), 2**70),
+)
 
 
 @st.composite
@@ -55,7 +63,7 @@ def test_det_matches_leibniz(m):
     assert det(m) == leibniz(m)
 
 
-@given(st.one_of(matrices(), matrices(rationals)))
+@given(st.one_of(matrices(), matrices(rationals), matrices(wide_ints)))
 def test_left_kernel_vectors(rows):
     kernel = left_kernel(rows)
     assert rank(rows) == len(rows) - len(kernel)
@@ -67,7 +75,7 @@ def test_left_kernel_vectors(rows):
         assert all(sum(c * row[j] for c, row in zip(vec, rows)) == 0 for j in range(len(rows[0])))
 
 
-@given(st.one_of(matrices(), matrices(rationals)), st.data())
+@given(st.one_of(matrices(), matrices(rationals), matrices(wide_ints)), st.data())
 def test_solve_status_and_witness(matrix, data):
     ncols = len(matrix[0])
     if data.draw(st.booleans()):
@@ -96,7 +104,7 @@ def test_solve_reports_first_failing_row():
 
 
 def test_inverse_of_every_gram_matrix():
-    for name in registered_lattices():
+    for name in LATTICES:
         gram = gram_matrix(name)
         inv = _inverse(gram)
         n = len(gram)

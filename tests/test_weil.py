@@ -14,7 +14,6 @@ from omfree.weil import (
     d8_pair_to_component,
     e6_from_plus,
     e6_from_sl2,
-    e6_to_plus,
     e7_from_plus,
     jacobi_eisenstein,
     pullback,
@@ -23,6 +22,15 @@ from omfree.weil import (
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 E6_VEC = (3, 2, 0, 1, 1, 1)
 E7_VEC = (3, 2, 0, 1, 1, 1, 1)
+
+
+def e6_to_plus(form):
+    """Inverse of e6_from_plus: rescale every component by 3 and add."""
+    total = None
+    for comp in form.components:
+        piece = comp.rescale(3)
+        total = piece if total is None else total + piece
+    return total
 
 
 def const_form(weight, level, value, prec):
