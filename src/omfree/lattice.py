@@ -14,7 +14,10 @@ Two enumeration paths are provided:
   array per carried quantity, and returns only counts by (norm, pairing).
   Interval ends come from an exact integer square root, so the search is
   complete and duplicate-free by construction; floating point at most
-  proposes a square root that is then corrected exactly.
+  proposes a square root that is then corrected exactly.  On a coset with
+  2*gamma in L (every coset of D8 and E7), l -> -l is a bijection of the
+  coset sending (norm, pairing) to (norm, -pairing), so the descent visits
+  only y_top >= 0 and mirrors the y_top > 0 tally in the pairing.
 """
 
 from __future__ import annotations
@@ -397,7 +400,7 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
     integer; ``den`` is the coset denominator) and ``r = <l, direction>``,
     over all ``l`` in the coset with ``Q(l) <= qmax``.
 
-    The search runs on y = den*l, an integer vector with y = den*rep mod den
+    The search runs on y = den*l, an integer vector with y = g = den*rep mod den
     and y^T A y = s <= smax = floor(2*den^2*qmax).  It is the Fincke-Pohst
     descent in exact integers (see :class:`_ScaledLDL`): each partial row
     carries the budget N = E*(smax - partial norm), the center numerators of
@@ -408,6 +411,14 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
     tallied over the dense (s, r) box.  Every int64 quantity is bounded
     before anything is allocated; a qmax beyond that range raises
     ``ValueError``.
+
+    When the coset is its own negative (2*g = 0 mod den), l -> -l maps
+    it onto itself with Q(-l) = Q(l) and <-l, v> = -<l, v>, so
+    counts(s, r) = counts(s, -r).  The top level's center is 0, so its
+    admissible y_top are symmetric about 0: the descent visits y_top > 0,
+    adds the r-mirror of that tally in place, then visits the y_top = 0
+    slice (present iff g_top = 0 mod den) without mirroring.  Other cosets
+    take the same descent over the whole top level.
     """
     qmax = as_fraction(qmax)
     if isinstance(coset, Coset):
@@ -484,6 +495,22 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
             dots = dots // den
         tally((smax - rest) * width + (dots + rmax))
 
+    def mirror() -> None:
+        # add the tally's image under r -> -r in place; the center column doubles
+        flush()
+        if dense is not None:
+            # r < 0 and, reversed, r > 0: disjoint views, so the two ufuncs
+            # buffer a few rows at a time where rows[:, ::-1] would copy the box
+            rows = dense.reshape(smax + 1, width)
+            neg, pos = rows[:, :rmax], rows[:, :rmax:-1]
+            neg += pos
+            np.positive(neg, out=pos)
+            rows[:, rmax] *= 2
+        else:
+            for k, c in list(sparse.items()):
+                k_mirror = k + width - 1 - 2 * (k % width)
+                sparse[k_mirror] = sparse.get(k_mirror, 0) + c
+
     def descend(budget: np.ndarray, centers: np.ndarray, dots: np.ndarray, level: int) -> None:
         # budget: N per row; centers[k]: C_k per row for k <= level; dots: partial y.Av
         m, step = mults[level], mults[level] * den
@@ -492,6 +519,12 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
         # y = g + den*j with C - t <= M y <= C + t
         lo = -((g[level] * m - c + t) // step)
         cnt = np.maximum((c + t - g[level] * m) // step - lo + 1, 0)
+        expand(budget, centers, dots, level, lo, cnt)
+
+    def expand(
+        budget: np.ndarray, centers: np.ndarray, dots: np.ndarray, level: int, lo: np.ndarray, cnt: np.ndarray
+    ) -> None:
+        # the children y = g + den*j, lo <= j < lo + cnt, of every row at this level
         ends = np.cumsum(cnt)
         shift = lo - (ends - cnt)  # j minus the child's position in the expansion
         # expand runs of rows with about _EXPAND_CAP children each; a row is never cut
@@ -503,7 +536,7 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
                 continue
             k = cnt[a:b]
             y = g[level] + den * (np.arange(first, last) + np.repeat(shift[a:b], k))
-            diff = m * y - np.repeat(c[a:b], k)
+            diff = mults[level] * y - np.repeat(centers[level, a:b], k)
             budget_next = np.repeat(budget[a:b], k) - weights[level] * diff * diff
             dots_next = np.repeat(dots[a:b], k) + av[level] * y
             if level == 0:
@@ -514,8 +547,18 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
             descend(budget_next, centers_next, dots_next, level - 1)
 
     cross_np = np.array(cross, dtype=np.int64)
-    start = np.full(1, scale * smax, dtype=np.int64)
-    descend(start, np.zeros((n, 1), dtype=np.int64), np.zeros(1, dtype=np.int64), n - 1)
+    top = n - 1
+    start = (np.full(1, scale * smax, dtype=np.int64), np.zeros((n, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))
+    if any(2 * x % den for x in g):
+        descend(*start, top)
+    else:
+        # self-negative coset: y_top > 0, its mirror in r, then the y_top = 0 slice
+        first = -g[top] // den + 1  # smallest j with y_top > 0
+        last = (isqrt(scale * smax // weights[top]) - g[top] * mults[top]) // (mults[top] * den)  # M y_top <= t
+        expand(*start, top, np.array([first]), np.array([max(last - first + 1, 0)]))
+        mirror()
+        if g[top] % den == 0:
+            expand(*start, top, np.array([-g[top] // den]), np.ones(1, dtype=np.int64))
     flush()
 
     if dense is not None:

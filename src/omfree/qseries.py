@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -46,10 +46,11 @@ class QSeries:
     Instances are immutable and canonical: no zero coefficients are stored,
     every exponent satisfies ``0 <= e < truncation`` and ``e * denominator``
     is an integer.  Two series are equal iff their truncations and their
-    coefficient tables agree.
+    coefficient tables agree.  ``cap`` bounds the exponent denominators; ring
+    operations and substitutions keep the larger cap of their operands.
     """
 
-    __slots__ = ("_coeffs", "truncation", "denominator")
+    __slots__ = ("_coeffs", "truncation", "denominator", "cap")
 
     def __init__(
         self,
@@ -79,6 +80,7 @@ class QSeries:
         object.__setattr__(self, "_coeffs", {e: c for e, c in coeffs.items() if c != 0})
         object.__setattr__(self, "truncation", trunc)
         object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "cap", cap)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -136,10 +138,10 @@ class QSeries:
         coeffs = dict(self._coeffs)
         for e, c in other._coeffs.items():
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return QSeries(coeffs, trunc)
+        return QSeries(coeffs, trunc, cap=max(self.cap, other.cap))
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self._coeffs.items()}, self.truncation)
+        return QSeries({e: -c for e, c in self._coeffs.items()}, self.truncation, cap=self.cap)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -147,7 +149,7 @@ class QSeries:
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, Rational)):
             c0 = as_fraction(other)
-            return QSeries({e: c * c0 for e, c in self._coeffs.items()}, self.truncation)
+            return QSeries({e: c * c0 for e, c in self._coeffs.items()}, self.truncation, cap=self.cap)
         if not isinstance(other, QSeries):
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
@@ -160,7 +162,7 @@ class QSeries:
                 if e >= trunc:
                     continue
                 coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return QSeries(coeffs, trunc)
+        return QSeries(coeffs, trunc, cap=max(self.cap, other.cap))
 
     def __rmul__(self, other) -> "QSeries":
         return self.__mul__(other)
@@ -173,7 +175,7 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"power must be a nonnegative integer, got {n}")
-        result = QSeries.one(self.truncation)
+        result = QSeries({0: 1}, self.truncation, cap=self.cap)
         base = self
         while n:
             if n & 1:
@@ -184,12 +186,13 @@ class QSeries:
 
     # -- substitutions -----------------------------------------------------
 
-    def rescale(self, c: RationalLike, cap: int = DEFAULT_EXPONENT_DENOMINATOR_CAP) -> "QSeries":
+    def rescale(self, c: RationalLike, cap: Optional[int] = None) -> "QSeries":
         """Substitute tau -> c*tau: exponent e maps to c*e, coefficients kept.
 
         Raises ExponentDenominatorError if any rescaled exponent needs a
-        denominator above the cap.
+        denominator above the cap (by default the series' own).
         """
+        cap = self.cap if cap is None else cap
         c = as_fraction(c)
         if c <= 0:
             raise ValueError(f"rescale factor must be positive, got {c}")
@@ -212,14 +215,14 @@ class QSeries:
         for e, c in self._coeffs.items():
             n = int(e)
             coeffs[Fraction(n, 2)] = c if n % 2 == 0 else -c
-        return QSeries(coeffs, self.truncation / 2)
+        return QSeries(coeffs, self.truncation / 2, cap=self.cap)
 
     def shift(self, e0: RationalLike) -> "QSeries":
         """Multiply by the exact monomial q^e0 (e0 >= 0)."""
         e0 = as_fraction(e0)
         if e0 < 0:
             raise ValueError("shift exponent must be nonnegative")
-        return QSeries({e + e0: c for e, c in self._coeffs.items()}, self.truncation + e0)
+        return QSeries({e + e0: c for e, c in self._coeffs.items()}, self.truncation + e0, cap=self.cap)
 
     def truncate(self, truncation: RationalLike) -> "QSeries":
         trunc = as_fraction(truncation)
@@ -227,7 +230,7 @@ class QSeries:
             raise TruncationError(
                 f"cannot extend truncation from O(q^{self.truncation}) to O(q^{trunc})"
             )
-        return QSeries(self._coeffs, trunc)
+        return QSeries(self._coeffs, trunc, cap=self.cap)
 
     # -- rendering ---------------------------------------------------------
 

@@ -411,11 +411,16 @@ def _d8_eisenstein(k: int, orbit: int, prec: Fraction) -> ComponentForm:
 # Pullback along a lattice vector
 
 
+#: Count tables kept, one per (lattice, direction); the oldest insertion goes first.
+_COUNTS_CACHE_LIMIT = 32
 _COUNTS_CACHE: Dict[Tuple[str, Tuple[int, ...]], Tuple[Fraction, List[Dict[Tuple[int, int], int]]]] = {}
 
 
 def _coset_counts(lat: LatticeData, v: Tuple[int, ...], qmax: Fraction) -> List[Dict[Tuple[int, int], int]]:
-    """Per-coset (scaled norm, pairing) counts up to Q <= qmax, cached."""
+    """Per-coset (scaled norm, pairing) counts up to Q <= qmax, cached.
+
+    A re-count at a larger qmax re-inserts its key as the newest entry.
+    """
     key = (lat.name, v)
     cached = _COUNTS_CACHE.get(key)
     if cached is not None and cached[0] >= qmax:
@@ -425,7 +430,10 @@ def _coset_counts(lat: LatticeData, v: Tuple[int, ...], qmax: Fraction) -> List[
             bound_by_coset.append({sr: c for sr, c in table.items() if sr[0] <= smax})
         return bound_by_coset
     tables = [pairing_counts(lat, coset, v, qmax) for coset in lat.cosets]
+    _COUNTS_CACHE.pop(key, None)
     _COUNTS_CACHE[key] = (qmax, tables)
+    if len(_COUNTS_CACHE) > _COUNTS_CACHE_LIMIT:
+        del _COUNTS_CACHE[next(iter(_COUNTS_CACHE))]
     return tables
 
 

@@ -23,6 +23,11 @@ from omfree.lattice import (
 from oracles import LATTICES
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
+#: The first direction of the seeded D8 pullback sweep.
+D8_SWEEP_VEC = (-2, 1, 3, 3, 3, -3, -1, -3)
+E6_VEC = (3, 2, 0, 1, 1, 1)
+E7_VEC = (3, 2, 0, 1, 1, 1, 1)
+A7_VEC = (2, 1, 0, 0, 0, 1, 0)
 
 
 def box_coset_norms(gram, rep, qmax, radius):
@@ -243,6 +248,12 @@ def reference_counts(lat, coset, vec, qmax):
     ("A7", (1, 0, 0, 0, 0, 0, -1), Fraction(7, 16)),
     ("A7", (2, 1, 0, 0, 0, 1, 0), Fraction(3, 2)),
     ("D5", (1, 1, 0, 0, 1), Fraction(5, 8)),
+    # every D8 and E7 coset is its own negative, so only y_top >= 0 is
+    # descended: D8 cosets 0 and 2 have g_top = 0 and a y_top = 0 slice,
+    # cosets 1 and 3 have g_top = den/2 and none
+    ("D8", D8_SWEEP_VEC, 2),
+    # on a shell of the nonzero coset (norms 3/4 + Z)
+    ("E7", E7_VEC, Fraction(11, 4)),
 ])
 def test_pairing_counts_match_reference(name, vec, qmax):
     lat = lattice(name)
@@ -264,10 +275,13 @@ def test_pairing_counts_property(name, data):
 
 
 def test_pairing_counts_sparse_tally_large_box():
-    # rank one at large qmax: the (s, r) box (~10^10 cells) is tallied sparsely
+    # rank one at large qmax: the (s, r) box (~10^10 cells) is tallied
+    # sparsely, and the top level is the leaf level; qmax lies on a shell of
+    # coset 0 (Q = 1000^2) or of coset 1 (Q = 1999^2/4)
     lat = lattice("A1")
-    for c in lat.cosets:
-        assert pairing_counts(lat, c, (3,), 10**6) == reference_counts(lat, c, (3,), 10**6)
+    for vec, qmax in product([(3,), (-5,)], [10**6, Fraction(1999**2, 4)]):
+        for c in lat.cosets:
+            assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
 
 
 @pytest.mark.parametrize("box_cap", [None, 50])
@@ -275,6 +289,8 @@ def test_pairing_counts_sparse_tally_large_box():
     ("E6", (3, 2, 0, 1, 1, 1), 3),
     ("D8", D8_VEC, Fraction(3, 2)),
     ("A3", (1, -2, 1), Fraction(21, 4)),
+    ("E7", E7_VEC, Fraction(11, 4)),
+    ("A1", (3,), 30),
 ])
 def test_pairing_counts_small_steps(monkeypatch, name, vec, qmax, box_cap):
     # a few rows per expansion step and, with box_cap, the sparse tally: many
@@ -311,6 +327,23 @@ def test_isqrt_floor_exact_near_squares():
     assert got == [isqrt(k) for k in ks]
 
 
+@pytest.mark.parametrize("name,vec,qmax", [("E6", E6_VEC, 5), ("A7", A7_VEC, 3)])
+def test_pairing_counts_negated_coset_mirrors_r(name, vec, qmax):
+    # cosets of order > 2 are not their own negatives and take the unmirrored
+    # descent; l -> -l still maps (s, r) on gamma to (s, -r) on -gamma
+    lat = lattice(name)
+    by_rep = {c.rep: c for c in lat.cosets}
+    checked = 0
+    for c in lat.cosets:
+        neg = by_rep[tuple(-x % 1 for x in c.rep)]
+        if neg is c:
+            continue
+        counts, neg_counts = pairing_counts(lat, c, vec, qmax), pairing_counts(lat, neg, vec, qmax)
+        assert counts and counts == {(s, -r): n for (s, r), n in neg_counts.items()}
+        checked += 1
+    assert checked == {"E6": 2, "A7": 6}[name]
+
+
 def test_pairing_counts_negative_qmax_is_empty():
     assert pairing_counts(lattice("E6"), 0, (3, 2, 0, 1, 1, 1), -1) == {}
 
@@ -337,15 +370,46 @@ def test_minuscule_coset_counts():
     assert len(enumerate_coset(e7, nonzero, Fraction(3, 4))) == 56
 
 
+def shells(counts):
+    """Sizes of the shells of a (s, r) table, by s."""
+    by_norm = {}
+    for (s, r), c in counts.items():
+        by_norm[s] = by_norm.get(s, 0) + c
+    return by_norm
+
+
+def r8(s):
+    """Representations of s as a sum of eight squares (Jacobi)."""
+    if s == 0:
+        return 1
+    return 16 * sum((-1) ** (s + d) * d**3 for d in range(1, s + 1) if s % d == 0)
+
+
 def test_bulk_counts_match_theta_coefficients():
     # D8 theta series: 112 vectors of scaled norm 2 (Q = 1), 1136 of Q = 2
     lat = lattice("D8")
     counts = pairing_counts(lat, 0, D8_VEC, 2)
-    by_norm = {}
-    for (s, r), c in counts.items():
-        by_norm[s] = by_norm.get(s, 0) + c
+    by_norm = shells(counts)
     assert by_norm[2] == 112
     assert by_norm[4] == 1136
+    # at sweep scale: D8 is the even-sum sublattice of Z^8 and s = x.x, so the
+    # shell sizes are r_8(s) for even s, and no vector has odd s
+    by_norm = shells(pairing_counts(lat, 0, D8_SWEEP_VEC, 14))
+    assert [by_norm.get(s, 0) for s in range(29)] == [r8(s) if s % 2 == 0 else 0 for s in range(29)]
+    # the Weyl group fixes every coset and acts irreducibly on R^n, so each
+    # shell is a spherical 2-design: sum over the shell of <l, v>^2 equals
+    # N_s (l.l)(v.v) / rank, with l.l = s / den^2 and v.v = 2 Q(v)
+    for name, vec, qmax in [("D8", D8_SWEEP_VEC, 14), ("E7", E7_VEC, 10), ("E6", E6_VEC, 10), ("A7", A7_VEC, 5)]:
+        lat = lattice(name)
+        vv = 2 * norm(lat, vec)
+        for c in lat.cosets:
+            den = c.denominator
+            counts = pairing_counts(lat, c, vec, qmax)
+            moments = {}
+            for (s, r), n in counts.items():
+                moments[s] = moments.get(s, 0) + r * r * n
+            for s, size in shells(counts).items():
+                assert lat.rank * den * den * moments[s] == size * s * vv
 
 
 def test_bulk_counts_match_reference_midscale():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import omfree.weil as weil_module
 from omfree.classical import ScalarForm, eisenstein_sl2, plus_eisenstein_gamma0_3, theta_series, weight2_level2
 from omfree.lattice import lattice
 from omfree.qseries import QSeries
@@ -236,6 +237,26 @@ def test_pullback_linearity():
         rmax = 40
         for r in range(-rmax, rmax + 1):
             assert lhs.coefficient(n, r) == a * rhs_f.coefficient(n, r) + b * rhs_g.coefficient(n, r)
+
+
+def test_counts_cache_evicts_oldest_direction(monkeypatch):
+    monkeypatch.setattr(weil_module, "_COUNTS_CACHE", {})
+    cache = weil_module._COUNTS_CACHE
+    form = jacobi_eisenstein("E6", 4, 0, prec=4)
+    keys = [("E6", (a, b, 1, 0, 0, 0)) for a in range(-3, 3) for b in range(-3, 3)][:33]
+    first = pullback(form, keys[0][1], nq=2)
+    first_tables = cache[keys[0]][1]
+    for _, v in keys[1:]:
+        pullback(form, v, nq=2)
+    # direction 33 evicted direction 1
+    assert list(cache) == keys[1:] and len(cache) == weil_module._COUNTS_CACHE_LIMIT == 32
+    # a re-count at larger qmax re-inserts its key as the newest
+    pullback(form, keys[1][1], nq=3)
+    assert list(cache) == keys[2:] + keys[1:2]
+    # re-counting an evicted direction gives the same tables and form
+    assert pullback(form, keys[0][1], nq=2) == first
+    assert cache[keys[0]][1] == first_tables
+    assert list(cache) == keys[3:] + keys[1:2] + keys[:1]
 
 
 def test_pullback_support_bound(generator_pullback_forms):
