@@ -14,30 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .freealg import dim_upper_bound
-from .lattice import lattice, norm
 from .lifts import ParamodularForm, gritsenko_lift, multiply
 from .linalg import bareiss_rank, left_kernel, solve
-from .weil import e6_from_sl2, jacobi_eisenstein, pullback
+from .weil import ComponentForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
 from .qseries import QSeries
 
 DEFAULT_SCHEDULE: Tuple[Tuple[int, int], ...] = ((4, 4), (6, 6), (8, 8))
-
-#: The pullback directions used throughout, with their norms.
-CASE_VECTORS: Dict[str, Tuple[int, ...]] = {
-    "D8": (4, 2, 3, 4, 1, 3, 2, 4),
-    "E6": (3, 2, 0, 1, 1, 1),
-    "E7": (3, 2, 0, 1, 1, 1, 1),
-}
-
-#: Root system whose weak Jacobi dimensions bound each case's orthogonal forms.
-CASE_BOUND_SYSTEM: Dict[str, str] = {"D8": "C8", "E6": "E6", "E7": "E7"}
-
 
 @dataclass(frozen=True)
 class ExpressResult:
@@ -123,81 +112,68 @@ class GeneratorSpec:
     build: Callable[[int, int], ParamodularForm] = field(compare=False, repr=False)
 
 
-def _eisenstein_lift_builder(case: str, k: int, orbit: int) -> Callable[[int, int], ParamodularForm]:
-    v = CASE_VECTORS[case]
-
-    def build(nq: int, nxi: int) -> ParamodularForm:
-        form = jacobi_eisenstein(case, k, orbit, prec=nq * nxi + 1)
-        return gritsenko_lift(pullback(form, v, nq=nq * nxi), nxi)
-
-    return build
+def pullback_lift(component: Callable[[int], ComponentForm], v: Sequence[int], nq: int, nxi: int) -> ParamodularForm:
+    """Gritsenko lift, truncated at (nq, nxi), of the pullback of ``component(prec)`` along v."""
+    return gritsenko_lift(pullback(component(nq * nxi + 1), v, nq=nq * nxi), nxi)
 
 
-def _e6_odd_lift_builder(sl2_weight: int) -> Callable[[int, int], ParamodularForm]:
-    v = CASE_VECTORS["E6"]
+#: One generator: (name, weight, recipe text, component-form factory prec -> ComponentForm).
+GeneratorRow = Tuple[str, int, str, Callable[[int], ComponentForm]]
 
-    def build(nq: int, nxi: int) -> ParamodularForm:
-        prec = nq * nxi + 1
-        if sl2_weight == 0:
-            f = ScalarForm(Fraction(0), "SL2", QSeries.one(prec))
-        else:
-            e4 = eisenstein_sl2(4, prec)
-            f = ScalarForm(Fraction(8), "SL2", e4.series * e4.series)
-        form = e6_from_sl2(f, prec=prec)
-        return gritsenko_lift(pullback(form, v, nq=nq * nxi), nxi)
 
-    return build
+@dataclass(frozen=True)
+class Case:
+    """One certified group: its lattice, pullback direction and generator rows.
+
+    ``bound_system`` names the root system (in ``freealg``) whose weak Jacobi
+    dimensions bound the orthogonal forms of the case.
+    """
+
+    bound_system: str
+    lattice: str
+    vector: Tuple[int, ...]
+    generators: Tuple[GeneratorRow, ...]
+
+
+def _eisenstein(lattice_name: str, name: str, k: int, orbit: Optional[int] = None) -> GeneratorRow:
+    data = f"weight-{k}" if orbit is None else f"weight-{k} orbit-{orbit}"
+    component = partial(jacobi_eisenstein, lattice_name, k, orbit or 0)
+    return (name, k, f"lift of pullback of {data} Eisenstein data", component)
+
+
+def _e6_odd(weight: int, input_text: str, f: Callable[[int], ScalarForm]) -> GeneratorRow:
+    recipe = f"lift of pullback of the odd weight-{weight} form ({input_text} input)"
+    return (f"M{weight}", weight, recipe, lambda prec: e6_from_sl2(f(prec), prec=prec))
+
+
+#: The certified cases by name.  Every lift is taken along the case's vector.
+CASES: Dict[str, Case] = {
+    "D8": Case("C8", "D8", (4, 2, 3, 4, 1, 3, 2, 4), (
+        _eisenstein("D8", "E4", 4, 0),
+        _eisenstein("D8", "E6", 6, 0),
+        *(_eisenstein("D8", f"E{k},{orbit}", k, orbit) for k in (8, 10, 12) for orbit in (0, 1)),
+        *(_eisenstein("D8", f"E{k},0", k, 0) for k in (14, 16, 18)),
+    )),
+    "E6": Case("E6", "E6", (3, 2, 0, 1, 1, 1), (
+        *(_eisenstein("E6", f"E{k}", k) for k in (4, 6)),
+        _e6_odd(7, "constant", lambda prec: ScalarForm(Fraction(0), "SL2", QSeries.one(prec))),
+        *(_eisenstein("E6", f"E{k}", k) for k in (10, 12)),
+        _e6_odd(15, "E4^2", lambda prec: ScalarForm(Fraction(8), "SL2", eisenstein_sl2(4, prec).series ** 2)),
+        *(_eisenstein("E6", f"E{k}", k) for k in (16, 18, 24)),
+    )),
+    "E7": Case("E7", "E7", (3, 2, 0, 1, 1, 1, 1), tuple(
+        _eisenstein("E7", f"E{k}", k) for k in (4, 6, 10, 12, 14, 16, 18, 22, 24, 30)
+    )),
+}
 
 
 def case_generators(case: str) -> List[GeneratorSpec]:
     """The full generator list of the case, in weight order."""
-    if case == "D8":
-        gens = [
-            GeneratorSpec("E4", 4, "lift of pullback of weight-4 orbit-0 Eisenstein data", _eisenstein_lift_builder("D8", 4, 0)),
-            GeneratorSpec("E6", 6, "lift of pullback of weight-6 orbit-0 Eisenstein data", _eisenstein_lift_builder("D8", 6, 0)),
-        ]
-        for k in (8, 10, 12):
-            for orbit in (0, 1):
-                gens.append(
-                    GeneratorSpec(
-                        f"E{k},{orbit}",
-                        k,
-                        f"lift of pullback of weight-{k} orbit-{orbit} Eisenstein data",
-                        _eisenstein_lift_builder("D8", k, orbit),
-                    )
-                )
-        for k in (14, 16, 18):
-            gens.append(
-                GeneratorSpec(
-                    f"E{k},0",
-                    k,
-                    f"lift of pullback of weight-{k} orbit-0 Eisenstein data",
-                    _eisenstein_lift_builder("D8", k, 0),
-                )
-            )
-        return gens
-    if case == "E6":
-        gens = []
-        for k in (4, 6):
-            gens.append(GeneratorSpec(f"E{k}", k, f"lift of pullback of weight-{k} Eisenstein data", _eisenstein_lift_builder("E6", k, 0)))
-        gens.append(GeneratorSpec("M7", 7, "lift of pullback of the odd weight-7 form (constant input)", _e6_odd_lift_builder(0)))
-        for k in (10, 12):
-            gens.append(GeneratorSpec(f"E{k}", k, f"lift of pullback of weight-{k} Eisenstein data", _eisenstein_lift_builder("E6", k, 0)))
-        gens.append(GeneratorSpec("M15", 15, "lift of pullback of the odd weight-15 form (E4^2 input)", _e6_odd_lift_builder(8)))
-        for k in (16, 18, 24):
-            gens.append(GeneratorSpec(f"E{k}", k, f"lift of pullback of weight-{k} Eisenstein data", _eisenstein_lift_builder("E6", k, 0)))
-        return gens
-    if case == "E7":
-        return [
-            GeneratorSpec(f"E{k}", k, f"lift of pullback of weight-{k} Eisenstein data", _eisenstein_lift_builder("E7", k, 0))
-            for k in (4, 6, 10, 12, 14, 16, 18, 22, 24, 30)
-        ]
-    raise ValueError(f"unknown case {case!r}; expected D8, E6 or E7")
-
-
-def case_level(case: str) -> int:
-    lat = lattice(case)
-    return int(norm(lat, CASE_VECTORS[case]))
+    row = CASES[case]
+    return [
+        GeneratorSpec(name, k, recipe, partial(pullback_lift, component, row.vector))
+        for name, k, recipe, component in row.generators
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +364,7 @@ def certify_freeness(
     progress: Optional[Callable[[str], None]] = None,
 ) -> FreenessReport:
     """Match monomial ranks (lower bounds) against weak-Jacobi upper bounds."""
-    bound_system = CASE_BOUND_SYSTEM[case]
+    bound_system = CASES[case].bound_system
     cert = case_independence(case, w_max, schedule, progress=progress)
     weights = []
     for rec in cert.weights:
@@ -451,7 +427,7 @@ def verify_weight14(
     the first weight-8 generator (negative-control hook).
     """
     e4, e6, e8_0, e8_1, e10_0, e10_1, e14_0, e14_1 = (
-        _eisenstein_lift_builder("D8", k, orbit)(nq, nxi)
+        pullback_lift(partial(jacobi_eisenstein, "D8", k, orbit), CASES["D8"].vector, nq, nxi)
         for k, orbit in ((4, 0), (6, 0), (8, 0), (8, 1), (10, 0), (10, 1), (14, 0), (14, 1))
     )
     if corrupt is not None:

@@ -13,12 +13,12 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from typing import List, Optional
 
 from . import __version__, certify, freealg
 from .classical import DecompositionError, PlusSpaceError, hurwitz_class_number, hurwitz_oracle
 from .lattice import lattice, norm
-from .lifts import gritsenko_lift
 from .qseries import ExponentDenominatorError, TruncationError
 from .weil import InvarianceError, jacobi_eisenstein, pullback
 
@@ -116,10 +116,6 @@ def _bind_vector_values(argv: List[str]) -> List[str]:
     return out
 
 
-def _default_vector(case: str) -> tuple:
-    return certify.CASE_VECTORS[case]
-
-
 def _cmd_eisenstein(args) -> int:
     prec = args.prec
     form = jacobi_eisenstein(args.case, args.weight, args.orbit, prec=prec)
@@ -136,7 +132,7 @@ def _cmd_eisenstein(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    vec = _parse_vector(args.vector) if args.vector else _default_vector(args.case)
+    vec = _parse_vector(args.vector) if args.vector else certify.CASES[args.case].vector
     lat = lattice(args.case)
     q = norm(lat, vec)
     form = jacobi_eisenstein(args.case, args.weight, args.orbit, prec=args.nq + 1)
@@ -154,11 +150,11 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    vec = _parse_vector(args.vector) if args.vector else _default_vector(args.case)
+    vec = _parse_vector(args.vector) if args.vector else certify.CASES[args.case].vector
     lat = lattice(args.case)
     q = norm(lat, vec)
-    form = jacobi_eisenstein(args.case, args.weight, args.orbit, prec=args.nq * args.nxi + 1)
-    lifted = gritsenko_lift(pullback(form, vec, nq=args.nq * args.nxi), args.nxi)
+    component = partial(jacobi_eisenstein, args.case, args.weight, args.orbit)
+    lifted = certify.pullback_lift(component, vec, args.nq, args.nxi)
     payload = {
         "config": _config(args, vector=list(vec), vector_norm=str(q)),
         "paramodular_form": lifted.to_json(),
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identity_check)
 
     p = sub.add_parser("eisenstein", help="component expansions of a Jacobi Eisenstein series")
-    p.add_argument("case", choices=["D8", "E6", "E7"])
+    p.add_argument("case", choices=sorted(certify.CASES))
     p.add_argument("-k", "--weight", type=int, required=True)
     p.add_argument("--orbit", type=int, default=0)
     p.add_argument("--prec", type=int, default=8)
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eisenstein)
 
     p = sub.add_parser("pullback", help="scalar-index Jacobi form from a lattice vector")
-    p.add_argument("case", choices=["D8", "E6", "E7"])
+    p.add_argument("case", choices=sorted(certify.CASES))
     p.add_argument("-k", "--weight", type=int, required=True)
     p.add_argument("--orbit", type=int, default=0)
     p.add_argument("--vector", help="lattice vector, comma or space separated")
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pullback)
 
     p = sub.add_parser("lift", help="paramodular expansion of an additive lift")
-    p.add_argument("case", choices=["D8", "E6", "E7"])
+    p.add_argument("case", choices=sorted(certify.CASES))
     p.add_argument("-k", "--weight", type=int, required=True)
     p.add_argument("--orbit", type=int, default=0)
     p.add_argument("--vector", help="lattice vector, comma or space separated")
@@ -290,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("certify", help="independence certificate against dimension bounds")
-    p.add_argument("case", choices=["D8", "E6", "E7"])
+    p.add_argument("case", choices=sorted(certify.CASES))
     p.add_argument("--wmax", type=int, default=14)
     p.add_argument("--nq", type=int, help="fixed precision (with --nxi) instead of the schedule")
     p.add_argument("--nxi", type=int)
@@ -311,15 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Smallest accepted value of each integer flag, on every command that has it.
+_MINIMUM = {"nq": 1, "nxi": 1, "order": 0, "wmax": 0}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_bind_vector_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "certify" and (args.nq is None) != (args.nxi is None):
         parser.error("--nq requires --nxi" if args.nxi is None else "--nxi requires --nq")
-    for flag in ("nq", "nxi"):
+    for flag, least in _MINIMUM.items():
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            parser.error(f"--{flag} must be at least 1, got {value}")
+        if value is not None and value < least:
+            parser.error(f"--{flag} must be at least {least}, got {value}")
     try:
         return args.func(args)
     except _MATH_ERRORS as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class LatticeData:
     rank: int
     gram: Tuple[Tuple[int, ...], ...]
     cosets: Tuple[Coset, ...]
-    #: Partition of the integer-norm cosets into cusp orbit classes, as coset
-    #: indices; only defined for the lattices whose orbit structure the
-    #: pipeline uses (D8, E6, E7).
-    cusp_orbits: Optional[Tuple[Tuple[int, ...], ...]]
 
     def coset(self, index: int) -> Coset:
         return self.cosets[index]
@@ -208,17 +204,6 @@ def norm_of(gram, v: Sequence) -> Fraction:
     return total / 2
 
 
-def _cusp_orbits(name: str, cosets: Sequence[Coset]) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    if name == "D8":
-        zero = [c.index for c in cosets if c.is_zero()]
-        spinors = [c.index for c in cosets if not c.is_zero() and c.norm_mod1 == 0]
-        return (tuple(zero), tuple(sorted(spinors)))
-    if name in ("E6", "E7"):
-        zero = [c.index for c in cosets if c.is_zero()]
-        return (tuple(zero),)
-    return None
-
-
 @lru_cache(maxsize=None)
 def lattice(name: str) -> LatticeData:
     gram = gram_matrix(name)
@@ -238,7 +223,6 @@ def lattice(name: str) -> LatticeData:
         rank=len(gram),
         gram=gram,
         cosets=cosets,
-        cusp_orbits=_cusp_orbits(name, cosets),
     )
 
 

@@ -67,7 +67,8 @@ def test_c2_d8_independence():
     cert = rep.certificate
     ok = cert.all_independent() and rep.consistent()
     assert len(certify.case_generators("D8")) == 11
-    assert certify.case_level("D8") == 24
+    row = certify.CASES["D8"]
+    assert norm(lattice(row.lattice), row.vector) == 24
     assert elapsed < 3600
     ranks = {r.weight: r.rank for r in cert.weights if r.monomials}
     report(
@@ -81,7 +82,8 @@ def test_c2_e6_independence():
     rep = certify.certify_freeness("E6", 16, schedule=((4, 4),))
     ok = rep.certificate.all_independent() and rep.consistent()
     assert len(certify.case_generators("E6")) == 9
-    assert certify.case_level("E6") == 12
+    row = certify.CASES["E6"]
+    assert norm(lattice(row.lattice), row.vector) == 12
     report("criterion 2b: 9 E6 generator lifts at K(12), weights <= 16", ok)
 
 
@@ -89,7 +91,8 @@ def test_c2_e7_independence():
     rep = certify.certify_freeness("E7", 16, schedule=((4, 4),))
     ok = rep.certificate.all_independent() and rep.consistent()
     assert len(certify.case_generators("E7")) == 10
-    assert certify.case_level("E7") == 12
+    row = certify.CASES["E7"]
+    assert norm(lattice(row.lattice), row.vector) == 12
     report("criterion 2c: 10 E7 generator lifts at K(12), weights <= 16", ok)
 
 
@@ -361,7 +364,7 @@ def test_c9a_corruption_breaks_relation():
 def test_c9b_duplicate_generator_kernel():
     nq = nxi = 2
     prec = nq * nxi + 1
-    v = certify.CASE_VECTORS["D8"]
+    v = certify.CASES["D8"].vector
     form = jacobi_eisenstein("D8", 8, 0, prec=prec)
     lift = gritsenko_lift(pullback(form, v, nq=nq * nxi), nxi)
     gens = [

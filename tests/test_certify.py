@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from omfree.certify import (
-    CASE_VECTORS,
+    CASES,
     GeneratorSpec,
+    IndependenceCertificate,
     bareiss_rank,
     canonical_index_set,
     case_generators,
-    case_level,
     certify_freeness,
     express_in_basis,
     independence,
@@ -19,6 +19,9 @@ from omfree.certify import (
     monomials,
     verify_weight14,
 )
+from omfree.cli import build_parser
+from omfree.freealg import orthogonal_weights
+from omfree.lattice import lattice, norm
 from omfree.lifts import ParamodularForm, gritsenko_lift, multiply
 from omfree.linalg import MODULUS, _rank_mod_p
 from omfree.weil import jacobi_eisenstein, pullback
@@ -91,7 +94,7 @@ def test_left_kernel_full_rank():
 def small_lifts():
     nq = nxi = 2
     prec = nq * nxi + 1
-    v = CASE_VECTORS["D8"]
+    v = CASES["D8"].vector
 
     def lift(k, orbit):
         form = jacobi_eisenstein("D8", k, orbit, prec=prec)
@@ -185,16 +188,73 @@ def test_independence_relation_on_rational_rows(small_lifts):
 
 
 def test_case_generators_counts():
-    assert len(case_generators("D8")) == 11
-    assert len(case_generators("E6")) == 9
-    assert len(case_generators("E7")) == 10
-    assert [g.weight for g in case_generators("E6")] == [4, 6, 7, 10, 12, 15, 16, 18, 24]
+    # every row lifts exactly the generators of its bound system's free algebra
+    for name, row in CASES.items():
+        assert [g.weight for g in case_generators(name)] == orthogonal_weights(row.bound_system)
 
 
 def test_case_levels():
-    assert case_level("D8") == 24
-    assert case_level("E6") == 12
-    assert case_level("E7") == 12
+    levels = {name: norm(lattice(row.lattice), row.vector) for name, row in CASES.items()}
+    assert levels == {"D8": 24, "E6": 12, "E7": 12}
+
+
+# The generators list of the certify --json payload, frozen so that a change
+# of a name, weight or recipe text shows here and not only in the output.
+FROZEN_GENERATORS = {
+    "D8": [
+        ("E4", 4, "lift of pullback of weight-4 orbit-0 Eisenstein data"),
+        ("E6", 6, "lift of pullback of weight-6 orbit-0 Eisenstein data"),
+        ("E8,0", 8, "lift of pullback of weight-8 orbit-0 Eisenstein data"),
+        ("E8,1", 8, "lift of pullback of weight-8 orbit-1 Eisenstein data"),
+        ("E10,0", 10, "lift of pullback of weight-10 orbit-0 Eisenstein data"),
+        ("E10,1", 10, "lift of pullback of weight-10 orbit-1 Eisenstein data"),
+        ("E12,0", 12, "lift of pullback of weight-12 orbit-0 Eisenstein data"),
+        ("E12,1", 12, "lift of pullback of weight-12 orbit-1 Eisenstein data"),
+        ("E14,0", 14, "lift of pullback of weight-14 orbit-0 Eisenstein data"),
+        ("E16,0", 16, "lift of pullback of weight-16 orbit-0 Eisenstein data"),
+        ("E18,0", 18, "lift of pullback of weight-18 orbit-0 Eisenstein data"),
+    ],
+    "E6": [
+        ("E4", 4, "lift of pullback of weight-4 Eisenstein data"),
+        ("E6", 6, "lift of pullback of weight-6 Eisenstein data"),
+        ("M7", 7, "lift of pullback of the odd weight-7 form (constant input)"),
+        ("E10", 10, "lift of pullback of weight-10 Eisenstein data"),
+        ("E12", 12, "lift of pullback of weight-12 Eisenstein data"),
+        ("M15", 15, "lift of pullback of the odd weight-15 form (E4^2 input)"),
+        ("E16", 16, "lift of pullback of weight-16 Eisenstein data"),
+        ("E18", 18, "lift of pullback of weight-18 Eisenstein data"),
+        ("E24", 24, "lift of pullback of weight-24 Eisenstein data"),
+    ],
+    "E7": [
+        ("E4", 4, "lift of pullback of weight-4 Eisenstein data"),
+        ("E6", 6, "lift of pullback of weight-6 Eisenstein data"),
+        ("E10", 10, "lift of pullback of weight-10 Eisenstein data"),
+        ("E12", 12, "lift of pullback of weight-12 Eisenstein data"),
+        ("E14", 14, "lift of pullback of weight-14 Eisenstein data"),
+        ("E16", 16, "lift of pullback of weight-16 Eisenstein data"),
+        ("E18", 18, "lift of pullback of weight-18 Eisenstein data"),
+        ("E22", 22, "lift of pullback of weight-22 Eisenstein data"),
+        ("E24", 24, "lift of pullback of weight-24 Eisenstein data"),
+        ("E30", 30, "lift of pullback of weight-30 Eisenstein data"),
+    ],
+}
+
+
+def test_certificate_generators_are_frozen():
+    for name, expected in FROZEN_GENERATORS.items():
+        cert = IndependenceCertificate(name, case_generators(name), (0, 0), [], [])
+        assert cert.to_json()["generators"] == [
+            {"name": g, "weight": w, "recipe": recipe} for g, w, recipe in expected
+        ]
+    assert sorted(FROZEN_GENERATORS) == sorted(CASES)
+
+
+def test_cli_case_choices_are_the_table():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("eisenstein", "pullback", "lift", "certify"):
+        case = next(a for a in commands[command]._actions if a.dest == "case")
+        assert case.choices == sorted(CASES)
 
 
 def test_certificate_json_schema(small_lifts):
@@ -310,7 +370,7 @@ def test_d8_independence_stretch_below_20():
 
 def _case_lift(case, k, nq, nxi):
     form = jacobi_eisenstein(case, k, 0, prec=nq * nxi + 1)
-    return gritsenko_lift(pullback(form, CASE_VECTORS[case], nq=nq * nxi), nxi)
+    return gritsenko_lift(pullback(form, CASES[case].vector, nq=nq * nxi), nxi)
 
 
 def test_e7_weight8_eisenstein_in_generators():

@@ -181,6 +181,24 @@ def test_precision_below_one_is_usage_error(capsys, argv, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["hilbert", "A1", "--order", "-1"], "--order"),
+        (["identity-check", "A1", "--order", "-1"], "--order"),
+        (["certify", "D8", "--wmax", "-1", "--json"], "--wmax"),
+    ],
+)
+def test_negative_order_or_wmax_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 0" in captured.err
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
 def test_output_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "weights.json"
     code = main(["weights", "E6", "--json", "--output", str(target)])

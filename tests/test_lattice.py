@@ -136,9 +136,10 @@ def test_e7_coset_norms():
 
 
 def test_cusp_orbits():
-    assert lattice("D8").cusp_orbits == ((0,), (1, 2))
-    assert lattice("E6").cusp_orbits == ((0,),)
-    assert lattice("E7").cusp_orbits == ((0,),)
+    # the Eisenstein data reads orbit 0 at coset 0 and the D8 orbit-1 pair at cosets 1 and 2
+    for name in ("D8", "E6", "E7"):
+        assert lattice(name).coset(0).is_zero()
+    assert [c.norm_mod1 for c in lattice("D8").cosets] == [0, 0, 0, Fraction(1, 2)]
 
 
 def test_coset_reps_are_dual_vectors():
