@@ -1,8 +1,16 @@
 """Exact linear-algebra certificates for the lifted Eisenstein generators.
 
-Monomials in the generator lifts are flattened over a canonical coefficient
-index set, one row of integer numerators per monomial, and their exact rank
-is certified mod a prime when full, by fraction-free elimination otherwise.
+Monomials in the generator lifts are compared on a canonical coefficient
+index set.  The certificate first works mod the prime ``linalg.MODULUS`` in
+r-evaluation space: each generator lift is evaluated once
+(``lifts.evaluate``), a monomial is a chain of pointwise products
+(``lifts.multiply_values``), and its row is the evaluation restricted to
+``lifts.evaluation_mask``, one column per index.  Each such row is an
+integer multiple of the monomial's exact numerator row, mapped by an
+invertible matrix mod p, so a full rank mod p certifies a full rank over Q.
+Only a weight whose residue rows are deficient builds exact products and
+takes the exact rank by fraction-free elimination.
+
 Full rank certifies linear independence at that weight (and hence upstream,
 since any relation among the orthogonal series would restrict to a relation
 among the pullback lifts).  Rank deficits are never reported as relations
@@ -18,10 +26,12 @@ from functools import partial
 from math import isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .freealg import dim_upper_bound
-from .lifts import ParamodularForm, gritsenko_lift, multiply
-from .linalg import bareiss_rank, left_kernel, solve
+from .lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
+from .linalg import _rank_mod_p, bareiss_rank, left_kernel, solve
 from .weil import ComponentForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
 from .qseries import QSeries
@@ -229,7 +239,13 @@ class IndependenceCertificate:
 
 
 class _MonomialCache:
-    """Products of generator lifts, built incrementally and reused."""
+    """Monomials in the generator lifts, as residue evaluations and as exact products.
+
+    Both are built incrementally and reused: a monomial is its first
+    generator times the monomial with that exponent lowered by one.
+    Evaluations serve the certificate mod p; exact products are built only
+    when a weight falls back to the exact rank.
+    """
 
     def __init__(self, gens: Sequence[GeneratorSpec], nq: int, nxi: int):
         self.gens = gens
@@ -237,28 +253,53 @@ class _MonomialCache:
         self.nxi = nxi
         self._lifts: Dict[int, ParamodularForm] = {}
         self._products: Dict[Tuple[int, ...], ParamodularForm] = {}
+        self._evaluations: Dict[int, np.ndarray] = {}
+        self._values: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def lift(self, i: int) -> ParamodularForm:
         if i not in self._lifts:
             self._lifts[i] = self.gens[i].build(self.nq, self.nxi)
         return self._lifts[i]
 
-    def product(self, expo: Tuple[int, ...]) -> ParamodularForm:
-        if expo in self._products:
-            return self._products[expo]
+    def evaluation(self, i: int) -> np.ndarray:
+        if i not in self._evaluations:
+            form, level = self.lift(i), self.lift(0).level
+            if form.level != level:
+                raise ValueError(f"level mismatch: {level} vs {form.level}")
+            self._evaluations[i] = evaluate(form, self.nq, self.nxi)
+        return self._evaluations[i]
+
+    def _chain(self, expo: Tuple[int, ...], cache: dict, leaf: Callable, times: Callable):
+        if expo in cache:
+            return cache[expo]
         total = sum(expo)
         if total == 0:
             raise ValueError("empty monomial has no paramodular representative here")
+        i = next(j for j, e in enumerate(expo) if e)
         if total == 1:
-            i = expo.index(1)
-            result = self.lift(i)
+            result = leaf(i)
         else:
-            i = next(j for j, e in enumerate(expo) if e)
             reduced = list(expo)
             reduced[i] -= 1
-            result = multiply(self.product(tuple(reduced)), self.lift(i))
-        self._products[expo] = result
+            result = times(self._chain(tuple(reduced), cache, leaf, times), leaf(i))
+        cache[expo] = result
         return result
+
+    def product(self, expo: Tuple[int, ...]) -> ParamodularForm:
+        return self._chain(expo, self._products, self.lift, multiply)
+
+    def values(self, expo: Tuple[int, ...]) -> np.ndarray:
+        """The monomial's evaluation: an integer multiple of ``product(expo)``'s, mod p."""
+        return self._chain(expo, self._values, self.evaluation, multiply_values)
+
+    def residue_rows(self, monos: Sequence[Tuple[int, ...]]) -> np.ndarray:
+        """One row per monomial: its evaluation, zero-padded to the box, on the mask."""
+        mask = evaluation_mask(self.lift(0).level, self.nq, self.nxi)
+        rows = np.zeros((len(monos),) + mask.shape, dtype=np.int64)
+        for row, expo in zip(rows, monos):
+            v = self.values(expo)
+            row[: v.shape[0], : v.shape[1]] = v
+        return rows[:, mask]
 
 
 def independence(
@@ -270,7 +311,9 @@ def independence(
     """Certificate of monomial independence for every weight <= w_max.
 
     Coefficients are compared on the canonical index set of the lifts' own
-    level.  Full rank at the first precision is conclusive; deficient ranks
+    level.  A weight whose residue rows have full rank mod p is independent;
+    any other weight is decided by the exact rank of its numerator rows.
+    Full rank at the first precision is conclusive; deficient ranks
     escalate through the schedule and only then are reported as
     inconclusive, with the kernel vectors as candidate relations.
     """
@@ -290,16 +333,21 @@ def independence(
             if not monos:
                 records[w] = WeightRecord(w, [], (0, 0), 0, "trivial")
                 continue
-            forms = [cache.product(m) for m in monos]
-            index_set = canonical_index_set(forms[0].level, nq, nxi)
-            # each row is a form's numerators: its coefficients times its own denominator
-            rows = [[f.nums.get(key, 0) for key in index_set] for f in forms]
-            rank = bareiss_rank(rows)
+            residues = cache.residue_rows(monos)
+            shape = residues.shape
+            if _rank_mod_p(residues) == len(monos):
+                rank = len(monos)
+            else:
+                forms = [cache.product(m) for m in monos]
+                index_set = canonical_index_set(forms[0].level, nq, nxi)
+                # each row is a form's numerators: its coefficients times its own denominator
+                rows = [[f.nums.get(key, 0) for key in index_set] for f in forms]
+                rank = bareiss_rank(rows)
             if rank == len(monos):
-                records[w] = WeightRecord(w, monos, (len(monos), len(index_set)), rank, "independent")
+                records[w] = WeightRecord(w, monos, shape, rank, "independent")
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): independent")
             else:
-                records[w] = WeightRecord(w, monos, (len(monos), len(index_set)), rank, "inconclusive")
+                records[w] = WeightRecord(w, monos, shape, rank, "inconclusive")
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): deficient")
                 still_pending.append(w)
                 if step == len(schedule) - 1:

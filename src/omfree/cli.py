@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Smallest accepted value of each integer flag, on every command that has it.
-_MINIMUM = {"nq": 1, "nxi": 1, "order": 0, "wmax": 0}
+_MINIMUM = {"nq": 1, "nxi": 1, "order": 0, "wmax": 0, "max": 1, "prec": 1}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -19,6 +19,14 @@ B-bit digits, one big-integer multiply per compatible slice pair does the
 convolution in r, and each output slice is decoded once in balanced
 base-2^B digits.  B comes from a bound on the output numerators,
 sum |f| * max |g| over the factors' numerators, so no digit can overflow.
+
+A rank certificate needs products only mod the prime ``linalg.MODULUS``,
+and there they are cheaper in r-evaluation space: :func:`evaluate` reduces
+each (n, M) slice's numerators mod p and evaluates the slice's Laurent
+polynomial in r at W fixed points, and :func:`multiply_values` multiplies
+two such arrays pointwise in the points, with a truncated convolution over
+(n, M).  For h = ``multiply(f, g)``, the evaluation of h times
+f.den * g.den // h.den is exactly the pointwise product of the factors'.
 """
 
 from __future__ import annotations
@@ -26,10 +34,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, Tuple
 
+import numpy as np
+
 from .classical import bernoulli, divisors, sigma
+from .linalg import MODULUS
 from .qseries import as_fraction
 from .weil import JacobiForm
 
@@ -308,3 +320,88 @@ def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
             if d:
                 nums[(n, base + lo + i, m)] = d
     return ParamodularForm.from_numerators(f.weight + g.weight, f.level, nums, f.den * g.den, nq, nxi)
+
+
+# ---------------------------------------------------------------------------
+# Residues in r-evaluation space
+
+
+def _check_int64(what: str, value: int) -> None:
+    if value >= 1 << 63:
+        raise ValueError(f"{what} = {value} does not fit int64 residue arithmetic")
+
+
+def evaluation_width(level: int, nq: int, nxi: int) -> int:
+    """W = 2 isqrt(4 nq nxi level) + 1: the evaluation points of the (nq, nxi) box."""
+    return 2 * isqrt(4 * nq * nxi * level) + 1
+
+
+@lru_cache(maxsize=None)
+def _powers(width: int) -> np.ndarray:
+    """x^r mod p at row r + R, column j, for x = j + 1 and |r| <= R = (width - 1) // 2."""
+    rmax = (width - 1) // 2
+    x = np.arange(1, width + 1, dtype=np.int64)
+    inverse = np.array([pow(int(v), -1, MODULUS) for v in x], dtype=np.int64)
+    table = np.ones((width, width), dtype=np.int64)
+    for k in range(1, rmax + 1):
+        table[rmax + k] = table[rmax + k - 1] * x % MODULUS
+        table[rmax - k] = table[rmax - k + 1] * inverse % MODULUS
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+def evaluate(f: ParamodularForm, nq: int, nxi: int) -> np.ndarray:
+    """f's numerators mod p, each (n, M) slice's r-polynomial at the points 1..W.
+
+    An int64 array of shape (min(nq, f.nq) + 1, min(nxi, f.nxi) + 1, W),
+    W = ``evaluation_width(f.level, nq, nxi)``: entry (n, M, j) is
+    sum_r nums[(n, r, M)] (j + 1)^r mod p.  Every coefficient must satisfy
+    r^2 <= 4 n M level, as lifts do, so the first 2 isqrt(4 n M level) + 1
+    values of a slice determine it (a Vandermonde matrix times a diagonal
+    one, invertible mod p).  The dot products run on the power table split
+    into 16-bit halves, so each term is below 2^47 and W of them fit int64.
+    """
+    width = evaluation_width(f.level, nq, nxi)
+    _check_int64("W * 2^47", width << 47)
+    rmax = (width - 1) // 2
+    a, b = min(nq, f.nq), min(nxi, f.nxi)
+    coeffs = np.zeros((a + 1, b + 1, width), dtype=np.int64)
+    for (n, r, m), c in f.nums.items():
+        if n <= a and m <= b:
+            if r * r > 4 * n * m * f.level:
+                raise ValueError(f"coefficient at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0")
+            coeffs[n, m, r + rmax] = c % MODULUS
+    powers = _powers(width)
+    high = coeffs @ (powers >> 16) % MODULUS
+    low = coeffs @ (powers & 0xFFFF) % MODULUS
+    return ((high << 16) + low) % MODULUS
+
+
+def multiply_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The evaluation of the product, from the evaluations of the factors.
+
+    Pointwise in the last axis, a convolution over (n, M) truncated to the
+    smaller box: one vectorised multiply-add per nonzero slice of ``f``.
+    Each term is reduced below p before it is added, so the at most
+    (nq + 1)(nxi + 1) terms of an entry stay below 2^63.
+    """
+    if f.shape[2] != g.shape[2]:
+        raise ValueError(f"evaluation widths differ: {f.shape[2]} vs {g.shape[2]}")
+    a, b = min(f.shape[0], g.shape[0]), min(f.shape[1], g.shape[1])
+    _check_int64("slice terms * p", a * b * MODULUS)
+    out = np.zeros((a, b, f.shape[2]), dtype=np.int64)
+    for n, m in zip(*np.nonzero(f[:a, :b].any(axis=2))):
+        out[n:, m:] += f[n, m] * g[: a - n, : b - m] % MODULUS
+    return out % MODULUS
+
+
+def evaluation_mask(level: int, nq: int, nxi: int) -> np.ndarray:
+    """Boolean (nq + 1, nxi + 1, W) mask of the values j < 2 isqrt(4 n M level) + 1.
+
+    One entry per (n, r, M) of the canonical index set, so restricting an
+    evaluation to the mask maps the index set's coefficients bijectively.
+    """
+    widths = np.array(
+        [[2 * isqrt(4 * n * m * level) + 1 for m in range(nxi + 1)] for n in range(nq + 1)]
+    )
+    return np.arange(evaluation_width(level, nq, nxi)) < widths[:, :, None]

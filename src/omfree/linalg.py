@@ -11,7 +11,10 @@ appears inside the loop.  ``Fraction`` values are built only at the end of
 A rank first tries a certificate mod the prime :data:`MODULUS`: an int64
 numpy elimination that settles every full-row-rank matrix, which is the
 common case in an independence certificate.  Bareiss runs only when the
-rows are dependent mod the prime, and then gives the exact rank.
+rows are dependent mod the prime, and then gives the exact rank.  The
+elimination :func:`_rank_mod_p` takes an int64 residue array as it is, so
+a caller that already holds residues (the evaluation-space rows of
+``certify.independence``) certifies with no big integer at all.
 """
 
 from __future__ import annotations
@@ -69,9 +72,17 @@ def _echelon(m: List[List[int]], ncols: int) -> Tuple[int, int]:
     return row, sign
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(MODULUS) by Gaussian elimination on int64 residues."""
-    m = np.array([[x % MODULUS for x in r] for r in rows], dtype=np.int64)
+def _rank_mod_p(rows) -> int:
+    """Rank over GF(MODULUS) by Gaussian elimination on int64 residues.
+
+    An int64 array is reduced by one vectorised ``%``, which is also the
+    working copy; other integer rows (Python ints of any size) are reduced
+    entry by entry.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        m = rows % MODULUS
+    else:
+        m = (np.array(rows, dtype=object) % MODULUS).astype(np.int64)
     rank = 0
     while rank < len(m):
         cols = np.flatnonzero(m[rank:].any(axis=0))

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -22,7 +23,7 @@ from omfree.certify import (
 from omfree.cli import build_parser
 from omfree.freealg import orthogonal_weights
 from omfree.lattice import lattice, norm
-from omfree.lifts import ParamodularForm, gritsenko_lift, multiply
+from omfree.lifts import ParamodularForm, evaluate, gritsenko_lift, multiply
 from omfree.linalg import MODULUS, _rank_mod_p
 from omfree.weil import jacobi_eisenstein, pullback
 
@@ -185,6 +186,37 @@ def test_independence_relation_on_rational_rows(small_lifts):
     rec = next(r for r in cert.weights if r.weight == 4)
     assert rec.verdict == "inconclusive" and rec.rank == 1
     assert cert.relations == [{"w": 4, "coefficients": ["7", "-1"]}]
+
+
+def test_independence_falls_back_on_a_residue_deficit(small_lifts):
+    # every numerator of p E4 is 0 mod p and its denominator is prime to p:
+    # the residue rows vanish, so only the exact rank can certify it
+    scaled = MODULUS * small_lifts[(4, 0)]
+    assert scaled.den % MODULUS and all(c % MODULUS == 0 for c in scaled.nums.values())
+    assert not evaluate(scaled, 2, 2).any()
+    gen = GeneratorSpec("pE4", 4, "fixed", lambda nq, nxi: scaled)
+    cert = independence([gen], 8, schedule=((2, 2),))
+    ranks = {rec.weight: (rec.rank, rec.verdict) for rec in cert.weights}
+    assert ranks[4] == ranks[8] == (1, "independent")
+    assert cert.relations == []
+
+
+@pytest.mark.parametrize("case", ["D8", "E6", "E7"])
+def test_residue_ranks_equal_exact_ranks(case):
+    # independence decides most weights from residue rows; the exact rank of
+    # the numerator rows, built here from plain products, must agree
+    nq = nxi = 2
+    gens = [g for g in case_generators(case) if g.weight <= 16]
+    lifts = [g.build(nq, nxi) for g in gens]
+    index_set = canonical_index_set(lifts[0].level, nq, nxi)
+    cert = independence(gens, 16, schedule=((nq, nxi),))
+    for rec in cert.weights:
+        if rec.verdict == "trivial":
+            continue
+        forms = [reduce(multiply, [f for f, e in zip(lifts, expo) for _ in range(e)]) for expo in rec.monomials]
+        rows = [[f.nums.get(key, 0) for key in index_set] for f in forms]
+        assert rec.matrix_shape == (len(rows), len(index_set))
+        assert rec.rank == bareiss_rank(rows), rec.weight
 
 
 def test_case_generators_counts():

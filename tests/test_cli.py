@@ -169,6 +169,12 @@ def test_certify_precision_below_one_is_usage_error(capsys, nq, nxi, flag):
         (["lift", "D8", "-k", "8", "--nxi", "0"], "--nxi"),
         (["verify-e14", "--nq", "0", "--nxi", "2"], "--nq"),
         (["verify-e14", "--nq", "2", "--nxi", "0", "--json"], "--nxi"),
+        (["eisenstein", "D8", "-k", "8", "--prec", "-1"], "--prec"),
+        (["eisenstein", "E6", "-k", "8", "--prec", "0"], "--prec"),
+        (["eisenstein", "E7", "-k", "8", "--prec", "0", "--json"], "--prec"),
+        # a bound below one would check no class number and still report agreement
+        (["hurwitz-check", "--max", "-3"], "--max"),
+        (["hurwitz-check", "--max", "0", "--json"], "--max"),
     ],
 )
 def test_precision_below_one_is_usage_error(capsys, argv, flag):

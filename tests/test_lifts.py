@@ -7,10 +7,19 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omfree.certify import case_generators
+from omfree.certify import canonical_index_set, case_generators
 from omfree.classical import sigma
 from omfree.lattice import lattice, norm, pairing, enumerate_coset
-from omfree.lifts import ParamodularForm, gritsenko_lift, hecke_V, multiply
+from omfree.lifts import (
+    ParamodularForm,
+    evaluate,
+    evaluation_mask,
+    gritsenko_lift,
+    hecke_V,
+    multiply,
+    multiply_values,
+)
+from omfree.linalg import MODULUS
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
@@ -359,3 +368,29 @@ def test_lift_restrict_diagram_commutes():
 
 def test_lift_symmetry_method(phi8):
     gritsenko_lift(phi8, 3).check_symmetry()
+
+
+# ---------------------------------------------------------------------------
+# residues in r-evaluation space
+
+
+@pytest.mark.parametrize("case", ["D8", "E7"])
+@pytest.mark.parametrize("nq,nxi", [(2, 2), (3, 3)])
+def test_evaluation_of_product_is_pointwise_product(case, nq, nxi):
+    # the residue path's product agrees with the exact product, up to the
+    # integer factor by which from_numerators reduced the numerators
+    e4, e6 = (g.build(nq, nxi) for g in case_generators(case)[:2])
+    for f, g in ((e4, e6), (multiply(e4, e6), e4)):
+        h = multiply(f, g)
+        scale = f.den * g.den // h.den % MODULUS
+        fast = multiply_values(evaluate(f, nq, nxi), evaluate(g, nq, nxi))
+        assert (fast == evaluate(h, nq, nxi) * scale % MODULUS).all()
+    mask = evaluation_mask(e4.level, nq, nxi)
+    assert mask.shape == fast.shape
+    assert int(mask.sum()) == len(canonical_index_set(e4.level, nq, nxi))
+
+
+def test_evaluation_rejects_coefficients_outside_the_support():
+    form = ParamodularForm(4, 1, {(0, 0, 0): 1, (1, 3, 1): 2}, 1, 1)
+    with pytest.raises(ValueError, match="violates"):
+        evaluate(form, 1, 1)
