@@ -23,7 +23,8 @@ from .qseries import ExponentDenominatorError, TruncationError
 from .weil import InvarianceError, jacobi_eisenstein, pullback
 
 #: Mathematical failures: an exact construction or consistency check broke.
-#: They exit 65; any other ValueError or KeyError is a rejected input (64).
+#: They exit 65; any other ValueError or KeyError, and an OSError such as an
+#: unwritable --output path, is a rejected input (64).
 _MATH_ERRORS = (DecompositionError, ExponentDenominatorError, InvarianceError, PlusSpaceError, TruncationError)
 
 
@@ -325,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 

@@ -8,8 +8,9 @@ correctly scaled level-1 Eisenstein series, which makes the coefficient
 symmetry A(n, r, M) = A(M, r, n) hold on the nose.
 
 Coefficients are held as integer numerators over one common denominator,
-in lowest terms.  A lift converts its rational Jacobi input once; sums,
-scalings and products then run on integers, and ``Fraction`` values are
+in lowest terms: ``qseries.NumeratorStore``, the store ``JacobiForm``
+shares.  Index raising and the lift read the Jacobi input's numerators;
+sums, scalings and products run on integers, and ``Fraction`` values are
 built only at the boundary: the rational constructor, ``coeffs``,
 ``coefficient`` and the JSON form.
 
@@ -31,49 +32,32 @@ f.den * g.den // h.den is exactly the pointwise product of the factors'.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .classical import bernoulli, divisors, sigma
 from .linalg import MODULUS
-from .qseries import as_fraction
+from .qseries import NumeratorStore
 from .weil import JacobiForm
 
 Key = Tuple[int, int, int]
 
 
-class _RationalView(Mapping):
-    """Read-only map from (n, r, M) to numerator / denominator as a ``Fraction``."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: Dict[Key, int], den: int):
-        self._nums, self._den = nums, den
-
-    def __getitem__(self, key: Key) -> Fraction:
-        return Fraction(self._nums[key], self._den)
-
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self._nums)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-
 @dataclass(frozen=True, init=False)
-class ParamodularForm:
+class ParamodularForm(NumeratorStore):
     """Exact truncated Fourier expansion of a degree-2 form of level ``level``.
 
     Coefficients A(n, r, M) are faithful for n <= nq and M <= nxi; the
     support satisfies 4 n M level - r^2 >= 0.  A(n, r, M) is
-    ``nums[(n, r, M)] / den``: nonzero integer numerators inside the box
-    over one positive denominator, with gcd(den, *nums) = 1.
+    ``nums[(n, r, M)] / den`` (see ``qseries.NumeratorStore``);
+    ``ParamodularForm(weight, level, coeffs, nq, nxi)`` takes rational
+    coefficients, ``from_numerators(weight, level, nums, den, nq, nxi)``
+    integer ones.
     """
 
     weight: int
@@ -83,67 +67,13 @@ class ParamodularForm:
     nq: int
     nxi: int
 
-    def __init__(self, weight: int, level: int, coeffs: Dict[Key, Fraction], nq: int, nxi: int):
-        """From exact rational (or integer) coefficients keyed by (n, r, M)."""
-        values = {k: as_fraction(v) for k, v in coeffs.items() if k[0] <= nq and k[2] <= nxi}
-        den = lcm(1, *(v.denominator for v in values.values()))
-        nums = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        self._set(weight, level, nums, den, nq, nxi)
-
-    @classmethod
-    def from_numerators(
-        cls, weight: int, level: int, nums: Dict[Key, int], den: int, nq: int, nxi: int
-    ) -> "ParamodularForm":
-        """The form with A(n, r, M) = nums[(n, r, M)] / den; ``den`` is any nonzero int."""
-        form = cls.__new__(cls)
-        form._set(weight, level, nums, den, nq, nxi)
-        return form
-
-    def _set(self, weight, level, nums, den, nq, nxi) -> None:
-        nums = {k: v for k, v in nums.items() if v and k[0] <= nq and k[2] <= nxi}
-        g = gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = {k: v // g for k, v in nums.items()}
-            den //= g
-        fields = {"weight": weight, "level": level, "nums": nums, "den": den, "nq": nq, "nxi": nxi}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    @property
-    def coeffs(self) -> Mapping:
-        """The rational coefficients, as a read-only map to ``Fraction``."""
-        return _RationalView(self.nums, self.den)
+    def _in_box(self, key: Key) -> bool:
+        return key[0] <= self.nq and key[2] <= self.nxi
 
     def coefficient(self, n: int, r: int, m: int) -> Fraction:
         if n > self.nq or m > self.nxi:
             raise ValueError(f"(n={n}, M={m}) beyond truncation ({self.nq}, {self.nxi})")
         return Fraction(self.nums.get((n, r, m), 0), self.den)
-
-    def support(self) -> List[Key]:
-        return sorted(self.nums)
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __add__(self, other: "ParamodularForm") -> "ParamodularForm":
-        if (self.weight, self.level) != (other.weight, other.level):
-            raise ValueError("can only add paramodular forms of equal weight and level")
-        nq, nxi = min(self.nq, other.nq), min(self.nxi, other.nxi)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        nums = {k: a * v for k, v in self.nums.items() if k[0] <= nq and k[2] <= nxi}
-        for k, v in other.nums.items():
-            if k[0] <= nq and k[2] <= nxi:
-                nums[k] = nums.get(k, 0) + b * v
-        return ParamodularForm.from_numerators(self.weight, self.level, nums, den, nq, nxi)
-
-    def __rmul__(self, c) -> "ParamodularForm":
-        c = as_fraction(c)
-        nums = {k: c.numerator * v for k, v in self.nums.items()}
-        den = c.denominator * self.den
-        return ParamodularForm.from_numerators(self.weight, self.level, nums, den, self.nq, self.nxi)
 
     def __mul__(self, other):
         if isinstance(other, ParamodularForm):
@@ -151,10 +81,10 @@ class ParamodularForm:
         return self.__rmul__(other)
 
     def check_support(self) -> None:
-        for (n, r, m), c in self.coeffs.items():
+        for (n, r, m), c in self.nums.items():
             if 4 * n * m * self.level - r * r < 0:
                 raise ValueError(
-                    f"coefficient {c} at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0"
+                    f"coefficient {Fraction(c, self.den)} at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0"
                 )
 
     def check_symmetry(self) -> None:
@@ -166,18 +96,6 @@ class ParamodularForm:
                     f"A({n},{r},{m}) = {Fraction(c, self.den)} but A({m},{r},{n}) differs"
                 )
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "level": self.level,
-            "nq": self.nq,
-            "nxi": self.nxi,
-            "coefficients": {
-                f"{n},{r},{m}": [c.numerator, c.denominator]
-                for (n, r, m), c in sorted(self.coeffs.items())
-            },
-        }
-
 
 # ---------------------------------------------------------------------------
 # Index raising
@@ -187,7 +105,8 @@ def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
     """Index-raising operator: (phi | V_M)(n, r) = sum_{d | gcd(n,r,M)} d^(k-1) c(nM/d^2, r/d).
 
     gcd(0, 0, M) is M.  The output index is M times the input index, with
-    truncation floor(nq / M).  Integer coefficients stay integers.
+    truncation floor(nq / M).  The sum runs on phi's numerators, and the
+    output numerators are taken over ``phi.den`` (then put in lowest terms).
     """
     if m < 1:
         raise ValueError("M must be >= 1")
@@ -195,7 +114,7 @@ def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
         raise ValueError("index-raising needs a positive index")
     k = phi.weight
     nq_out = phi.nq // m
-    out: Dict[Tuple[int, int], Fraction] = {}
+    out: Dict[Tuple[int, int], int] = {}
     new_index = phi.index * m
     for n in range(nq_out + 1):
         rmax = isqrt(4 * n * new_index)
@@ -203,12 +122,12 @@ def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
             g = gcd(gcd(n, r), m)
             total = 0
             for d in divisors(g):
-                c = phi.coeffs.get((n * m // (d * d), r // d))
+                c = phi.nums.get((n * m // (d * d), r // d))
                 if c:
                     total += d ** (k - 1) * c
             if total:
                 out[(n, r)] = total
-    return JacobiForm(k, new_index, out, nq_out)
+    return JacobiForm.from_numerators(k, new_index, out, phi.den, nq_out)
 
 
 def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
@@ -217,35 +136,34 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
     Requires even weight >= 4, or odd weight with vanishing constant term.
     The slice at M = 0 is c(0,0) * (-B_k / 2k) * E_k in the normalization
     with coefficients sigma_{k-1}(n), so A(n, 0, 0) = sigma_{k-1}(n) c(0,0).
+    Every slice is written as numerators over one denominator, the lcm of
+    phi's and the boundary constant's.
     """
     if nxi < 1:
         raise ValueError("nxi must be >= 1")
     if phi.index < 1:
         raise ValueError("lift input must have positive index")
     k = phi.weight
-    c00 = phi.coeffs.get((0, 0), Fraction(0))
+    c00 = phi.nums.get((0, 0), 0)
     if k % 2 == 1:
         if c00 != 0:
             raise ValueError("odd-weight lifts need vanishing constant term")
     elif k < 4:
         raise ValueError(f"even lift weights start at 4, got {k}")
     nq_out = phi.nq // nxi
-    # one common denominator for phi and the boundary constant; V_M keeps
-    # integer coefficients integral
-    boundary = -bernoulli(k) / (2 * k) * c00
-    den = lcm(boundary.denominator, *(c.denominator for c in phi.coeffs.values()))
-    scaled = JacobiForm(
-        k, phi.index, {key: c.numerator * (den // c.denominator) for key, c in phi.coeffs.items()}, phi.nq
-    )
+    boundary = -bernoulli(k) / (2 * k) * Fraction(c00, phi.den)
+    den = lcm(boundary.denominator, phi.den)
     nums: Dict[Key, int] = {}
     if c00 != 0:
         nums[(0, 0, 0)] = boundary.numerator * (den // boundary.denominator)
         for n in range(1, nq_out + 1):
-            nums[(n, 0, 0)] = scaled.coeffs[(0, 0)] * sigma(n, k - 1)
+            nums[(n, 0, 0)] = c00 * (den // phi.den) * sigma(n, k - 1)
     for m in range(1, nxi + 1):
-        for (n, r), c in hecke_V(scaled, m).coeffs.items():
+        sliced = hecke_V(phi, m)
+        scale = den // sliced.den
+        for (n, r), c in sliced.nums.items():
             if n <= nq_out:
-                nums[(n, r, m)] = c
+                nums[(n, r, m)] = c * scale
     return ParamodularForm.from_numerators(k, phi.index, nums, den, nq_out, nxi)
 
 

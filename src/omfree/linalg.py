@@ -8,13 +8,12 @@ the lcm of their denominators, each entry after k pivot steps is a
 appears inside the loop.  ``Fraction`` values are built only at the end of
 :func:`solve`.
 
-A rank first tries a certificate mod the prime :data:`MODULUS`: an int64
-numpy elimination that settles every full-row-rank matrix, which is the
-common case in an independence certificate.  Bareiss runs only when the
-rows are dependent mod the prime, and then gives the exact rank.  The
-elimination :func:`_rank_mod_p` takes an int64 residue array as it is, so
-a caller that already holds residues (the evaluation-space rows of
-``certify.independence``) certifies with no big integer at all.
+:func:`bareiss_rank` is the same elimination and gives the exact rank.
+:func:`_rank_mod_p` is the modular certificate: an int64 numpy elimination
+mod the prime :data:`MODULUS` on residue rows.  A rank mod p is never above
+the rank over Q, so full rank mod p certifies full rank; a caller that holds
+residues (the evaluation-space rows of ``certify.independence``) certifies
+with no big integer at all, and runs Bareiss only on a deficit.
 """
 
 from __future__ import annotations
@@ -75,14 +74,10 @@ def _echelon(m: List[List[int]], ncols: int) -> Tuple[int, int]:
 def _rank_mod_p(rows) -> int:
     """Rank over GF(MODULUS) by Gaussian elimination on int64 residues.
 
-    An int64 array is reduced by one vectorised ``%``, which is also the
-    working copy; other integer rows (Python ints of any size) are reduced
-    entry by entry.
+    ``rows`` must fit int64 (an int64 array, or integer rows of that size);
+    one vectorised ``%`` reduces them into the working copy.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-        m = rows % MODULUS
-    else:
-        m = (np.array(rows, dtype=object) % MODULUS).astype(np.int64)
+    m = np.asarray(rows, dtype=np.int64) % MODULUS
     rank = 0
     while rank < len(m):
         cols = np.flatnonzero(m[rank:].any(axis=0))
@@ -99,20 +94,9 @@ def _rank_mod_p(rows) -> int:
 
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix: mod-p certificate first, Bareiss on a deficit.
-
-    The rank mod p is never above the rank over Q: a minor that is nonzero
-    mod p is a nonzero integer.  So when the rows are independent mod
-    ``MODULUS`` they are independent over Q, and their count is returned.
-    Otherwise the deficit may be an accident of the prime, and the
-    fraction-free elimination gives the exact rank.
-    """
+    """Exact rank of an integer matrix, by Bareiss elimination."""
     m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    if _rank_mod_p(m) == len(m):
-        return len(m)
-    return _echelon(m, len(m[0]))[0]
+    return _echelon(m, len(m[0]))[0] if m else 0
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

@@ -7,14 +7,21 @@ carries a truncation ``T``: all terms with exponent ``< T`` are faithfully
 represented and everything at or beyond ``T`` is unknown.  Arithmetic always
 propagates the smaller truncation of its operands; precision is never
 silently extended.  There is no floating point anywhere.
+
+Coefficient tables in more than one variable (Jacobi forms, paramodular
+forms) share one store, :class:`NumeratorStore`: integer numerators over
+one common denominator, in lowest terms, with a read-only ``Fraction``
+view for the edges of a layer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from dataclasses import fields
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -38,6 +45,117 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, (int, Rational)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+
+
+class _RationalView(Mapping):
+    """Read-only map from a key to numerator / denominator as a ``Fraction``."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Dict[Hashable, int], den: int):
+        self._nums, self._den = nums, den
+
+    def __getitem__(self, key: Hashable) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+
+class NumeratorStore:
+    """Exact rational coefficients as integer numerators over one denominator.
+
+    The coefficient at ``key`` is ``nums[key] / den``: ``nums`` holds
+    nonzero ints on the keys inside the truncation box, ``den`` is positive
+    and gcd(den, *nums) = 1, so equal coefficient tables give equal stores.
+    Sums and scalings read and write integers; ``Fraction`` values are
+    built only by the rational constructor and the ``coeffs`` view.
+
+    A subclass is a frozen dataclass with ``init=False`` whose fields are
+    ``weight``, its grading (Jacobi index, paramodular level), ``nums``,
+    ``den`` and then its truncation bounds; ``_in_box`` says which keys the
+    bounds keep.
+    """
+
+    nums: Dict[Tuple[int, ...], int]
+    den: int
+
+    def __init__(self, weight: int, grading: int, coeffs: Mapping, *bounds: int):
+        """From exact rational (or integer) coefficients."""
+        values = {k: as_fraction(v) for k, v in coeffs.items()}
+        den = lcm(1, *(v.denominator for v in values.values()))
+        nums = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self._set(weight, grading, nums, den, bounds)
+
+    @classmethod
+    def from_numerators(cls, weight: int, grading: int, nums: Dict, den: int, *bounds: int):
+        """The form with coefficients ``nums[key] / den``; ``den`` is any nonzero int."""
+        form = cls.__new__(cls)
+        form._set(weight, grading, nums, den, bounds)
+        return form
+
+    def _set(self, weight, grading, nums, den, bounds) -> None:
+        names = [f.name for f in fields(self)]
+        for name, value in zip(names[:2] + names[4:], (weight, grading, *bounds)):
+            object.__setattr__(self, name, value)
+        nums = {k: v for k, v in nums.items() if v and self._in_box(k)}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def _in_box(self, key: Tuple[int, ...]) -> bool:
+        raise NotImplementedError
+
+    def _shape(self) -> Tuple[list, list]:
+        """[weight, grading] and the truncation bounds."""
+        values = [getattr(self, f.name) for f in fields(self)]
+        return values[:2], values[4:]
+
+    @property
+    def coeffs(self) -> Mapping:
+        """The rational coefficients, as a read-only map to ``Fraction``."""
+        return _RationalView(self.nums, self.den)
+
+    def support(self) -> List[Tuple[int, ...]]:
+        return sorted(self.nums)
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (head, bounds), (other_head, other_bounds) = self._shape(), other._shape()
+        if head != other_head:
+            grading = fields(self)[1].name
+            raise ValueError(f"can only add {type(self).__name__}s of equal weight and {grading}")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = {k: a * v for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            nums[k] = nums.get(k, 0) + b * v
+        return self.from_numerators(*head, nums, den, *map(min, bounds, other_bounds))
+
+    def __rmul__(self, c):
+        c = as_fraction(c)
+        head, bounds = self._shape()
+        nums = {k: c.numerator * v for k, v in self.nums.items()}
+        return self.from_numerators(*head, nums, c.denominator * self.den, *bounds)
+
+    def to_json(self) -> dict:
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("nums", "den")}
+        payload["coefficients"] = {
+            ",".join(map(str, key)): [c.numerator, c.denominator] for key, c in sorted(self.coeffs.items())
+        }
+        return payload
 
 
 class QSeries:

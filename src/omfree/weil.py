@@ -26,7 +26,7 @@ from .classical import (
 )
 from .lattice import LatticeData, lattice, norm as lattice_norm, pairing_counts
 from .linalg import solve
-from .qseries import QSeries, as_fraction
+from .qseries import NumeratorStore, QSeries, as_fraction
 
 
 class InvarianceError(ValueError):
@@ -104,113 +104,83 @@ class ComponentForm:
 # Scalar-index Jacobi forms
 
 
-@dataclass(frozen=True)
-class JacobiForm:
+@dataclass(frozen=True, init=False)
+class JacobiForm(NumeratorStore):
     """Exact coefficients c(n, r) of a holomorphic Jacobi form of scalar index.
 
     Coefficients are faithful for 0 <= n <= nq.  The support satisfies
     4 n m - r^2 >= 0; under r -> -r coefficients pick up the sign (-1)^weight.
     Index 0 is allowed and means a plain modular form (support r = 0).
+    c(n, r) is ``nums[(n, r)] / den`` (see ``qseries.NumeratorStore``);
+    ``JacobiForm(weight, index, coeffs, nq)`` takes rational coefficients,
+    ``from_numerators(weight, index, nums, den, nq)`` integer ones.
     """
 
     weight: int
     index: int
-    coeffs: Dict[Tuple[int, int], Fraction]
+    nums: Dict[Tuple[int, int], int]
+    den: int
     nq: int
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("index must be nonnegative")
-        clean = {k: v for k, v in self.coeffs.items() if v != 0 and k[0] <= self.nq}
-        object.__setattr__(self, "coeffs", clean)
+    def _in_box(self, key: Tuple[int, int]) -> bool:
+        return key[0] <= self.nq
 
     def coefficient(self, n: int, r: int) -> Fraction:
         if n > self.nq:
             raise ValueError(f"coefficient at n={n} beyond truncation nq={self.nq}")
-        return self.coeffs.get((n, r), Fraction(0))
-
-    def support(self) -> List[Tuple[int, int]]:
-        return sorted(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "JacobiForm") -> "JacobiForm":
-        if (self.weight, self.index) != (other.weight, other.index):
-            raise ValueError("can only add Jacobi forms of equal weight and index")
-        nq = min(self.nq, other.nq)
-        coeffs = {k: v for k, v in self.coeffs.items() if k[0] <= nq}
-        for k, v in other.coeffs.items():
-            if k[0] <= nq:
-                coeffs[k] = coeffs.get(k, Fraction(0)) + v
-        return JacobiForm(self.weight, self.index, coeffs, nq)
-
-    def __rmul__(self, c) -> "JacobiForm":
-        c = as_fraction(c)
-        return JacobiForm(self.weight, self.index, {k: c * v for k, v in self.coeffs.items()}, self.nq)
+        return Fraction(self.nums.get((n, r), 0), self.den)
 
     def __mul__(self, other):
         if isinstance(other, JacobiForm):
             nq = min(self.nq, other.nq)
-            coeffs: Dict[Tuple[int, int], Fraction] = {}
-            for (n1, r1), c1 in self.coeffs.items():
-                if n1 > nq:
-                    continue
-                for (n2, r2), c2 in other.coeffs.items():
-                    n = n1 + n2
-                    if n > nq:
-                        continue
-                    key = (n, r1 + r2)
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + c1 * c2
-            return JacobiForm(self.weight + other.weight, self.index + other.index, coeffs, nq)
+            nums: Dict[Tuple[int, int], int] = {}
+            for (n1, r1), c1 in self.nums.items():
+                for (n2, r2), c2 in other.nums.items():
+                    if n1 + n2 <= nq:
+                        key = (n1 + n2, r1 + r2)
+                        nums[key] = nums.get(key, 0) + c1 * c2
+            weight, index = self.weight + other.weight, self.index + other.index
+            return JacobiForm.from_numerators(weight, index, nums, self.den * other.den, nq)
         return self.__rmul__(other)
 
     # -- invariant checks --------------------------------------------------
 
     def check_support(self) -> None:
-        for (n, r), c in self.coeffs.items():
+        for (n, r), c in self.nums.items():
             if 4 * n * self.index - r * r < 0:
                 raise InvarianceError(
-                    f"coefficient {c} at (n={n}, r={r}) violates 4nm - r^2 >= 0 for index {self.index}"
+                    f"coefficient {Fraction(c, self.den)} at (n={n}, r={r}) violates 4nm - r^2 >= 0 "
+                    f"for index {self.index}"
                 )
 
     def check_r_symmetry(self) -> None:
         sign = -1 if self.weight % 2 else 1
-        for (n, r), c in self.coeffs.items():
-            if self.coeffs.get((n, -r), Fraction(0)) != sign * c:
+        for (n, r), c in self.nums.items():
+            if self.nums.get((n, -r), 0) != sign * c:
                 raise InvarianceError(f"c({n},{-r}) != {'-' if sign < 0 else ''}c({n},{r})")
 
     def check_elliptic_law(self) -> None:
         """c(n, r) depends only on (4nm - r^2, r mod 2m) within the truncation."""
         m = self.index
         if m == 0:
-            for (n, r) in self.coeffs:
+            for (n, r) in self.nums:
                 if r != 0:
                     raise InvarianceError("index-0 form with r != 0")
             return
-        classes: Dict[Tuple[int, int], Fraction] = {}
+        classes: Dict[Tuple[int, int], int] = {}
         for n in range(self.nq + 1):
             rmax = isqrt(4 * n * m)
             for r in range(-rmax, rmax + 1):
-                c = self.coeffs.get((n, r), Fraction(0))
+                c = self.nums.get((n, r), 0)
                 key = (4 * n * m - r * r, r % (2 * m))
                 if key in classes:
                     if classes[key] != c:
                         raise InvarianceError(
-                            f"elliptic law broken at (n={n}, r={r}): {c} != {classes[key]}"
+                            f"elliptic law broken at (n={n}, r={r}): "
+                            f"{Fraction(c, self.den)} != {Fraction(classes[key], self.den)}"
                         )
                 else:
                     classes[key] = c
-
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "index": self.index,
-            "nq": self.nq,
-            "coefficients": {
-                f"{n},{r}": [c.numerator, c.denominator] for (n, r), c in sorted(self.coeffs.items())
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +387,16 @@ _COUNTS_CACHE: Dict[Tuple[str, Tuple[int, ...]], Tuple[Fraction, List[Dict[Tuple
 
 
 def _coset_counts(lat: LatticeData, v: Tuple[int, ...], qmax: Fraction) -> List[Dict[Tuple[int, int], int]]:
-    """Per-coset (scaled norm, pairing) counts up to Q <= qmax, cached.
+    """Per-coset (scaled norm, pairing) counts up to Q <= qmax at least, cached.
 
-    A re-count at a larger qmax re-inserts its key as the newest entry.
+    A hit returns the cached tables as they are, which may reach past qmax;
+    ``pullback`` skips the norms beyond its nq.  A re-count at a larger qmax
+    re-inserts its key as the newest entry.
     """
     key = (lat.name, v)
     cached = _COUNTS_CACHE.get(key)
     if cached is not None and cached[0] >= qmax:
-        bound_by_coset = []
-        for coset, table in zip(lat.cosets, cached[1]):
-            smax = 2 * coset.denominator**2 * qmax
-            bound_by_coset.append({sr: c for sr, c in table.items() if sr[0] <= smax})
-        return bound_by_coset
+        return cached[1]
     tables = [pairing_counts(lat, coset, v, qmax) for coset in lat.cosets]
     _COUNTS_CACHE.pop(key, None)
     _COUNTS_CACHE[key] = (qmax, tables)
@@ -442,6 +410,9 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: Optional[int] = None) ->
 
     c(n, r) = sum over cosets gamma and vectors l in gamma + L with
     Q(l) <= n and <l, v> = r of the component coefficient at n - Q(l).
+    The sum runs on integers: the components' denominators are cleared
+    once, and the accumulated numerators over that one denominator are the
+    result's store, with no ``Fraction`` per coefficient.
     """
     lat = form.lattice
     for x in v:
@@ -480,7 +451,7 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: Optional[int] = None) ->
             se = e * scale
             if se.denominator != 1:
                 raise AssertionError("component exponent incompatible with coset scale")
-            comp_scaled[int(se)] = int(c * den)
+            comp_scaled[int(se)] = c.numerator * (den // c.denominator)
         by_norm: Dict[int, List[Tuple[int, int]]] = {}
         for (s, r), count in table.items():
             by_norm.setdefault(s, []).append((r, count))
@@ -493,5 +464,4 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: Optional[int] = None) ->
                 for r, count in row:
                     key = (n, r)
                     acc[key] = acc.get(key, 0) + count * c
-    coeffs = {key: Fraction(total, den) for key, total in acc.items()}
-    return JacobiForm(weight, index, coeffs, nq)
+    return JacobiForm.from_numerators(weight, index, acc, den, nq)

@@ -213,6 +213,16 @@ def test_output_file(tmp_path, capsys, monkeypatch):
     assert payload["weights"] == [4, 6, 7, 10, 12, 15, 16, 18, 24]
 
 
+def test_output_file_unwritable_is_rejected_input(tmp_path, capsys):
+    # a missing parent directory is a usage error, not a verification mismatch
+    target = tmp_path / "missing" / "weights.json"
+    code = main(["weights", "E6", "--json", "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_output_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OMFREE_OUTDIR", str(tmp_path))
     code = main(["weights", "E6", "--output", "w.txt"])

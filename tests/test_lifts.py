@@ -138,6 +138,103 @@ def test_lift_linearity(phi8):
 
 
 # ---------------------------------------------------------------------------
+# the shared numerator store, and V_M and the lift against their formulas
+
+#: Mixed denominators, one of them past int64.
+DENOMINATORS = [1, 2, 3, 4, 6, 9, 35, 2**70 + 1]
+#: B_k for the even lift weights, from the tables.
+BERNOULLI = {
+    4: Fraction(-1, 30),
+    6: Fraction(1, 42),
+    8: Fraction(-1, 30),
+    10: Fraction(5, 66),
+    12: Fraction(-691, 2730),
+}
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-40, 40), rng.choice(DENOMINATORS))
+
+
+def random_cone_table(rng, index, nq):
+    """Random rational c(n, r) with 4 n index - r^2 >= 0, about half of them set."""
+    return {
+        (n, r): random_rational(rng)
+        for n in range(nq + 1)
+        for r in range(-isqrt(4 * n * index), isqrt(4 * n * index) + 1)
+        if rng.random() < 0.5
+    }
+
+
+def test_store_is_lowest_terms_for_both_forms():
+    rng = random.Random(31)
+    for _ in range(40):
+        nq, nxi, t = rng.randint(0, 3), rng.randint(0, 3), rng.choice([-7, -1, 2, 35, 2**65])
+        # keys past the box are dropped, and zero values are not stored
+        jacobi = {(n, r): random_rational(rng) for n in range(nq + 2) for r in range(-3, 4)}
+        paramodular = {(n, r, m): random_rational(rng) for (n, r) in jacobi for m in range(nxi + 2)}
+        phi = JacobiForm(5, 2, jacobi, nq)
+        f = ParamodularForm(5, 2, paramodular, nq, nxi)
+        assert phi.coeffs == {k: v for k, v in jacobi.items() if v and k[0] <= nq}
+        assert f.coeffs == {k: v for k, v in paramodular.items() if v and k[0] <= nq and k[2] <= nxi}
+        for form in (phi, f):
+            assert form.den > 0 and gcd(form.den, *form.nums.values()) == 1
+            assert all(form.nums.values())
+        scaled = {k: t * v for k, v in phi.nums.items()}
+        assert JacobiForm.from_numerators(5, 2, scaled, t * phi.den, nq) == phi
+        scaled = {k: t * v for k, v in f.nums.items()}
+        assert ParamodularForm.from_numerators(5, 2, scaled, t * f.den, nq, nxi) == f
+
+
+def hecke_oracle(table, k, index, nq, m):
+    """(phi | V_M)(n, r) from its defining sum, on Fraction values."""
+    out = {}
+    for n in range(nq // m + 1):
+        rmax = isqrt(4 * n * index * m)
+        for r in range(-rmax, rmax + 1):
+            g = gcd(n, r, m)
+            divisors = [d for d in range(1, g + 1) if g % d == 0]
+            total = sum(d ** (k - 1) * table.get((n * m // (d * d), r // d), 0) for d in divisors)
+            if total:
+                out[(n, r)] = total
+    return out
+
+
+def lift_oracle(table, k, index, nq, nxi):
+    """A(n, r, M) = sum_{d | (n, r, M)} d^(k-1) c(nM/d^2, r/d), and c(0,0)(-B_k/2k)E_k at M = 0."""
+    nq_out = nq // nxi
+    c00 = table.get((0, 0), Fraction(0))
+    out = {}
+    if c00:
+        out[(0, 0, 0)] = c00 * -BERNOULLI[k] / (2 * k)
+        for n in range(1, nq_out + 1):
+            out[(n, 0, 0)] = c00 * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    for m in range(1, nxi + 1):
+        for (n, r), c in hecke_oracle(table, k, index, nq, m).items():
+            if n <= nq_out:
+                out[(n, r, m)] = c
+    return out
+
+
+def test_hecke_and_lift_match_their_formulas():
+    rng = random.Random(47)
+    for _ in range(25):
+        k, index = rng.choice([4, 5, 6, 7, 8, 10, 12]), rng.randint(1, 3)
+        nq, nxi = rng.randint(2, 6), rng.randint(1, 3)
+        table = random_cone_table(rng, index, nq)
+        if k % 2:
+            table.pop((0, 0), None)
+        phi = JacobiForm(k, index, table, nq)
+        for m in (1, 2, 3):
+            raised = hecke_V(phi, m)
+            assert (raised.weight, raised.index, raised.nq) == (k, m * index, nq // m)
+            assert raised.coeffs == hecke_oracle(table, k, index, nq, m)
+        lift = gritsenko_lift(phi, nxi)
+        assert (lift.weight, lift.level, lift.nq, lift.nxi) == (k, index, nq // nxi, nxi)
+        assert lift.coeffs == lift_oracle(table, k, index, nq, nxi)
+
+
+# ---------------------------------------------------------------------------
 # products
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -259,6 +260,21 @@ def test_counts_cache_evicts_oldest_direction(monkeypatch):
     assert list(cache) == keys[3:] + keys[1:2] + keys[:1]
 
 
+@pytest.mark.parametrize("case", ["D8", "E6", "E7"])
+def test_counts_cache_hit_matches_a_cold_count(case, monkeypatch):
+    # a hit returns tables counted to a larger qmax as they are
+    vec = {"D8": D8_VEC, "E6": E6_VEC, "E7": E7_VEC}[case]
+    form = jacobi_eisenstein(case, 4, 0, prec=6)
+    monkeypatch.setattr(weil_module, "_COUNTS_CACHE", {})
+    pullback(form, vec, nq=5)
+    warm = pullback(form, vec, nq=3)
+    assert weil_module._COUNTS_CACHE[(case, vec)][0] == 5
+    monkeypatch.setattr(weil_module, "_COUNTS_CACHE", {})
+    cold = pullback(form, vec, nq=3)
+    assert weil_module._COUNTS_CACHE[(case, vec)][0] == 3
+    assert warm == cold and not cold.is_zero()
+
+
 def test_pullback_support_bound(generator_pullback_forms):
     for (case, name), phi in generator_pullback_forms.items():
         for (n, r) in phi.coeffs:
@@ -283,3 +299,44 @@ def test_jacobi_multiplication_grades():
     assert p.weight == 10 and p.index == 3
     assert p.coefficient(1, 1) == 2
     assert p.coefficient(2, 0) == 10
+
+
+def random_jacobi_table(rng, index, nq):
+    """Random rational coefficients inside the support cone, mixed denominators."""
+    coeffs = {}
+    for n in range(nq + 1):
+        rmax = isqrt(4 * n * index)
+        for r in range(-rmax, rmax + 1):
+            if rng.random() < 0.5:
+                coeffs[(n, r)] = Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 4, 6, 9, 2**70 + 1]))
+    return coeffs
+
+
+def pair_loop(a, b, nq):
+    """The Fraction convolution of two coefficient tables, truncated at nq."""
+    out = {}
+    for (n1, r1), c1 in a.items():
+        for (n2, r2), c2 in b.items():
+            if n1 + n2 <= nq:
+                key = (n1 + n2, r1 + r2)
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def test_jacobi_arithmetic_matches_a_fraction_pair_loop():
+    rng = random.Random(10)
+    for _ in range(20):
+        nq_a, nq_b = rng.randint(1, 5), rng.randint(1, 5)
+        ta, tb = random_jacobi_table(rng, 2, nq_a), random_jacobi_table(rng, 2, nq_b)
+        tc = random_jacobi_table(rng, 3, nq_b)
+        a, b, c = JacobiForm(6, 2, ta, nq_a), JacobiForm(6, 2, tb, nq_b), JacobiForm(4, 3, tc, nq_b)
+        nq = min(nq_a, nq_b)
+        total = {k: ta.get(k, 0) + tb.get(k, 0) for k in set(ta) | set(tb) if k[0] <= nq}
+        assert (a + b).coeffs == {k: v for k, v in total.items() if v}
+        assert (a + b).nq == nq
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        assert (t * a).coeffs == {k: t * v for k, v in ta.items() if t * v}
+        assert (a * t) == (t * a)
+        product = a * c
+        assert (product.weight, product.index, product.nq) == (10, 5, nq)
+        assert product.coeffs == pair_loop(ta, tc, nq)
