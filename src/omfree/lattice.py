@@ -1,23 +1,20 @@
-"""Even positive-definite root lattices and bounded dual-coset enumeration.
+"""Even positive-definite root lattices and exact (norm, pairing) counts of dual cosets.
 
 Lattices are realized concretely as Z^rank with an integer Gram matrix.  The
 dual lattice lives in the same rational coordinates (it is spanned by the
 columns of the inverse Gram matrix), so the pairing of a dual vector ``l``
 with a lattice vector ``v`` is always ``l^T A v``.
 
-Two enumeration paths are provided:
-
-* :func:`enumerate_coset` - exact Fincke-Pohst search with rational pivots,
-  returning the actual vectors.  Meant for small bounds and cross-checks.
-* :func:`pairing_counts` - the bulk counting path used by theta pullbacks.
-  It runs the same Fincke-Pohst descent on integer-scaled LDL data, one numpy
-  array per carried quantity, and returns only counts by (norm, pairing).
-  Interval ends come from an exact integer square root, so the search is
-  complete and duplicate-free by construction; floating point at most
-  proposes a square root that is then corrected exactly.  On a coset with
-  2*gamma in L (every coset of D8 and E7), l -> -l is a bijection of the
-  coset sending (norm, pairing) to (norm, -pairing), so the descent visits
-  only y_top >= 0 and mirrors the y_top > 0 tally in the pairing.
+:func:`pairing_counts`, the counting path of theta pullbacks, counts by an
+orthogonal frame: pairwise orthogonal roots of L, completed by integer
+Gram-Schmidt vectors to a basis b_1..b_n of a sublattice M of finite index.
+In frame coordinates the norm and the pairing with a fixed vector split
+into n independent rank-1 terms, and a coset of L is the disjoint union of
+[L:M] translates of M.  The theta series of an orthogonal sum is the product
+of its summands' (Conway and Sloane, *Sphere Packings, Lattices and Groups*,
+ch. 4), so each translate's (norm, pairing) tally is a product of n rank-1
+theta factors, multiplied as sparse exact-integer tables truncated at the
+norm bound.  No vector is enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -141,6 +138,10 @@ def gram_matrix(name: str) -> Tuple[Tuple[int, ...], ...]:
         raise UnknownLatticeError(f"unknown lattice {name!r}; known: {sorted(_GRAMS)}") from None
 
 
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
 def _inverse(gram) -> List[List[Fraction]]:
     """Inverse of a nonsingular integer matrix, one exact solve per column."""
     n = len(gram)
@@ -148,27 +149,24 @@ def _inverse(gram) -> List[List[Fraction]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _ldl(gram) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Exact decomposition Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
-    n = len(gram)
-    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = q[i][i]
-        if d[i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = q[i][j] / d[i]
-        for k in range(i + 1, n):
-            for m in range(k, n):
-                q[k][m] -= q[i][k] * q[i][m] / d[i]
-                q[m][k] = q[k][m]
-    return d, u
-
-
 # ---------------------------------------------------------------------------
 # Discriminant group
+
+
+def _closure(start, moves) -> set:
+    """The smallest set holding ``start`` and closed under every map in ``moves``."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def _discriminant_cosets(gram) -> List[Vector]:
@@ -176,19 +174,8 @@ def _discriminant_cosets(gram) -> List[Vector]:
     n = len(gram)
     inv = _inverse(gram)
     gens = [tuple(inv[i][j] % 1 for i in range(n)) for j in range(n)]
-    zero = tuple(Fraction(0) for _ in range(n))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % 1 for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    moves = [lambda x, g=g: tuple((a + b) % 1 for a, b in zip(x, g)) for g in gens]
+    return sorted(_closure([tuple(Fraction(0) for _ in range(n))], moves))
 
 
 def norm_of(gram, v: Sequence) -> Fraction:
@@ -249,132 +236,98 @@ def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration (reference path)
+# Orthogonal frame
 
 
-def enumerate_coset(lat: LatticeData, coset, qmax) -> List[Tuple[Vector, Fraction]]:
-    """All l in coset + L with Q(l) <= qmax, with exact norms.
+def _roots(gram) -> List[Tuple[int, ...]]:
+    """All norm-2 vectors, sorted: the reflection closure of the simple roots e_j.
 
-    ``coset`` may be a Coset, a coset index, or an explicit representative.
-    Output is sorted lexicographically, complete and duplicate-free.
+    Every basis vector of a registered lattice is a simple root (Gram diagonal
+    2), the reflection in e_j is y -> y - (A y)_j e_j, and the Weyl group
+    moves some simple root onto every root.
     """
-    qmax = as_fraction(qmax)
-    if qmax < 0:
-        raise ValueError("qmax must be nonnegative")
-    if isinstance(coset, Coset):
-        rep = coset.rep
-    elif isinstance(coset, int):
-        rep = lat.cosets[coset].rep
-    else:
-        rep = tuple(as_fraction(x) for x in coset)
-    n = lat.rank
-    d, u = _ldl(lat.gram)
-    out: List[Tuple[Vector, Fraction]] = []
-    coords: List[Fraction] = [Fraction(0)] * n
-    smax = 2 * qmax
+    n = len(gram)
 
-    def recurse(i: int, remaining: Fraction):
-        if i < 0:
-            # the recursion has already accumulated y^T A y = smax - remaining
-            out.append((tuple(coords), (smax - remaining) / 2))
-            return
-        center = -sum(u[i][j] * coords[j] for j in range(i + 1, n))
-        # d_i (y_i + c)^2 <= remaining with y_i in rep[i] + Z
-        bound = remaining / d[i]
-        lo, hi = _fraction_sqrt_range(center, bound, rep[i])
-        for t in range(lo, hi + 1):
-            y = rep[i] + t
-            coords[i] = y
-            used = d[i] * (y - center) * (y - center)
-            if used <= remaining:
-                recurse(i - 1, remaining - used)
-        coords[i] = Fraction(0)
+    def reflection(j: int):
+        return lambda y: y[:j] + (y[j] - _dot(gram[j], y),) + y[j + 1 :]
 
-    recurse(n - 1, smax)
-    return sorted(out)
-
-
-def _fraction_sqrt_range(center: Fraction, bound: Fraction, offset: Fraction) -> Tuple[int, int]:
-    """Integer t-range covering offset + t in [center - sqrt(bound), center + sqrt(bound)].
-
-    Uses an upper bound for the square root, so the range is a superset; the
-    caller re-checks each candidate exactly.
-    """
-    if bound < 0:
-        return (0, -1)
-    num, den = bound.numerator, bound.denominator
-    root_hi = Fraction(isqrt(num * den) + 1, den)  # >= sqrt(bound)
-    lo = ceil(center - root_hi - offset)
-    hi = floor(center + root_hi - offset)
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Bulk exact counting (integer Fincke-Pohst descent, vectorised with numpy)
-
-#: Rows materialized by one expansion step.  A step's dozen int64 arrays then
-#: take about 1.5 MiB and stay in an L2 cache; on a Xeon with 2 MiB of L2 per
-#: core this ran faster than steps of 2^16 to 4M rows, and it keeps peak
-#: memory at tens of MB.
-_EXPAND_CAP = 1 << 14
-#: Largest (s, r) box tallied densely with ``np.bincount``; larger boxes
-#: (low rank at large qmax, where the box dwarfs the vector count) are tallied
-#: sparsely with ``np.unique``.
-_BOX_CAP = 1 << 22
-#: Bound on every int64 quantity of the descent.  Keeping it at 2^62 leaves
-#: headroom for the exact isqrt fix-up, whose (t + 1)^2 must not wrap.
-_INT64_LIMIT = 1 << 62
+    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return sorted(_closure(simple, [reflection(j) for j in range(n)]))
 
 
 @dataclass(frozen=True)
-class _ScaledLDL:
-    """Integer form of Q's LDL data: E * y^T A y = sum_i w_i (M_i y_i - C_i)^2.
+class _Frame:
+    """Pairwise orthogonal b_1..b_n in L, a basis of a sublattice M of finite index.
 
-    With d_i = p_i / q_i and M_i the lcm of the denominators in row i of u,
-    ``scale`` is E = lcm_i(q_i M_i^2), ``weights`` are w_i = E d_i / M_i^2
-    and ``cross[k][j] = M_k u_kj``, all integers; the center numerator of
-    level k is C_k = -sum_{j>k} cross[k][j] y_j.  ``inv_diag`` is the
-    diagonal of A^-1: every real y with y^T A y <= smax has
-    y_j^2 <= smax (A^-1)_jj.
+    ``duals[i]`` is A b_i, so <b_i, y> = duals[i] . y, and ``norms[i]`` is
+    N_i = b_i^T A b_i.  In frame coordinates l = sum_i x_i b_i with
+    x_i = <b_i, l> / N_i, so y^T A y = sum_i <b_i, y>^2 / N_i.  ``shifts``
+    lists L/M as the tuples (<b_i, x> mod N_i)_i over x in L: the map has
+    kernel M, so there are [L:M] of them.
     """
 
-    scale: int
-    weights: Tuple[int, ...]
-    mults: Tuple[int, ...]
-    cross: Tuple[Tuple[int, ...], ...]
-    inv_diag: Tuple[Fraction, ...]
+    basis: Tuple[Tuple[int, ...], ...]
+    duals: Tuple[Tuple[int, ...], ...]
+    norms: Tuple[int, ...]
+    shifts: Tuple[Tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _scaled_ldl(gram: Tuple[Tuple[int, ...], ...]) -> _ScaledLDL:
+def _frame(gram: Tuple[Tuple[int, ...], ...]) -> _Frame:
+    """Greedily pick orthogonal roots, then add primitive integer Gram-Schmidt vectors."""
     n = len(gram)
-    d, u = _ldl(gram)
-    mults = [lcm(1, *(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    scale = lcm(*(d[i].denominator * mults[i] ** 2 for i in range(n)))
-    weights = tuple(int(scale * d[i] / mults[i] ** 2) for i in range(n))
-    cross = tuple(tuple(int(mults[k] * u[k][j]) for j in range(n)) for k in range(n))
-    inv = _inverse(gram)
-    return _ScaledLDL(scale, weights, tuple(mults), cross, tuple(inv[j][j] for j in range(n)))
+    basis: List[Tuple[int, ...]] = []
+    duals: List[Tuple[int, ...]] = []
+
+    def add(b: Tuple[int, ...]) -> None:
+        basis.append(b)
+        duals.append(tuple(_dot(row, b) for row in gram))
+
+    for root in _roots(gram):
+        if all(_dot(d, root) == 0 for d in duals):
+            add(root)
+    for j in range(n):
+        if len(basis) == n:
+            break
+        # P * (e_j minus its projection onto the frame so far), P = lcm of the norms
+        norms = [_dot(d, b) for d, b in zip(duals, basis)]
+        big = lcm(1, *norms)
+        w = [big * int(i == j) for i in range(n)]
+        for b, d, nb in zip(basis, duals, norms):
+            c = big // nb * d[j]
+            w = [x - c * y for x, y in zip(w, b)]
+        if any(w):
+            g = gcd(*w)
+            add(tuple(x // g for x in w))
+    norms = tuple(_dot(d, b) for d, b in zip(duals, basis))
+    gens = [tuple(d[j] % nb for d, nb in zip(duals, norms)) for j in range(n)]
+    moves = [lambda x, g=g: tuple((a + b) % nb for a, b, nb in zip(x, g, norms)) for g in gens]
+    shifts = tuple(sorted(_closure([(0,) * n], moves)))
+    return _Frame(tuple(basis), tuple(duals), norms, shifts)
+
+
+# ---------------------------------------------------------------------------
+# Exact counting by (norm, pairing): products of rank-1 theta factors
+
+#: Bound on the packed (s, r) keys and on the counts, both int64.
+_INT64_LIMIT = 1 << 62
 
 
 def _check_int64(what: str, value: int, qmax) -> None:
     if value >= _INT64_LIMIT:
         raise ValueError(
-            f"pairing_counts: {what} = {value} does not fit the int64 descent (limit 2^62); "
-            f"qmax = {qmax} is too large"
+            f"pairing_counts: {what} = {value} does not fit int64 (limit 2^62); qmax = {qmax} is too large"
         )
 
 
-def _isqrt_floor(k: np.ndarray) -> np.ndarray:
-    """Exact floor(sqrt(k)) for 0 <= k < 2^62.
-
-    The float estimate is within one of the true root there (relative error
-    below 2^-52 on a root below 2^31), so one exact step each way fixes it.
-    """
-    t = np.sqrt(k.astype(np.float64)).astype(np.int64)
-    t -= t * t > k
-    t += (t + 1) * (t + 1) <= k
-    return t
+def _merge(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys with the integer sums of their counts."""
+    if len(keys) == 0:
+        return keys, counts
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts[order], starts)
 
 
 def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> Dict[Tuple[int, int], int]:
@@ -382,27 +335,29 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
 
     Returns a dict mapping ``(s, r) -> count`` where ``s = 2*den^2*Q(l)`` (an
     integer; ``den`` is the coset denominator) and ``r = <l, direction>``,
-    over all ``l`` in the coset with ``Q(l) <= qmax``.
+    over all ``l`` in the coset with ``Q(l) <= qmax``, in increasing (s, r).
 
-    The search runs on y = den*l, an integer vector with y = g = den*rep mod den
-    and y^T A y = s <= smax = floor(2*den^2*qmax).  It is the Fincke-Pohst
-    descent in exact integers (see :class:`_ScaledLDL`): each partial row
-    carries the budget N = E*(smax - partial norm), the center numerators of
-    the levels still open, and the partial pairing y.Av.  At level i the
-    admissible y_i are exactly those with (M_i y_i - C_i)^2 <= N // w_i,
-    read off from an exact isqrt and integer floor division, so every vector
-    is found once and no other is; the leaves emit only the (s, r) scalars,
-    tallied over the dense (s, r) box.  Every int64 quantity is bounded
-    before anything is allocated; a qmax beyond that range raises
-    ``ValueError``.
+    The count runs on y = den*l, which ranges over g + den*L with
+    g = den*rep, and has y^T A y = s <= smax = floor(2*den^2*qmax).  In the
+    frame of :func:`_frame`, u_i = <b_i, y> gives s = sum_i u_i^2 / N_i and
+    den*r = sum_i u_i p_i / N_i with p_i = <b_i, v>, and y runs over the
+    [L:M] translates of den*M in which u_i = <b_i, g> + den*c_i mod den*N_i
+    for a shift c of L/M.  So the (s, r) tally of one translate is the
+    product of n rank-1 factors {(u^2/N_i, u p_i/(den N_i)) : u = u0_i mod
+    den*N_i}, and translates with equal leading u0 share their partial
+    products.
 
-    When the coset is its own negative (2*g = 0 mod den), l -> -l maps
-    it onto itself with Q(-l) = Q(l) and <-l, v> = -<l, v>, so
-    counts(s, r) = counts(s, -r).  The top level's center is 0, so its
-    admissible y_top are symmetric about 0: the descent visits y_top > 0,
-    adds the r-mirror of that tally in place, then visits the y_top = 0
-    slice (present iff g_top = 0 mod den) without mirroring.  Other cosets
-    take the same descent over the whole top level.
+    Every quantity is an exact integer: a partial term is packed as the key
+    (S*s)*W + R*r with S = lcm N_i and R the least multiple of every
+    den*N_i / gcd(den*N_i, p_i).  A partial product is the sum of the
+    orthogonal projections of y onto some b_i, so its norm never exceeds
+    the full norm, and truncating every product at S*smax loses nothing;
+    by Cauchy-Schwarz its pairing has |R*r| <= H = floor(R*sqrt(smax v^T A
+    v)/den), so W = 2H + 1 separates the fields.  Equal keys merge by a
+    sort and integer sums, the result is checked to lie on the integer
+    (s, r) grid, and the key range (S*smax + 1)*W and the largest possible
+    count are bounded before anything is allocated: a qmax beyond int64
+    raises ``ValueError``.
     """
     qmax = as_fraction(qmax)
     if isinstance(coset, Coset):
@@ -420,138 +375,61 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
     if smax < 0:
         return {}
 
-    ldl = _scaled_ldl(lat.gram)
-    scale, weights, mults, cross = ldl.scale, ldl.weights, ldl.mults, ldl.cross
-    av = [sum(row[j] * int(direction[j]) for j in range(n)) for row in lat.gram]
-    vav = sum(int(direction[i]) * av[i] for i in range(n))
-    # |y_j| <= ybound[j] on every partial row (a partial row extends to a real
-    # vector of norm <= smax), and |y.Av| <= sqrt(smax * v^T A v) on leaves.
-    ybound = [isqrt(floor(smax * ldl.inv_diag[j])) for j in range(n)]
-    rmax = isqrt(smax * vav) // den
-    width = 2 * rmax + 1
-    box = (smax + 1) * width
-    _check_int64("E*smax", scale * smax, qmax)
+    frame = _frame(lat.gram)
+    norms = frame.norms
+    v = [int(x) for x in direction]
+    p = [_dot(d, v) for d in frame.duals]
+    vav = _dot(v, [_dot(row, v) for row in lat.gram])
+    s_scale = lcm(*norms)
+    r_scale = lcm(*(nb * den // gcd(nb * den, pb) for nb, pb in zip(norms, p)))
+    half = isqrt(r_scale * r_scale * smax * vav) // den
+    width = 2 * half + 1
+    top = s_scale * smax
+    # u_i^2 <= smax N_i; a rank-1 factor has at most 2 t_i / (den N_i) + 1 terms
+    roots_of = [isqrt(smax * nb) for nb in norms]
+    _check_int64("packed (s, r) key range (S*smax + 1)*W", (top + 1) * width, qmax)
     _check_int64(
-        "center numerator bound",
-        max(mults[k] * ybound[k] + sum(abs(cross[k][j]) * ybound[j] for j in range(k + 1, n)) for k in range(n)),
+        "count bound [L:M] * prod of factor sizes",
+        len(frame.shifts) * prod(2 * t // (den * nb) + 1 for t, nb in zip(roots_of, norms)),
         qmax,
     )
-    _check_int64("pairing bound", sum(abs(a) * b for a, b in zip(av, ybound)), qmax)
-    _check_int64("(s, r) box size", box, qmax)
 
-    dense = np.zeros(box, dtype=np.int64) if box <= _BOX_CAP else None
-    sparse: Dict[int, int] = {}
-    pending: List[np.ndarray] = []
-    pending_size = 0
+    factors: Dict[Tuple[int, int], np.ndarray] = {}
 
-    def tally(keys: np.ndarray) -> None:
-        # buffer about a box's worth of keys, so each tally pass costs O(keys)
-        nonlocal pending_size
-        pending.append(keys)
-        pending_size += len(keys)
-        if pending_size >= min(box, _BOX_CAP):
-            flush()
+    def factor(i: int, u0: int) -> np.ndarray:
+        # keys of u = u0 + m k with u^2 <= t^2 (u^2 <= smax N_i), m = den N_i
+        if (i, u0) not in factors:
+            m, t = den * norms[i], roots_of[i]
+            u = u0 + m * np.arange(-((t + u0) // m), (t - u0) // m + 1, dtype=np.int64)
+            factors[i, u0] = (s_scale // norms[i]) * u * u * width + (r_scale * p[i] // (den * norms[i])) * u
+        return factors[i, u0]
 
-    def flush() -> None:
-        nonlocal pending_size
-        if not pending:
-            return
-        keys = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        pending.clear()
-        pending_size = 0
-        if dense is not None:
-            found = np.bincount(keys)
-            dense[: len(found)] += found
-        else:
-            uniq, cnt = np.unique(keys, return_counts=True)
-            for k, c in zip(uniq.tolist(), cnt.tolist()):
-                sparse[k] = sparse.get(k, 0) + c
+    def times(table: Tuple[np.ndarray, np.ndarray], keys_f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # every (row, term) pair with S*s_row + S*s_term <= S*smax; rows are sorted by key, hence by s
+        keys, counts = table
+        s_f = (keys_f + half) // width
+        cut = np.searchsorted(keys, (top - s_f) * width + half, side="right")
+        rows = np.arange(int(cut.sum()), dtype=np.int64) - np.repeat(np.cumsum(cut) - cut, cut)
+        return _merge(np.repeat(keys_f, cut) + keys[rows], counts[rows])
 
-    def leaves(budget: np.ndarray, dots: np.ndarray) -> None:
-        if budget.min() < 0:
-            raise AssertionError("descent budget went negative")
-        rest, frac = np.divmod(budget, scale)
-        if np.any(frac):
-            raise AssertionError("leaf norm is not an integer")
-        if den != 1:
-            if np.any(dots % den):
-                raise AssertionError("pairing with a lattice vector must be integral")
-            dots = dots // den
-        tally((smax - rest) * width + (dots + rmax))
+    # the residues u0_i mod den*N_i of the [L:M] translates
+    starts = [
+        tuple((_dot(d, g) + den * c) % (den * nb) for d, c, nb in zip(frame.duals, shift, norms))
+        for shift in frame.shifts
+    ]
+    tables = {(): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
+    for i in range(n):
+        prefixes = {u0s[: i + 1] for u0s in starts}
+        tables = {pre: times(tables[pre[:-1]], factor(i, pre[-1])) for pre in prefixes}
+    keys, counts = _merge(
+        np.concatenate([k for k, _ in tables.values()]), np.concatenate([c for _, c in tables.values()])
+    )
 
-    def mirror() -> None:
-        # add the tally's image under r -> -r in place; the center column doubles
-        flush()
-        if dense is not None:
-            # r < 0 and, reversed, r > 0: disjoint views, so the two ufuncs
-            # buffer a few rows at a time where rows[:, ::-1] would copy the box
-            rows = dense.reshape(smax + 1, width)
-            neg, pos = rows[:, :rmax], rows[:, :rmax:-1]
-            neg += pos
-            np.positive(neg, out=pos)
-            rows[:, rmax] *= 2
-        else:
-            for k, c in list(sparse.items()):
-                k_mirror = k + width - 1 - 2 * (k % width)
-                sparse[k_mirror] = sparse.get(k_mirror, 0) + c
-
-    def descend(budget: np.ndarray, centers: np.ndarray, dots: np.ndarray, level: int) -> None:
-        # budget: N per row; centers[k]: C_k per row for k <= level; dots: partial y.Av
-        m, step = mults[level], mults[level] * den
-        c = centers[level]
-        t = _isqrt_floor(budget // weights[level])
-        # y = g + den*j with C - t <= M y <= C + t
-        lo = -((g[level] * m - c + t) // step)
-        cnt = np.maximum((c + t - g[level] * m) // step - lo + 1, 0)
-        expand(budget, centers, dots, level, lo, cnt)
-
-    def expand(
-        budget: np.ndarray, centers: np.ndarray, dots: np.ndarray, level: int, lo: np.ndarray, cnt: np.ndarray
-    ) -> None:
-        # the children y = g + den*j, lo <= j < lo + cnt, of every row at this level
-        ends = np.cumsum(cnt)
-        shift = lo - (ends - cnt)  # j minus the child's position in the expansion
-        # expand runs of rows with about _EXPAND_CAP children each; a row is never cut
-        cuts = np.searchsorted(ends, np.arange(_EXPAND_CAP, int(ends[-1]), _EXPAND_CAP), side="right")
-        bounds = np.unique(np.concatenate(([0], cuts, [len(cnt)]))).tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            first, last = int(ends[a] - cnt[a]), int(ends[b - 1])
-            if first == last:
-                continue
-            k = cnt[a:b]
-            y = g[level] + den * (np.arange(first, last) + np.repeat(shift[a:b], k))
-            diff = mults[level] * y - np.repeat(centers[level, a:b], k)
-            budget_next = np.repeat(budget[a:b], k) - weights[level] * diff * diff
-            dots_next = np.repeat(dots[a:b], k) + av[level] * y
-            if level == 0:
-                leaves(budget_next, dots_next)
-                continue
-            centers_next = np.repeat(centers[:level, a:b], k, axis=1) - cross_np[:level, level : level + 1] * y
-            del y, diff
-            descend(budget_next, centers_next, dots_next, level - 1)
-
-    cross_np = np.array(cross, dtype=np.int64)
-    top = n - 1
-    start = (np.full(1, scale * smax, dtype=np.int64), np.zeros((n, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))
-    if any(2 * x % den for x in g):
-        descend(*start, top)
-    else:
-        # self-negative coset: y_top > 0, its mirror in r, then the y_top = 0 slice
-        first = -g[top] // den + 1  # smallest j with y_top > 0
-        last = (isqrt(scale * smax // weights[top]) - g[top] * mults[top]) // (mults[top] * den)  # M y_top <= t
-        expand(*start, top, np.array([first]), np.array([max(last - first + 1, 0)]))
-        mirror()
-        if g[top] % den == 0:
-            expand(*start, top, np.array([-g[top] // den]), np.ones(1, dtype=np.int64))
-    flush()
-
-    if dense is not None:
-        keys = np.flatnonzero(dense)
-        items = zip(keys.tolist(), dense[keys].tolist())
-    else:
-        items = sorted(sparse.items())
-    counts: Dict[Tuple[int, int], int] = {}
-    for k, c in items:
-        s, rr = divmod(k, width)
-        counts[(s, rr - rmax)] = c
-    return counts
+    s_packed, r_packed = np.divmod(keys + half, width)
+    r_packed -= half
+    if np.any(s_packed % s_scale) or np.any(r_packed % r_scale):
+        raise AssertionError("a counted vector is off the integer (s, r) grid")
+    return {
+        (s, r): c
+        for s, r, c in zip((s_packed // s_scale).tolist(), (r_packed // r_scale).tolist(), counts.tolist())
+    }

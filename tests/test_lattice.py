@@ -1,26 +1,27 @@
-"""Lattice registry, norms, pairings, and enumeration completeness."""
+"""Lattice registry, norms, pairings, the orthogonal frame, and exact counting."""
 
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import omfree.lattice as lattice_module
+from omfree.certify import CASES
 from omfree.lattice import (
     UnknownLatticeError,
-    _isqrt_floor,
-    enumerate_coset,
+    _frame,
+    _roots,
     gram_matrix,
     lattice,
     norm,
     pairing,
     pairing_counts,
 )
-from oracles import LATTICES
+from omfree.linalg import det
+from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 #: The first direction of the seeded D8 pullback sweep.
@@ -28,6 +29,8 @@ D8_SWEEP_VEC = (-2, 1, 3, 3, 3, -3, -1, -3)
 E6_VEC = (3, 2, 0, 1, 1, 1)
 E7_VEC = (3, 2, 0, 1, 1, 1, 1)
 A7_VEC = (2, 1, 0, 0, 0, 1, 0)
+#: [L:M] of the greedy frame, for the lattices the counts run on most.
+FRAME_INDEX = {"D8": 8, "E7": 8, "E6": 16, "D4": 2, "A7": 48, "A1": 1, "2A1": 1, "3A1": 1, "4A1": 1}
 
 
 def box_coset_norms(gram, rep, qmax, radius):
@@ -255,11 +258,20 @@ def reference_counts(lat, coset, vec, qmax):
     ("D8", D8_SWEEP_VEC, 2),
     # on a shell of the nonzero coset (norms 3/4 + Z)
     ("E7", E7_VEC, Fraction(11, 4)),
+    # rank one: a single theta factor, u^2/2 with u = 2k (coset 0) or 2k + 1
+    ("A1", (3,), 30),
+    ("A3", (1, -2, 1), Fraction(21, 4)),
+    # partial pairings are fractional here: a key width of R * floor(sqrt(smax v.Av) / den)
+    # instead of floor(R * sqrt(smax v.Av) / den) is too narrow and miscounts
+    ("A4", (0, 1, 0, 1), Fraction(2, 5)),
 ])
 def test_pairing_counts_match_reference(name, vec, qmax):
+    # the descent oracle is checked against the same exact enumeration
     lat = lattice(name)
     for c in lat.cosets:
-        assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
+        want = reference_counts(lat, c, vec, qmax)
+        assert pairing_counts(lat, c, vec, qmax) == want
+        assert descent_counts(lat, c, vec, qmax) == want
 
 
 @pytest.mark.parametrize("name", LATTICES)
@@ -270,49 +282,45 @@ def test_pairing_counts_property(name, data):
     vec = data.draw(
         st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank).filter(any).map(tuple), label="vec"
     )
-    qmax = data.draw(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=16), label="qmax")
+    qmax = data.draw(st.fractions(min_value=0, max_value=6, max_denominator=16), label="qmax")
     for c in lat.cosets:
-        assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
+        assert pairing_counts(lat, c, vec, qmax) == descent_counts(lat, c, vec, qmax)
+
+
+@pytest.mark.parametrize("name,vec,qmax", [
+    ("D8", D8_SWEEP_VEC, 14),
+    ("D8", CASES["D8"].vector, 25),
+    ("E7", CASES["E7"].vector, 25),
+    ("E6", CASES["E6"].vector, 20),
+])
+def test_pairing_counts_match_descent_at_production_precision(name, vec, qmax):
+    # equal dicts in equal order: pullback accumulates in this order
+    lat = lattice(name)
+    for c in lat.cosets:
+        assert list(pairing_counts(lat, c, vec, qmax).items()) == list(descent_counts(lat, c, vec, qmax).items())
 
 
 def test_pairing_counts_sparse_tally_large_box():
-    # rank one at large qmax: the (s, r) box (~10^10 cells) is tallied
-    # sparsely, and the top level is the leaf level; qmax lies on a shell of
-    # coset 0 (Q = 1000^2) or of coset 1 (Q = 1999^2/4)
+    # rank one at large qmax: the (s, r) key range is about 10^10 while the
+    # single factor has about 2000 terms; qmax lies on a shell of coset 0
+    # (Q = 1000^2) or of coset 1 (Q = 1999^2/4)
     lat = lattice("A1")
     for vec, qmax in product([(3,), (-5,)], [10**6, Fraction(1999**2, 4)]):
         for c in lat.cosets:
             assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
 
 
-@pytest.mark.parametrize("box_cap", [None, 50])
 @pytest.mark.parametrize("name,vec,qmax", [
-    ("E6", (3, 2, 0, 1, 1, 1), 3),
-    ("D8", D8_VEC, Fraction(3, 2)),
-    ("A3", (1, -2, 1), Fraction(21, 4)),
-    ("E7", E7_VEC, Fraction(11, 4)),
-    ("A1", (3,), 30),
+    ("D8", D8_VEC, 10**30),
+    ("A1", (10**6,), 10**9),
 ])
-def test_pairing_counts_small_steps(monkeypatch, name, vec, qmax, box_cap):
-    # a few rows per expansion step and, with box_cap, the sparse tally: many
-    # steps and many tally flushes must still count every vector once
-    monkeypatch.setattr(lattice_module, "_EXPAND_CAP", 5)
-    if box_cap is not None:
-        monkeypatch.setattr(lattice_module, "_BOX_CAP", box_cap)
+def test_pairing_counts_int64_guard(name, vec, qmax):
+    # the packed key range (S*smax + 1)*W is bounded before any array exists
     lat = lattice(name)
-    for c in lat.cosets:
-        assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
-
-
-@pytest.mark.parametrize("name,vec,qmax,what", [
-    ("D8", D8_VEC, 10**30, "E\\*smax"),
-    ("A1", (10**6,), 10**9, "box size"),
-])
-def test_pairing_counts_int64_guard(name, vec, qmax, what):
-    lat = lattice(name)
+    _frame(lat.gram)  # built once per Gram matrix, outside the traced call
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=what):
+        with pytest.raises(ValueError, match="key range"):
             pairing_counts(lat, 0, vec, qmax)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -354,9 +362,32 @@ def test_pairing_counts_negative_qmax_is_empty():
 
 
 def test_root_counts():
-    assert len(enumerate_coset(lattice("D8"), 0, 1)) - 1 == 112
-    assert len(enumerate_coset(lattice("E7"), 0, 1)) - 1 == 126
-    assert len(enumerate_coset(lattice("E6"), 0, 1)) - 1 == 72
+    for name, roots in [("D8", 112), ("E7", 126), ("E6", 72)]:
+        assert len(enumerate_coset(lattice(name), 0, 1)) - 1 == roots
+        assert len(_roots(gram_matrix(name))) == roots
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_frame_invariants(name):
+    gram = gram_matrix(name)
+    frame = _frame(gram)
+    n = len(gram)
+    assert len(frame.basis) == n
+    # b_i in L (integer coordinates), pairwise orthogonal, A b_i and N_i as stored
+    for i, b in enumerate(frame.basis):
+        assert all(isinstance(x, int) for x in b)
+        assert frame.duals[i] == tuple(sum(gram[j][k] * b[k] for k in range(n)) for j in range(n))
+        assert frame.norms[i] == sum(x * y for x, y in zip(frame.duals[i], b)) > 0
+        for b2 in frame.basis[:i]:
+            assert sum(x * y for x, y in zip(frame.duals[i], b2)) == 0
+    # one shift per class of L/M: [L:M] = |det B| and det Gram(M) = prod N_i = [L:M]^2 det A
+    index = len(frame.shifts)
+    assert index == abs(det(frame.basis))
+    assert index * index * det(gram) == prod(frame.norms)
+    # the frame starts with roots; D8 and E7 hold 8A1 and 7A1 of index 8, nA1 is its own frame
+    assert frame.norms[0] == 2
+    if name in FRAME_INDEX:
+        assert index == FRAME_INDEX[name]
 
 
 def test_minuscule_coset_counts():

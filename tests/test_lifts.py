@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from omfree.certify import canonical_index_set, case_generators
 from omfree.classical import sigma
-from omfree.lattice import lattice, norm, pairing, enumerate_coset
+from omfree.lattice import lattice, norm, pairing
 from omfree.lifts import (
     ParamodularForm,
     evaluate,
@@ -21,6 +21,7 @@ from omfree.lifts import (
 )
 from omfree.linalg import MODULUS
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
+from oracles import enumerate_coset
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 
