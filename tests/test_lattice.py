@@ -21,6 +21,7 @@ from omfree.lattice import (
     pairing_counts,
 )
 from omfree.linalg import det
+import oracles
 from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
@@ -258,9 +259,6 @@ def reference_counts(lat, coset, vec, qmax):
     ("D8", D8_SWEEP_VEC, 2),
     # on a shell of the nonzero coset (norms 3/4 + Z)
     ("E7", E7_VEC, Fraction(11, 4)),
-    # rank one: a single theta factor, u^2/2 with u = 2k (coset 0) or 2k + 1
-    ("A1", (3,), 30),
-    ("A3", (1, -2, 1), Fraction(21, 4)),
     # partial pairings are fractional here: a key width of R * floor(sqrt(smax v.Av) / den)
     # instead of floor(R * sqrt(smax v.Av) / den) is too narrow and miscounts
     ("A4", (0, 1, 0, 1), Fraction(2, 5)),
@@ -308,6 +306,29 @@ def test_pairing_counts_sparse_tally_large_box():
     for vec, qmax in product([(3,), (-5,)], [10**6, Fraction(1999**2, 4)]):
         for c in lat.cosets:
             assert pairing_counts(lat, c, vec, qmax) == reference_counts(lat, c, vec, qmax)
+
+
+@pytest.mark.parametrize("box_cap", [None, 50])
+@pytest.mark.parametrize("name,vec,qmax", [
+    ("E6", (3, 2, 0, 1, 1, 1), 3),
+    ("D8", D8_VEC, Fraction(3, 2)),
+    ("A3", (1, -2, 1), Fraction(21, 4)),
+    ("E7", E7_VEC, Fraction(11, 4)),
+    # rank one: a single theta factor, u^2/2 with u = 2k (coset 0) or 2k + 1
+    ("A1", (3,), 30),
+])
+def test_pairing_counts_small_steps(monkeypatch, name, vec, qmax, box_cap):
+    # the descent oracle with a few rows per expansion step and, with box_cap,
+    # its sparse tally: many steps and many tally flushes must still count
+    # every vector once, and agree with the theta-factor product
+    monkeypatch.setattr(oracles, "_EXPAND_CAP", 5)
+    if box_cap is not None:
+        monkeypatch.setattr(oracles, "_BOX_CAP", box_cap)
+    lat = lattice(name)
+    for c in lat.cosets:
+        want = reference_counts(lat, c, vec, qmax)
+        assert descent_counts(lat, c, vec, qmax) == want
+        assert pairing_counts(lat, c, vec, qmax) == want
 
 
 @pytest.mark.parametrize("name,vec,qmax", [
