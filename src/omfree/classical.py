@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, isqrt
-from typing import List, Literal, Optional, Tuple
+from typing import List, Literal, Tuple
 
 from .linalg import solve
 from .qseries import QSeries, as_fraction
@@ -286,27 +286,24 @@ def gamma0_2_eisenstein_basis(k: int, prec) -> List[ScalarForm]:
     ]
 
 
-def _eisenstein_basis_slashed(k: int, which: str, prec: Fraction) -> List[QSeries]:
-    """The weight-k Eisenstein basis slashed by S or U, in basis order.
+def _eisenstein_basis_slashed(k: int, prec: Fraction) -> Tuple[List[QSeries], List[QSeries]]:
+    """The weight-k Eisenstein basis slashed by S and by U, each in basis order.
 
     S is inversion, U is inversion followed by translation.  With h = tau/2
     for S and h = (tau+1)/2 for U the closed forms are
       1 | S = 1,                  w2 | S = E_2(h)/2 - E_2,
       E_k | S = E_k,              E_k(2 tau) | S = 2^-k E_k(h),
-    and the same with U in place of S.
+    and the same with U in place of S.  Both lists are read off one
+    expansion of E_k to O(q^(2 prec)).
     """
-    if which == "S":
-        half = lambda f: f.rescale(Fraction(1, 2))
-    elif which == "U":
-        half = lambda f: f.half_twist()
-    else:
-        raise ValueError(f"slash must be 'S' or 'U', got {which!r}")
     if k == 0:
-        return [QSeries.one(prec)]
+        return [QSeries.one(prec)], [QSeries.one(prec)]
     ek = eisenstein_sl2(k, 2 * prec).series
+    level1 = ek.truncate(prec)
+    s_half, u_half = ek.rescale(Fraction(1, 2)), ek.half_twist()
     if k == 2:
-        return [half(ek) / 2 - ek.truncate(prec)]
-    return [ek.truncate(prec), half(ek) / 2**k]
+        return [s_half / 2 - level1], [u_half / 2 - level1]
+    return [level1, s_half / 2**k], [level1, u_half / 2**k]
 
 
 def decompose_level2(f: ScalarForm) -> List[Fraction]:
@@ -335,20 +332,23 @@ def decompose_level2(f: ScalarForm) -> List[Fraction]:
     return sol.values
 
 
-def slash_level2(f: ScalarForm, which: str) -> QSeries:
-    """Exact q^(1/2)-expansion of f |_k S or f |_k U for f in the Eisenstein span of M_k(Gamma0(2))."""
+def slash_level2(f: ScalarForm) -> Tuple[QSeries, QSeries]:
+    """Exact q^(1/2)-expansions (f |_k S, f |_k U) for f in the Eisenstein span of M_k(Gamma0(2)).
+
+    Both slashes come from one ``decompose_level2`` and one slashed basis.
+    """
     coeffs = decompose_level2(f)
     prec = f.series.truncation
-    total = QSeries.zero(prec)
-    for c, slashed in zip(coeffs, _eisenstein_basis_slashed(int(f.weight), which, prec)):
-        if c:
-            total = total + c * slashed
-    return total
+    s, u = (
+        sum((c * slashed for c, slashed in zip(coeffs, basis) if c), QSeries.zero(prec))
+        for basis in _eisenstein_basis_slashed(int(f.weight), prec)
+    )
+    return s, u
 
 
-def trace_to_sl2(f: ScalarForm, slashed: Optional[Tuple[QSeries, QSeries]] = None) -> ScalarForm:
-    """f + f|S + f|U, a level-1 form of the same weight; ``slashed`` is (f|S, f|U) when already known."""
-    s, u = slashed or (slash_level2(f, "S"), slash_level2(f, "U"))
+def trace_to_sl2(f: ScalarForm, slashed: Tuple[QSeries, QSeries]) -> ScalarForm:
+    """f + f|S + f|U, a level-1 form of the same weight, from ``slashed`` = (f|S, f|U)."""
+    s, u = slashed
     total = f.series + s + u
     if any(e.denominator != 1 for e in total.support()):
         raise AssertionError("trace has non-integer exponents; slash expansions are inconsistent")

@@ -330,7 +330,7 @@ def _merge(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
-def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> Dict[Tuple[int, int], int]:
+def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qmax) -> Dict[Tuple[int, int], int]:
     """Exact counts of coset vectors by (scaled norm, pairing with direction).
 
     Returns a dict mapping ``(s, r) -> count`` where ``s = 2*den^2*Q(l)`` (an
@@ -360,12 +360,7 @@ def pairing_counts(lat: LatticeData, coset, direction: Sequence[int], qmax) -> D
     raises ``ValueError``.
     """
     qmax = as_fraction(qmax)
-    if isinstance(coset, Coset):
-        rep = coset.rep
-    elif isinstance(coset, int):
-        rep = lat.cosets[coset].rep
-    else:
-        rep = tuple(as_fraction(x) for x in coset)
+    rep = coset.rep
     n = lat.rank
     if len(direction) != n:
         raise ValueError(f"direction has length {len(direction)}, lattice rank is {n}")

@@ -21,7 +21,7 @@ from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -164,25 +164,20 @@ class QSeries:
     Instances are immutable and canonical: no zero coefficients are stored,
     every exponent satisfies ``0 <= e < truncation`` and ``e * denominator``
     is an integer.  Two series are equal iff their truncations and their
-    coefficient tables agree.  ``cap`` bounds the exponent denominators; ring
-    operations and substitutions keep the larger cap of their operands.
+    coefficient tables agree.  Exponent denominators are bounded by
+    ``DEFAULT_EXPONENT_DENOMINATOR_CAP``.
     """
 
-    __slots__ = ("_coeffs", "truncation", "denominator", "cap")
+    __slots__ = ("_coeffs", "truncation", "denominator")
 
-    def __init__(
-        self,
-        terms: Union[Mapping[RationalLike, RationalLike], Iterable[Tuple[RationalLike, RationalLike]]],
-        truncation: RationalLike,
-        cap: int = DEFAULT_EXPONENT_DENOMINATOR_CAP,
-    ):
+    def __init__(self, terms: Mapping[RationalLike, RationalLike], truncation: RationalLike):
         trunc = as_fraction(truncation)
         if trunc <= 0:
             raise ValueError(f"truncation must be positive, got {trunc}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        cap = DEFAULT_EXPONENT_DENOMINATOR_CAP
         coeffs = {}
         den = 1
-        for e, c in items:
+        for e, c in terms.items():
             e = as_fraction(e)
             c = as_fraction(c)
             if c == 0 or e >= trunc:
@@ -193,12 +188,11 @@ class QSeries:
                 raise ExponentDenominatorError(
                     f"exponent {e} has denominator {e.denominator} > cap {cap}"
                 )
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
+            coeffs[e] = c
             den = lcm(den, e.denominator)
-        object.__setattr__(self, "_coeffs", {e: c for e, c in coeffs.items() if c != 0})
+        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "truncation", trunc)
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "cap", cap)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -235,10 +229,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def valuation(self) -> Fraction:
-        """Smallest exponent with nonzero coefficient (truncation if zero)."""
-        return min(self._coeffs) if self._coeffs else self.truncation
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -256,10 +246,10 @@ class QSeries:
         coeffs = dict(self._coeffs)
         for e, c in other._coeffs.items():
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return QSeries(coeffs, trunc, cap=max(self.cap, other.cap))
+        return QSeries(coeffs, trunc)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self._coeffs.items()}, self.truncation, cap=self.cap)
+        return QSeries({e: -c for e, c in self._coeffs.items()}, self.truncation)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -267,7 +257,7 @@ class QSeries:
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, Rational)):
             c0 = as_fraction(other)
-            return QSeries({e: c * c0 for e, c in self._coeffs.items()}, self.truncation, cap=self.cap)
+            return QSeries({e: c * c0 for e, c in self._coeffs.items()}, self.truncation)
         if not isinstance(other, QSeries):
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
@@ -280,7 +270,7 @@ class QSeries:
                 if e >= trunc:
                     continue
                 coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return QSeries(coeffs, trunc, cap=max(self.cap, other.cap))
+        return QSeries(coeffs, trunc)
 
     def __rmul__(self, other) -> "QSeries":
         return self.__mul__(other)
@@ -293,7 +283,7 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"power must be a nonnegative integer, got {n}")
-        result = QSeries({0: 1}, self.truncation, cap=self.cap)
+        result = QSeries({0: 1}, self.truncation)
         base = self
         while n:
             if n & 1:
@@ -304,13 +294,13 @@ class QSeries:
 
     # -- substitutions -----------------------------------------------------
 
-    def rescale(self, c: RationalLike, cap: Optional[int] = None) -> "QSeries":
+    def rescale(self, c: RationalLike) -> "QSeries":
         """Substitute tau -> c*tau: exponent e maps to c*e, coefficients kept.
 
         Raises ExponentDenominatorError if any rescaled exponent needs a
-        denominator above the cap (by default the series' own).
+        denominator above the cap.
         """
-        cap = self.cap if cap is None else cap
+        cap = DEFAULT_EXPONENT_DENOMINATOR_CAP
         c = as_fraction(c)
         if c <= 0:
             raise ValueError(f"rescale factor must be positive, got {c}")
@@ -319,7 +309,7 @@ class QSeries:
                 raise ExponentDenominatorError(
                     f"rescale by {c} sends q^{e} to denominator {(c * e).denominator} > cap {cap}"
                 )
-        return QSeries({c * e: v for e, v in self._coeffs.items()}, c * self.truncation, cap=cap)
+        return QSeries({c * e: v for e, v in self._coeffs.items()}, c * self.truncation)
 
     def half_twist(self) -> "QSeries":
         """Substitute tau -> (tau+1)/2 on an integer-exponent series.
@@ -333,14 +323,14 @@ class QSeries:
         for e, c in self._coeffs.items():
             n = int(e)
             coeffs[Fraction(n, 2)] = c if n % 2 == 0 else -c
-        return QSeries(coeffs, self.truncation / 2, cap=self.cap)
+        return QSeries(coeffs, self.truncation / 2)
 
     def shift(self, e0: RationalLike) -> "QSeries":
         """Multiply by the exact monomial q^e0 (e0 >= 0)."""
         e0 = as_fraction(e0)
         if e0 < 0:
             raise ValueError("shift exponent must be nonnegative")
-        return QSeries({e + e0: c for e, c in self._coeffs.items()}, self.truncation + e0, cap=self.cap)
+        return QSeries({e + e0: c for e, c in self._coeffs.items()}, self.truncation + e0)
 
     def truncate(self, truncation: RationalLike) -> "QSeries":
         trunc = as_fraction(truncation)
@@ -348,7 +338,7 @@ class QSeries:
             raise TruncationError(
                 f"cannot extend truncation from O(q^{self.truncation}) to O(q^{trunc})"
             )
-        return QSeries(self._coeffs, trunc, cap=self.cap)
+        return QSeries(self._coeffs, trunc)
 
     # -- rendering ---------------------------------------------------------
 

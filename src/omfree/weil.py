@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .classical import (
     ScalarForm,
@@ -25,7 +25,6 @@ from .classical import (
     trace_to_sl2,
 )
 from .lattice import LatticeData, lattice, norm as lattice_norm, pairing_counts
-from .linalg import solve
 from .qseries import NumeratorStore, QSeries, as_fraction
 
 
@@ -187,14 +186,11 @@ class JacobiForm(NumeratorStore):
 # D8: pairs (f1, f2) of level-1 and level-2 forms
 
 
-def d8_pair_to_component(
-    f1: ScalarForm, f2: ScalarForm, slashed: Optional[Tuple[QSeries, QSeries]] = None
-) -> ComponentForm:
+def d8_pair_to_component(f1: ScalarForm, f2: ScalarForm, slashed: Tuple[QSeries, QSeries]) -> ComponentForm:
     """Components ((f1+f2)/2, (f1-f2)/2, (f2|S + f2|U)/2, (f2|S - f2|U)/2).
 
     The first three components sit on the cosets of integer norm (zero coset
-    first), the last on the half-norm coset.  ``slashed`` is (f2|S, f2|U)
-    when already known.
+    first), the last on the half-norm coset.  ``slashed`` is (f2|S, f2|U).
     """
     if f1.weight != f2.weight:
         raise ValueError(f"weight mismatch: {f1.weight} vs {f2.weight}")
@@ -203,7 +199,7 @@ def d8_pair_to_component(
     lat = lattice("D8")
     s1 = f1.series
     s2 = f2.series
-    s2_s, s2_u = slashed or (slash_level2(f2, "S"), slash_level2(f2, "U"))
+    s2_s, s2_u = slashed
     comps = (
         (s1 + s2) / 2,
         (s1 - s2) / 2,
@@ -216,7 +212,7 @@ def d8_pair_to_component(
 
 def d8_invariant_from_gamma02(f2: ScalarForm) -> ComponentForm:
     """Invariant component form from a level-2 form: f1 = f2 + f2|S + f2|U."""
-    slashed = slash_level2(f2, "S"), slash_level2(f2, "U")
+    slashed = slash_level2(f2)
     form = d8_pair_to_component(trace_to_sl2(f2, slashed), f2, slashed)
     if form.component(1) != form.component(2):
         raise InvarianceError("trace construction produced unequal middle components")
@@ -318,9 +314,9 @@ def jacobi_eisenstein(case: str, k: int, orbit: int = 0, prec=10) -> ComponentFo
 
     The constant terms on the chosen orbit's cosets sum to 1 (so a
     single-coset orbit carries constant term 1 and the two-coset D8 orbit
-    carries 1/2 on each coset).  For D8 with k >= 8 the combination is fixed
-    by the 2x2 constant-term system on the two cusp orbits, making the
-    off-orbit constants 0; the special weights 4 and 6 have a
+    carries 1/2 on each coset).  For D8 with k >= 8 the level-2 input is
+    the closed-form combination of E_(k-4) and E_(k-4)(2 tau) whose
+    off-orbit constants are 0; the special weights 4 and 6 have a
     one-dimensional input space, so only the on-orbit normalization is
     imposed there.
     """
@@ -353,28 +349,31 @@ def _d8_eisenstein(k: int, orbit: int, prec: Fraction) -> ComponentForm:
     # Gamma0(2) at weight k-4; two more are kept.  The floor is also the
     # truncation of the result.
     prec = max(prec, 1 + (k - 4) // 4 + 2)
+    basis = gamma0_2_eisenstein_basis(k - 4, prec)
     if k in (4, 6):
         if orbit != 0:
             raise ValueError(f"weight {k} admits only the orbit-0 series")
-        basis = gamma0_2_eisenstein_basis(k - 4, prec)
         form = d8_invariant_from_gamma02(basis[0])
         c0 = form.constant_term(0)
         if c0 == 0:
             raise AssertionError("special input has vanishing value at the zero cusp")
         return (Fraction(1) / c0) * form
-    forms = [d8_invariant_from_gamma02(b) for b in gamma0_2_eisenstein_basis(k - 4, prec)]
-    # Orbit values are the sums of constant terms over the orbit's cosets:
-    # coset 0 for orbit 0, the two integer-norm cosets for orbit 1.  Solve
-    # for orbit values (1, 0) or (0, 1).
-    m = [
-        [f.constant_term(0) for f in forms],
-        [f.constant_term(1) + f.constant_term(2) for f in forms],
-    ]
-    sol = solve(m, [1, 0] if orbit == 0 else [0, 1])
-    if sol.status != "unique":
-        raise AssertionError(f"cusp constant-term system is singular at weight {k}")
-    a, b = sol.values
-    return a * forms[0] + b * forms[1]
+    # The invariant form is linear in its level-2 input.  Its orbit values
+    # (the constant term on coset 0; the sum over the two nonzero
+    # integer-norm cosets) are (2, 2) for E_w, which S and U fix, and
+    # (1 + 2^-w, 2^(1-w)) for E_w(2 tau), whose slashes have constant term
+    # 2^-w.  So a E_w + b E_w(2 tau) has orbit values (1, 0) or (0, 1) when
+    # 2a + (1 + 2^-w) b = 1 - orbit and 2a + 2^(1-w) b = orbit.  Their
+    # difference is (1 - 2^-w) b = 1 - 2 orbit; with t = 2^w - 1 this gives
+    # (a, b) = (-1/t, 2^w/t) on orbit 0 and ((2^w + 1)/(2t), -2^w/t) on orbit 1.
+    w = k - 4
+    t = 2**w - 1
+    if orbit == 0:
+        a, b = Fraction(-1, t), Fraction(2**w, t)
+    else:
+        a, b = Fraction(2**w + 1, 2 * t), Fraction(-(2**w), t)
+    e_w, e_w2 = basis
+    return d8_invariant_from_gamma02(ScalarForm(e_w.weight, "Gamma0_2", a * e_w.series + b * e_w2.series))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +404,7 @@ def _coset_counts(lat: LatticeData, v: Tuple[int, ...], qmax: Fraction) -> List[
     return tables
 
 
-def pullback(form: ComponentForm, v: Sequence[int], nq: Optional[int] = None) -> JacobiForm:
+def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     """Restrict a lattice-index form along v: weight kept, index Q(v).
 
     c(n, r) = sum over cosets gamma and vectors l in gamma + L with
@@ -428,8 +427,6 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: Optional[int] = None) ->
         raise AssertionError("norm of an even-lattice vector must be an integer")
     index = int(index)
     trunc = form.truncation()
-    if nq is None:
-        nq = int(trunc) - 1 if trunc == int(trunc) else int(trunc)
     if nq >= trunc:
         raise ValueError(f"requested nq={nq} exceeds component truncation O(q^{trunc})")
     tables = _coset_counts(lat, v, as_fraction(nq))

@@ -176,19 +176,21 @@ def test_gamma0_2_basis_weight8():
 
 def test_slash_constant_is_identity():
     one = gamma0_2_eisenstein_basis(0, 6)[0]
-    assert slash_level2(one, "S") == QSeries.one(6)
-    assert slash_level2(one, "U") == QSeries.one(6)
+    s, u = slash_level2(one)
+    assert s == QSeries.one(6)
+    assert u == QSeries.one(6)
 
 
 def test_weight2_slash_sum_vanishes():
     d = weight2_level2(10)
-    total = d.series + slash_level2(d, "S") + slash_level2(d, "U")
+    s, u = slash_level2(d)
+    total = d.series + s + u
     assert total.is_zero()
 
 
 def test_trace_has_integer_exponents():
     f = gamma0_2_eisenstein_basis(8, 8)[1]
-    tr = trace_to_sl2(f)
+    tr = trace_to_sl2(f, slash_level2(f))
     assert all(e.denominator == 1 for e in tr.series.support())
 
 
@@ -201,7 +203,7 @@ def test_trace_lands_in_level_one(rng=random.Random(7)):
         for c, b in zip(coeffs, basis):
             series = series + c * b.series
         f = ScalarForm(Fraction(k), "Gamma0_2", series)
-        tr = trace_to_sl2(f)
+        tr = trace_to_sl2(f, slash_level2(f))
         monos = sl2_monomial_basis(k, 10)
         rows = [[mono.coefficient(n) for _, mono in monos] + [tr.series.coefficient(n)] for n in range(10)]
         # solve exactly
@@ -275,8 +277,8 @@ def test_slash_matches_w2_e4_oracle(k):
         for b in basis:
             series = series + Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * b.series
         f = ScalarForm(Fraction(k), "Gamma0_2", series)
-        for which in "SU":
-            assert slash_level2(f, which) == w2_e4_slash(f, which), (k, prec, which)
+        for which, slashed in zip("SU", slash_level2(f)):
+            assert slashed == w2_e4_slash(f, which), (k, prec, which)
 
 
 @pytest.mark.parametrize("prec", [3, 4, 8])
@@ -288,7 +290,7 @@ def test_decompose_rejects_cusp_form(prec):
     with pytest.raises(DecompositionError):
         decompose_level2(cusp)
     with pytest.raises(DecompositionError):
-        slash_level2(cusp, "S")
+        slash_level2(cusp)
 
 
 @pytest.mark.parametrize("k", range(4, 26, 2))

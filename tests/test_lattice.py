@@ -342,7 +342,7 @@ def test_pairing_counts_int64_guard(name, vec, qmax):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="key range"):
-            pairing_counts(lat, 0, vec, qmax)
+            pairing_counts(lat, lat.cosets[0], vec, qmax)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,7 +375,8 @@ def test_pairing_counts_negated_coset_mirrors_r(name, vec, qmax):
 
 
 def test_pairing_counts_negative_qmax_is_empty():
-    assert pairing_counts(lattice("E6"), 0, (3, 2, 0, 1, 1, 1), -1) == {}
+    lat = lattice("E6")
+    assert pairing_counts(lat, lat.cosets[0], (3, 2, 0, 1, 1, 1), -1) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +442,13 @@ def r8(s):
 def test_bulk_counts_match_theta_coefficients():
     # D8 theta series: 112 vectors of scaled norm 2 (Q = 1), 1136 of Q = 2
     lat = lattice("D8")
-    counts = pairing_counts(lat, 0, D8_VEC, 2)
+    counts = pairing_counts(lat, lat.cosets[0], D8_VEC, 2)
     by_norm = shells(counts)
     assert by_norm[2] == 112
     assert by_norm[4] == 1136
     # at sweep scale: D8 is the even-sum sublattice of Z^8 and s = x.x, so the
     # shell sizes are r_8(s) for even s, and no vector has odd s
-    by_norm = shells(pairing_counts(lat, 0, D8_SWEEP_VEC, 14))
+    by_norm = shells(pairing_counts(lat, lat.cosets[0], D8_SWEEP_VEC, 14))
     assert [by_norm.get(s, 0) for s in range(29)] == [r8(s) if s % 2 == 0 else 0 for s in range(29)]
     # the Weyl group fixes every coset and acts irreducibly on R^n, so each
     # shell is a spherical 2-design: sum over the shell of <l, v>^2 equals
