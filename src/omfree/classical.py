@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, isqrt
-from typing import List, Literal, Tuple
+from math import ceil, comb, isqrt, lcm
+from typing import Dict, List, Literal, Optional, Tuple
 
 from .linalg import solve
 from .qseries import QSeries, as_fraction
@@ -142,6 +142,36 @@ def chi3(n: int) -> int:
     return 0 if r == 0 else (1 if r == 1 else -1)
 
 
+#: Character power sums kept, one tuple per fundamental discriminant; the oldest insertion goes first.
+_POWER_SUMS_LIMIT = 128
+_POWER_SUMS: Dict[int, Tuple[int, ...]] = {}
+
+
+def _character_power_sums(disc: int, n: int) -> Tuple[int, ...]:
+    """(S_0, ..., S_e) with S_e = sum_{a=1}^{|D|} chi_D(a) a^e and e >= n, cached per discriminant.
+
+    A call with a larger n than the cached tuple holds extends it: one power
+    a^e per a with chi_D(a) != 0 at the first new exponent, then one
+    multiplication per such a and exponent.
+    """
+    sums = _POWER_SUMS.get(disc, ())
+    if len(sums) > n:
+        return sums
+    chars = [(a, ch) for a in range(1, abs(disc) + 1) if (ch := kronecker_symbol(disc, a))]
+    terms = [ch * a ** len(sums) for a, ch in chars]
+    grown = list(sums)
+    while True:
+        grown.append(sum(terms))
+        if len(grown) > n:
+            break
+        terms = [t * a for t, (a, _) in zip(terms, chars)]
+    _POWER_SUMS.pop(disc, None)
+    _POWER_SUMS[disc] = sums = tuple(grown)
+    if len(_POWER_SUMS) > _POWER_SUMS_LIMIT:
+        del _POWER_SUMS[next(iter(_POWER_SUMS))]
+    return sums
+
+
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n,chi} for the Kronecker character of a fundamental discriminant.
@@ -149,14 +179,22 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
     With m = |D| and the integer power sums S_e = sum_{a=1}^{m} chi(a) a^e,
     B_{n,chi} = m^(n-1) sum_a chi(a) B_n(a/m) = sum_j C(n,j) B_j m^(j-1) S_{n-j},
     with B_1 = -1/2.  For disc = 1 this gives the convention with B_1 = +1/2.
+    The power sums are computed once per discriminant
+    (``_character_power_sums``) and the sum over j runs on integers over
+    one common denominator, the lcm of the denominators of B_0, ..., B_n.
     """
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     m = abs(disc)
-    chars = [(a, kronecker_symbol(disc, a)) for a in range(1, m + 1)]
-    sums = [sum(ch * a**e for a, ch in chars if ch) for e in range(n + 1)]
-    total = sum(comb(n, j) * bernoulli(j) * m**j * sums[n - j] for j in range(n + 1))
-    return total / m
+    sums = _character_power_sums(disc, n)
+    den = lcm(*(bernoulli(j).denominator for j in range(n + 1)))
+    total = 0
+    m_power = 1
+    for j in range(n + 1):
+        b = bernoulli(j)
+        total += comb(n, j) * b.numerator * (den // b.denominator) * m_power * sums[n - j]
+        m_power *= m
+    return Fraction(total, den * m)
 
 
 def dirichlet_l_negative(r: int, disc: int) -> Fraction:
@@ -286,27 +324,40 @@ def gamma0_2_eisenstein_basis(k: int, prec) -> List[ScalarForm]:
     ]
 
 
-def _eisenstein_basis_slashed(k: int, prec: Fraction) -> Tuple[List[QSeries], List[QSeries]]:
-    """The weight-k Eisenstein basis slashed by S and by U, each in basis order.
+def _eisenstein_bases(k: int, prec: Fraction) -> Tuple[List[QSeries], List[QSeries], List[QSeries]]:
+    """The weight-k Eisenstein basis, and that basis slashed by S and by U, each in basis order.
 
-    S is inversion, U is inversion followed by translation.  With h = tau/2
-    for S and h = (tau+1)/2 for U the closed forms are
+    The basis is gamma0_2_eisenstein_basis(k, prec).  S is inversion, U is
+    inversion followed by translation.  With h = tau/2 for S and
+    h = (tau+1)/2 for U the closed forms are
       1 | S = 1,                  w2 | S = E_2(h)/2 - E_2,
       E_k | S = E_k,              E_k(2 tau) | S = 2^-k E_k(h),
-    and the same with U in place of S.  Both lists are read off one
+    and the same with U in place of S.  All three lists are read off one
     expansion of E_k to O(q^(2 prec)).
     """
     if k == 0:
-        return [QSeries.one(prec)], [QSeries.one(prec)]
+        return [QSeries.one(prec)], [QSeries.one(prec)], [QSeries.one(prec)]
     ek = eisenstein_sl2(k, 2 * prec).series
-    level1 = ek.truncate(prec)
+    level1, level2 = ek.truncate(prec), ek.rescale(2).truncate(prec)
     s_half, u_half = ek.rescale(Fraction(1, 2)), ek.half_twist()
     if k == 2:
-        return [s_half / 2 - level1], [u_half / 2 - level1]
-    return [level1, s_half / 2**k], [level1, u_half / 2**k]
+        return [2 * level2 - level1], [s_half / 2 - level1], [u_half / 2 - level1]
+    return [level1, level2], [level1, s_half / 2**k], [level1, u_half / 2**k]
 
 
-def decompose_level2(f: ScalarForm) -> List[Fraction]:
+def _level2_weight(f: ScalarForm) -> int:
+    """f's weight k, once f is an even-weight level-2 form with the 1 + k//4 coefficients of the Sturm bound."""
+    k = int(f.weight)
+    if f.level != "Gamma0_2" or f.weight != k or k % 2 or k < 0 or f.series.denominator != 1:
+        raise DecompositionError(f"expected an even-weight level-2 form with integer exponents, got {f.level} weight {f.weight}")
+    if ceil(f.series.truncation) < 1 + k // 4:
+        raise DecompositionError(
+            f"need at least {1 + k // 4} coefficients at weight {k}, have O(q^{f.series.truncation})"
+        )
+    return k
+
+
+def decompose_level2(f: ScalarForm, basis: Optional[List[QSeries]] = None) -> List[Fraction]:
     """Coefficients of f in gamma0_2_eisenstein_basis(k, prec), by one exact solve.
 
     Every known coefficient enters the solve, and at least 1 + k//4 are
@@ -314,17 +365,14 @@ def decompose_level2(f: ScalarForm) -> List[Fraction]:
     M_k(Gamma0(2)) agreeing that far with a combination of the basis equals
     it.  Raises DecompositionError for a short expansion, a fractional
     exponent, or a form outside the Eisenstein span (such as a cusp form).
+    ``basis`` is the basis's expansions, when ``slash_level2`` has read
+    them off its own expansion of E_k.
     """
-    k = int(f.weight)
-    if f.level != "Gamma0_2" or f.weight != k or k % 2 or k < 0 or f.series.denominator != 1:
-        raise DecompositionError(f"expected an even-weight level-2 form with integer exponents, got {f.level} weight {f.weight}")
+    k = _level2_weight(f)
     prec = f.series.truncation
+    if basis is None:
+        basis = [b.series for b in gamma0_2_eisenstein_basis(k, prec)]
     n_coeffs = ceil(prec)
-    if n_coeffs < 1 + k // 4:
-        raise DecompositionError(
-            f"need at least {1 + k // 4} coefficients at weight {k}, have O(q^{prec})"
-        )
-    basis = gamma0_2_eisenstein_basis(k, prec)
     matrix = [[b.coefficient(n) for b in basis] for n in range(n_coeffs)]
     sol = solve(matrix, [f.coefficient(n) for n in range(n_coeffs)])
     if sol.status != "unique":
@@ -335,14 +383,15 @@ def decompose_level2(f: ScalarForm) -> List[Fraction]:
 def slash_level2(f: ScalarForm) -> Tuple[QSeries, QSeries]:
     """Exact q^(1/2)-expansions (f |_k S, f |_k U) for f in the Eisenstein span of M_k(Gamma0(2)).
 
-    Both slashes come from one ``decompose_level2`` and one slashed basis.
+    The basis that ``decompose_level2`` solves against and both slashed
+    bases come from one expansion of E_k (``_eisenstein_bases``), which is
+    built here and not by the caller, so the decomposition still checks f
+    against an Eisenstein basis of its own.
     """
-    coeffs = decompose_level2(f)
     prec = f.series.truncation
-    s, u = (
-        sum((c * slashed for c, slashed in zip(coeffs, basis) if c), QSeries.zero(prec))
-        for basis in _eisenstein_basis_slashed(int(f.weight), prec)
-    )
+    basis, *slashed = _eisenstein_bases(_level2_weight(f), prec)
+    coeffs = decompose_level2(f, basis)
+    s, u = (sum((c * b for c, b in zip(coeffs, bases) if c), QSeries.zero(prec)) for bases in slashed)
     return s, u
 
 

@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from functools import partial
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import __version__, certify, freealg
 from .classical import DecompositionError, PlusSpaceError, hurwitz_class_number, hurwitz_oracle
@@ -28,13 +28,14 @@ from .weil import InvarianceError, jacobi_eisenstein, pullback
 _MATH_ERRORS = (DecompositionError, ExponentDenominatorError, InvarianceError, PlusSpaceError, TruncationError)
 
 
-def _emit(args, payload: dict, plain: str) -> None:
+def _emit(args, payload: dict, plain: Callable[[], str]) -> None:
+    """Write ``payload`` as JSON, or the plain text that ``plain()`` renders only when it is printed."""
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         # plain stdout stays terse; the resolved configuration is logged aside
         print("config: " + json.dumps(payload.get("config", {}), sort_keys=True), file=sys.stderr)
-        text = plain
+        text = plain()
     if args.output:
         path = args.output
         outdir = os.environ.get("OMFREE_OUTDIR")
@@ -56,13 +57,13 @@ def _config(args, **extra) -> dict:
 def _cmd_table(args) -> int:
     table = freealg.generator_table(args.system)
     plain = " ".join(f"({k},{m})" for k, m in table)
-    _emit(args, {"config": _config(args), "table": [list(t) for t in table]}, plain)
+    _emit(args, {"config": _config(args), "table": [list(t) for t in table]}, lambda: plain)
     return 0
 
 
 def _cmd_weights(args) -> int:
     weights = freealg.orthogonal_weights(args.system)
-    _emit(args, {"config": _config(args), "weights": weights}, " ".join(map(str, weights)))
+    _emit(args, {"config": _config(args), "weights": weights}, lambda: " ".join(map(str, weights)))
     return 0
 
 
@@ -70,13 +71,13 @@ def _cmd_hilbert(args) -> int:
     weights = freealg.orthogonal_weights(args.system)
     coeffs = freealg.hilbert_series(weights, args.order)
     plain = " ".join(map(str, coeffs))
-    _emit(args, {"config": _config(args), "weights": weights, "coefficients": coeffs}, plain)
+    _emit(args, {"config": _config(args), "weights": weights, "coefficients": coeffs}, lambda: plain)
     return 0
 
 
 def _cmd_bound(args) -> int:
     bound = freealg.dim_upper_bound(args.system, args.weight)
-    _emit(args, {"config": _config(args), "bound": bound}, str(bound))
+    _emit(args, {"config": _config(args), "bound": bound}, lambda: str(bound))
     return 0
 
 
@@ -86,7 +87,7 @@ def _cmd_identity_check(args) -> int:
     _emit(
         args,
         {"config": _config(args), "equal": equal, "first_mismatch": where},
-        plain,
+        lambda: plain,
     )
     return 0 if equal else 1
 
@@ -125,10 +126,14 @@ def _cmd_eisenstein(args) -> int:
         "gram": [list(row) for row in form.lattice.gram],
         "form": form.to_json(),
     }
-    lines = [f"case {args.case}, weight {args.weight}, orbit {args.orbit}, prec {prec}"]
-    for i, comp in enumerate(form.components):
-        lines.append(f"component {i}: {comp}")
-    _emit(args, payload, "\n".join(lines))
+
+    def plain() -> str:
+        lines = [f"case {args.case}, weight {args.weight}, orbit {args.orbit}, prec {prec}"]
+        for i, comp in enumerate(form.components):
+            lines.append(f"component {i}: {comp}")
+        return "\n".join(lines)
+
+    _emit(args, payload, plain)
     return 0
 
 
@@ -143,10 +148,14 @@ def _cmd_pullback(args) -> int:
         "gram": [list(row) for row in lat.gram],
         "jacobi_form": phi.to_json(),
     }
-    lines = [f"pullback along {vec} with Q(v) = {q}: weight {phi.weight}, index {phi.index}"]
-    for (n, r) in phi.support():
-        lines.append(f"c({n},{r}) = {phi.coefficient(n, r)}")
-    _emit(args, payload, "\n".join(lines))
+
+    def plain() -> str:
+        lines = [f"pullback along {vec} with Q(v) = {q}: weight {phi.weight}, index {phi.index}"]
+        for (n, r) in phi.support():
+            lines.append(f"c({n},{r}) = {phi.coefficient(n, r)}")
+        return "\n".join(lines)
+
+    _emit(args, payload, plain)
     return 0
 
 
@@ -160,13 +169,17 @@ def _cmd_lift(args) -> int:
         "config": _config(args, vector=list(vec), vector_norm=str(q)),
         "paramodular_form": lifted.to_json(),
     }
-    lines = [
-        f"lift along {vec} with Q(v) = {q}: weight {lifted.weight}, level {lifted.level}, "
-        f"truncation ({lifted.nq}, {lifted.nxi})"
-    ]
-    for (n, r, m) in lifted.support():
-        lines.append(f"A({n},{r},{m}) = {lifted.coefficient(n, r, m)}")
-    _emit(args, payload, "\n".join(lines))
+
+    def plain() -> str:
+        lines = [
+            f"lift along {vec} with Q(v) = {q}: weight {lifted.weight}, level {lifted.level}, "
+            f"truncation ({lifted.nq}, {lifted.nxi})"
+        ]
+        for (n, r, m) in lifted.support():
+            lines.append(f"A({n},{r},{m}) = {lifted.coefficient(n, r, m)}")
+        return "\n".join(lines)
+
+    _emit(args, payload, plain)
     return 0
 
 
@@ -182,7 +195,7 @@ def _cmd_certify(args) -> int:
             f" -> {'ok' if rec['match'] else 'MISMATCH'}"
         )
     payload = {"config": _config(args), "report": report.to_json()}
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     if not cert.all_independent():
         return 2
     return 0 if report.consistent() else 1
@@ -194,7 +207,7 @@ def _cmd_verify_e14(args) -> int:
     if result.coefficients:
         plain.append("coefficients: " + " ".join(str(c) for c in result.coefficients))
     plain.append(result.detail)
-    _emit(args, {"config": _config(args), "result": result.to_json()}, "\n".join(plain))
+    _emit(args, {"config": _config(args), "result": result.to_json()}, lambda: "\n".join(plain))
     return 0 if result.ok() else 1
 
 
@@ -214,7 +227,7 @@ def _cmd_hurwitz_check(args) -> int:
     _emit(
         args,
         {"config": _config(args), "agree": agree, "total": args.max, "mismatches": mismatches},
-        plain,
+        lambda: plain,
     )
     return 0 if not mismatches else 1
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from typing import Dict, List, Tuple
+from math import isqrt, lcm
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,33 +101,41 @@ class ParamodularForm(NumeratorStore):
 # Index raising
 
 
-def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
+def hecke_V(phi: JacobiForm, m: int, nq: Optional[int] = None) -> JacobiForm:
     """Index-raising operator: (phi | V_M)(n, r) = sum_{d | gcd(n,r,M)} d^(k-1) c(nM/d^2, r/d).
 
     gcd(0, 0, M) is M.  The output index is M times the input index, with
-    truncation floor(nq / M).  The sum runs on phi's numerators, and the
-    output numerators are taken over ``phi.den`` (then put in lowest terms).
+    truncation ``nq``, by default and at most floor(phi.nq / M); only the
+    rows n <= nq are computed.  Each divisor d of M with d | n maps the
+    stored coefficients c(nM/d^2, r') of phi to r = d r', so the sum runs on
+    phi's numerators and visits only its nonzero entries; the output
+    numerators are taken over ``phi.den`` (then put in lowest terms).
     """
     if m < 1:
         raise ValueError("M must be >= 1")
     if phi.index < 1:
         raise ValueError("index-raising needs a positive index")
+    if nq is None:
+        nq = phi.nq // m
+    elif not 0 <= nq <= phi.nq // m:
+        raise ValueError(f"truncation nq={nq} outside 0..{phi.nq // m} = floor({phi.nq} / {m})")
     k = phi.weight
-    nq_out = phi.nq // m
-    out: Dict[Tuple[int, int], int] = {}
     new_index = phi.index * m
-    for n in range(nq_out + 1):
-        rmax = isqrt(4 * n * new_index)
-        for r in range(-rmax, rmax + 1):
-            g = gcd(gcd(n, r), m)
-            total = 0
-            for d in divisors(g):
-                c = phi.nums.get((n * m // (d * d), r // d))
-                if c:
-                    total += d ** (k - 1) * c
-            if total:
-                out[(n, r)] = total
-    return JacobiForm.from_numerators(k, new_index, out, phi.den, nq_out)
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    for (n, r), c in phi.nums.items():
+        rows.setdefault(n, []).append((r, c))
+    scales = [(d, d ** (k - 1)) for d in divisors(m)]
+    out: Dict[Tuple[int, int], int] = {}
+    for n in range(nq + 1):
+        bound = 4 * n * new_index
+        for d, scale in scales:
+            if n % d:
+                continue
+            for r, c in rows.get(n * m // (d * d), ()):
+                r *= d
+                if r * r <= bound:
+                    out[(n, r)] = out.get((n, r), 0) + scale * c
+    return JacobiForm.from_numerators(k, new_index, out, phi.den, nq)
 
 
 def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
@@ -137,7 +145,8 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
     The slice at M = 0 is c(0,0) * (-B_k / 2k) * E_k in the normalization
     with coefficients sigma_{k-1}(n), so A(n, 0, 0) = sigma_{k-1}(n) c(0,0).
     Every slice is written as numerators over one denominator, the lcm of
-    phi's and the boundary constant's.
+    phi's and the boundary constant's; slice M is ``hecke_V(phi, M)``
+    computed only to the lift's truncation floor(phi.nq / nxi).
     """
     if nxi < 1:
         raise ValueError("nxi must be >= 1")
@@ -159,11 +168,10 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
         for n in range(1, nq_out + 1):
             nums[(n, 0, 0)] = c00 * (den // phi.den) * sigma(n, k - 1)
     for m in range(1, nxi + 1):
-        sliced = hecke_V(phi, m)
+        sliced = hecke_V(phi, m, nq_out)
         scale = den // sliced.den
         for (n, r), c in sliced.nums.items():
-            if n <= nq_out:
-                nums[(n, r, m)] = c * scale
+            nums[(n, r, m)] = c * scale
     return ParamodularForm.from_numerators(k, phi.index, nums, den, nq_out, nxi)
 
 

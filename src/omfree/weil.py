@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import (
     ScalarForm,
@@ -380,6 +384,9 @@ def _d8_eisenstein(k: int, orbit: int, prec: Fraction) -> ComponentForm:
 # Pullback along a lattice vector
 
 
+#: Bound on every int64 entry of ``pullback``'s limb accumulation.
+_LIMB_LIMIT = 1 << 62
+
 #: Count tables kept, one per (lattice, direction); the oldest insertion goes first.
 _COUNTS_CACHE_LIMIT = 32
 _COUNTS_CACHE: Dict[Tuple[str, Tuple[int, ...]], Tuple[Fraction, List[Dict[Tuple[int, int], int]]]] = {}
@@ -412,6 +419,22 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     The sum runs on integers: the components' denominators are cleared
     once, and the accumulated numerators over that one denominator are the
     result's store, with no ``Fraction`` per coefficient.
+
+    Per coset, with scale = 2 den^2 and N[s, r] the count of coset vectors
+    of scaled norm s = scale Q(l) and pairing r, this is the Toeplitz product
+    c[n, r] = sum_s a[n scale - s] N[s, r] over s <= nq scale, a[e] being
+    the cleared numerator at scaled exponent e.  The norms of one coset lie
+    in one class s0 mod scale, so N is kept dense only on its rows
+    s = s0 + t scale, t <= nq, and with a_j = a[j scale - s0] the product is
+    c[n, r] = sum_t a_(n-t) N[t, r].  It runs in int64: each numerator is
+    split into signed limbs of L bits, sign(a) times the L-bit digits of
+    |a|, and one ``T @ N`` per coset multiplies every limb row of the
+    Toeplitz matrix T against the dense count table N.  An entry of the limb accumulation,
+    summed over the cosets, is at most (2^L - 1) times the total count, so
+    L is the largest width with (2^L - 1) * total < 2^62; that bound is
+    checked before the dense arrays are allocated, and a total that leaves
+    no width (L < 1) raises ``ValueError``.  The limbs are recombined into
+    Python ints once per nonzero (n, r).
     """
     lat = form.lattice
     for x in v:
@@ -438,27 +461,66 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     # Clear all component denominators once and accumulate plain ints:
     # c(n, r) = (1/den) * sum of count * (den * coefficient at n - Q(l)).
     den = lcm(1, *(c.denominator for comp in form.components for _, c in comp.terms()))
-    acc: Dict[Tuple[int, int], int] = {}
+    parts = []
+    total = rmax = bits = 0
     for coset, comp, table in zip(lat.cosets, form.components, tables):
         if not table:
             continue
+        # the scaled norms s = scale Q(l) of a coset lie in one class s0 mod
+        # scale, so s = s0 + t scale, and the term at exponent e meets s at
+        # n = t + j with e scale = j scale - s0
         scale = 2 * coset.denominator**2
-        comp_scaled: Dict[int, int] = {}
+        keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * len(table)).reshape(-1, 2)
+        counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+        offset = int(keys[0, 0]) % scale
+        steps, rest = np.divmod(keys[:, 0] - offset, scale)
+        if rest.any():
+            raise AssertionError("coset norms fall in more than one class mod 1")
+        numerators: Dict[int, int] = {}
         for e, c in comp.terms():
             se = e * scale
             if se.denominator != 1:
                 raise AssertionError("component exponent incompatible with coset scale")
-            comp_scaled[int(se)] = c.numerator * (den // c.denominator)
-        by_norm: Dict[int, List[Tuple[int, int]]] = {}
-        for (s, r), count in table.items():
-            by_norm.setdefault(s, []).append((r, count))
-        for s, row in by_norm.items():
-            # vectors of scaled norm s feed c(n, r) through the term at n*scale - s
-            for n in range(-(-s // scale), nq + 1):
-                c = comp_scaled.get(n * scale - s)
-                if not c:
-                    continue
-                for r, count in row:
-                    key = (n, r)
-                    acc[key] = acc.get(key, 0) + count * c
-    return JacobiForm.from_numerators(weight, index, acc, den, nq)
+            j, off_class = divmod(int(se) + offset, scale)
+            if j <= nq and not off_class:
+                numerators[j] = c.numerator * (den // c.denominator)
+        keep = keys[:, 0] <= nq * scale
+        if not numerators or not keep.any():
+            continue
+        steps, pairings, counts = steps[keep], keys[keep, 1], counts[keep]
+        total += int(counts.sum())
+        rmax = max(rmax, int(np.abs(pairings).max()))
+        bits = max(bits, *(abs(a).bit_length() for a in numerators.values()))
+        parts.append((numerators, steps, pairings, counts))
+    if not parts:
+        return JacobiForm.from_numerators(weight, index, {}, den, nq)
+
+    limb_bits = ((_LIMB_LIMIT - 1) // total + 1).bit_length() - 1
+    if limb_bits < 1:
+        raise ValueError(f"pullback: {total} coset vectors leave no limb width within the int64 bound 2^62")
+    limbs = -(-bits // limb_bits)
+    mask = (1 << limb_bits) - 1
+    width = 2 * rmax + 1
+    acc = np.zeros((limbs, nq + 1, width), dtype=np.int64)
+    for numerators, steps, pairings, counts in parts:
+        table = np.zeros((nq + 1, width), dtype=np.int64)
+        table[steps, pairings + rmax] = counts
+        # limb i of a_j sits at column nq - j; the columns past nq stand for j < 0
+        digits = np.zeros((limbs, 2 * nq + 1), dtype=np.int64)
+        for j, a in numerators.items():
+            sign, mag = (1, a) if a > 0 else (-1, -a)
+            for i in range(limbs):
+                digits[i, nq - j] = sign * ((mag >> (limb_bits * i)) & mask)
+        # T[i, n, t] = digits[i, nq - n + t]: the windows of a view, in reverse, not a copy
+        toeplitz = sliding_window_view(digits, nq + 1, axis=1)[:, ::-1]
+        acc += toeplitz @ table
+
+    # recombine from the top limb down, one limb plane at a time
+    flat = acc.reshape(limbs, -1)
+    found = np.flatnonzero(flat.any(axis=0))
+    values = [0] * len(found)
+    for plane in flat[::-1]:
+        values = [(x << limb_bits) + d for x, d in zip(values, plane[found].tolist())]
+    n, col = np.divmod(found, width)
+    coords = zip(n.tolist(), (col - rmax).tolist())
+    return JacobiForm.from_numerators(weight, index, dict(zip(coords, values)), den, nq)

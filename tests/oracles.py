@@ -4,7 +4,9 @@ Two independent counting paths check ``omfree.lattice.pairing_counts``:
 :func:`enumerate_coset`, an exact Fincke-Pohst search with rational pivots
 that returns the vectors themselves (small qmax), and :func:`descent_counts`,
 the same descent in exact int64 numpy arrays that returns only the (s, r)
-tally (qmax up to production scale).
+tally (qmax up to production scale).  :func:`pullback_oracle` checks
+``omfree.weil.pullback`` by a dict loop over (norm, pairing) pairs in
+Python ints.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from omfree.classical import eisenstein_sl2
-from omfree.lattice import Coset, LatticeData, Vector, _inverse
+from omfree.lattice import Coset, LatticeData, Vector, _inverse, norm, pairing_counts
 from omfree.qseries import QSeries, as_fraction
+from omfree.weil import ComponentForm, JacobiForm
 
 #: Every lattice in the registry, sorted by name.
 LATTICES = sorted(
@@ -46,6 +49,27 @@ def sl2_monomial_basis(k: int, prec):
             mono = mono * e6**b
         out.append(((a, b), mono))
     return out
+
+
+def pullback_oracle(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
+    """``weil.pullback`` by a dict loop: each (s, r) count times the numerator at n*scale - s.
+
+    Counts come from ``pairing_counts`` at qmax = nq, coset by coset, without
+    the counts cache; every product and sum is a Python int.
+    """
+    lat = form.lattice
+    v = tuple(v)
+    den = lcm(1, *(c.denominator for comp in form.components for _, c in comp.terms()))
+    acc: Dict[Tuple[int, int], int] = {}
+    for coset, comp in zip(lat.cosets, form.components):
+        scale = 2 * coset.denominator**2
+        numerators = {int(e * scale): c.numerator * (den // c.denominator) for e, c in comp.terms()}
+        for (s, r), count in pairing_counts(lat, coset, v, nq).items():
+            for n in range(-(-s // scale), nq + 1):
+                c = numerators.get(n * scale - s)
+                if c:
+                    acc[(n, r)] = acc.get((n, r), 0) + count * c
+    return JacobiForm.from_numerators(int(form.weight), int(norm(lat, v)), acc, den, nq)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import ceil, comb, factorial
 
 import pytest
 
+from omfree import classical
 from omfree.classical import (
     DecompositionError,
     ScalarForm,
@@ -15,12 +16,14 @@ from omfree.classical import (
     decompose_level2,
     eisenstein_sl2,
     eta_pow,
+    fundamental_decomposition,
     gamma0_2_eisenstein_basis,
     generalized_bernoulli,
     hurwitz_class_number,
     hurwitz_oracle,
     is_fundamental_discriminant,
     kronecker_symbol,
+    moebius,
     plus_eisenstein_gamma0_3,
     sigma,
     slash_level2,
@@ -301,6 +304,17 @@ def test_decompose_needs_sturm_bound_coefficients(k):
     assert decompose_level2(gamma0_2_eisenstein_basis(k, 1 + k // 4)[0]) == [1, 0]
 
 
+@pytest.mark.parametrize("prec", [Fraction(5, 2), 3, 8])
+def test_slash_reads_the_basis_off_its_own_expansion(prec):
+    # the basis slash_level2 hands to decompose_level2 is gamma0_2_eisenstein_basis itself
+    for k in range(0, 26, 2):
+        basis = [b.series for b in gamma0_2_eisenstein_basis(k, prec)]
+        assert classical._eisenstein_bases(k, Fraction(prec))[0] == basis, k
+        if ceil(prec) >= 1 + k // 4:
+            f = ScalarForm(Fraction(k), "Gamma0_2", sum(basis[1:], 3 * basis[0]))
+            assert decompose_level2(f, basis) == decompose_level2(f) == [3, 1][: len(basis)]
+
+
 # ---------------------------------------------------------------------------
 # level 3 plus space
 
@@ -445,6 +459,53 @@ def test_generalized_bernoulli_matches_exp_series():
     oracle = exp_series_bernoulli(1, 21)
     for n in range(21):
         assert generalized_bernoulli(n, 1) == oracle[n], n
+
+
+def test_generalized_bernoulli_in_scrambled_order(monkeypatch):
+    # cold caches, a power-sum cache that evicts, and n rising and falling per discriminant
+    monkeypatch.setattr(classical, "_POWER_SUMS", {})
+    monkeypatch.setattr(classical, "_POWER_SUMS_LIMIT", 4)
+    generalized_bernoulli.cache_clear()
+    discs = [d for d in range(-60, 61) if d not in (0, 1) and is_fundamental_discriminant(d)]
+    oracles = {disc: exp_series_bernoulli(disc, 27) for disc in discs}
+    pairs = [(n, disc) for disc in discs for n in range(1, 27)]
+    random.Random(5).shuffle(pairs)
+    for n, disc in pairs:
+        assert generalized_bernoulli(n, disc) == oracles[disc][n], (n, disc)
+    assert len(classical._POWER_SUMS) == 4
+    generalized_bernoulli.cache_clear()
+
+
+def fraction_cohen_eisenstein(r, prec):
+    """cohen_eisenstein(r, prec) coefficients from Fraction sums of a**e over a full period."""
+    def l_value(disc):
+        m = abs(disc)
+        sums = [sum(kronecker_symbol(disc, a) * a**e for a in range(1, m + 1)) for e in range(r + 1)]
+        b_r = sum(comb(r, j) * bernoulli(j) * Fraction(m) ** (j - 1) * sums[r - j] for j in range(r + 1))
+        return -b_r / r
+
+    def class_number(n):
+        d, f = fundamental_decomposition(n if r % 2 == 0 else -n)
+        total = sum(
+            moebius(dd) * kronecker_symbol(d, dd) * dd ** (r - 1) * sigma(f // dd, 2 * r - 1)
+            for dd in range(1, f + 1)
+            if f % dd == 0
+        )
+        return l_value(d) * total
+
+    h0 = -bernoulli(2 * r) / (2 * r)
+    return {n: class_number(n) / h0 for n in range(1, prec + 1) if n % 4 in (0, 1)}
+
+
+def test_cohen_eisenstein_matches_a_fraction_recomputation():
+    # the ten E7 generator weights k give r = k - 4; the certificate uses O(q^104)
+    for r in (2, 6, 8, 10, 12, 14, 18, 20, 26):
+        form = cohen_eisenstein(r, 104)
+        want = fraction_cohen_eisenstein(r, 104)
+        assert form.series.truncation == 104 and form.coefficient(0) == 1
+        for n in range(1, 104):
+            assert form.coefficient(n) == want.get(n, 0), (r, n)
+    assert cohen_eisenstein(0, 104) == theta_series(104)
 
 
 def test_e2_half_rescale_example():

@@ -235,6 +235,25 @@ def test_hecke_and_lift_match_their_formulas():
         assert lift.coeffs == lift_oracle(table, k, index, nq, nxi)
 
 
+@pytest.mark.parametrize("k", [4, 5, 10, 11])
+def test_truncated_hecke_V_is_the_low_rows_of_the_full_one(k):
+    rng = random.Random(k)
+    index, nq = 2, 10
+    table = random_cone_table(rng, index, nq)
+    if k % 2:
+        table.pop((0, 0), None)
+    phi = JacobiForm(k, index, table, nq)
+    for m in range(1, 6):
+        full = hecke_V(phi, m)
+        assert full.nq == nq // m
+        for cut in range(full.nq + 1):
+            low = hecke_V(phi, m, cut)
+            assert (low.weight, low.index, low.nq) == (k, m * index, cut)
+            assert low.coeffs == {key: c for key, c in full.coeffs.items() if key[0] <= cut}
+        with pytest.raises(ValueError, match="truncation"):
+            hecke_V(phi, m, full.nq + 1)
+
+
 # ---------------------------------------------------------------------------
 # products
 

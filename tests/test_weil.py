@@ -15,9 +15,10 @@ from omfree.classical import (
     theta_series,
     weight2_level2,
 )
-from omfree.lattice import lattice
+from omfree.lattice import lattice, pairing_counts
 from omfree.qseries import QSeries
 from omfree.weil import (
+    ComponentForm,
     JacobiForm,
     d8_invariant_from_gamma02,
     d8_pair_to_component,
@@ -27,6 +28,7 @@ from omfree.weil import (
     jacobi_eisenstein,
     pullback,
 )
+from oracles import pullback_oracle
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 E6_VEC = (3, 2, 0, 1, 1, 1)
@@ -282,6 +284,41 @@ def test_counts_cache_hit_matches_a_cold_count(case, monkeypatch):
     cold = pullback(form, vec, nq=3)
     assert weil_module._COUNTS_CACHE[(case, vec)][0] == 3
     assert warm == cold and not cold.is_zero()
+
+
+def mixed_sign_form(case):
+    """E6 minus E10, component by component: a component form with coefficients of both signs."""
+    e6, e10 = (jacobi_eisenstein(case, k, 0, prec=5) for k in (6, 10))
+    comps = tuple(a - b for a, b in zip(e6.components, e10.components))
+    return ComponentForm(e6.lattice, e6.weight, comps)
+
+
+def coset_vector_total(case, vec, nq):
+    lat = lattice(case)
+    return sum(sum(pairing_counts(lat, coset, vec, nq).values()) for coset in lat.cosets)
+
+
+@pytest.mark.parametrize("case", ["D8", "E6", "E7"])
+def test_pullback_matches_the_pair_loop_oracle(case, monkeypatch):
+    vec = {"D8": D8_VEC, "E6": E6_VEC, "E7": E7_VEC}[case]
+    form = mixed_sign_form(case)
+    assert {c > 0 for comp in form.components for _, c in comp.terms()} == {False, True}
+    want = pullback_oracle(form, vec, 4)
+    assert pullback(form, vec, nq=4) == want and not want.is_zero()
+    # a term off its coset's norm class mod 1 meets no coset vector
+    off = next(c.index for c in form.lattice.cosets if c.norm_mod1)
+    comps = list(form.components)
+    comps[off] = comps[off] + QSeries.monomial(1, 7, comps[off].truncation)
+    assert pullback(ComponentForm(form.lattice, form.weight, tuple(comps)), vec, nq=4) == want
+    # 2^200 takes the numerators to several limbs
+    assert pullback(2**200 * form, vec, nq=4) == 2**200 * want
+    # at a limit of total + 1 the limbs are one bit wide; at total none is left
+    total = coset_vector_total(case, vec, 4)
+    monkeypatch.setattr(weil_module, "_LIMB_LIMIT", total + 1)
+    assert pullback(form, vec, nq=4) == want
+    monkeypatch.setattr(weil_module, "_LIMB_LIMIT", total)
+    with pytest.raises(ValueError, match="2\\^62"):
+        pullback(form, vec, nq=4)
 
 
 def test_pullback_support_bound(generator_pullback_forms):
