@@ -153,7 +153,7 @@ def _eisenstein(lattice_name: str, name: str, k: int, orbit: Optional[int] = Non
 
 def _e6_odd(weight: int, input_text: str, f: Callable[[int], ScalarForm]) -> GeneratorRow:
     recipe = f"lift of pullback of the odd weight-{weight} form ({input_text} input)"
-    return (f"M{weight}", weight, recipe, lambda prec: e6_from_sl2(f(prec), prec=prec))
+    return (f"M{weight}", weight, recipe, lambda prec: e6_from_sl2(f(prec)))
 
 
 #: The certified cases by name.  Every lift is taken along the case's vector.

@@ -136,12 +136,6 @@ def kronecker_symbol(a: int, b: int) -> int:
     return k if b == 1 else 0
 
 
-def chi3(n: int) -> int:
-    """Quadratic character mod 3."""
-    r = n % 3
-    return 0 if r == 0 else (1 if r == 1 else -1)
-
-
 #: Character power sums kept, one tuple per fundamental discriminant; the oldest insertion goes first.
 _POWER_SUMS_LIMIT = 128
 _POWER_SUMS: Dict[int, Tuple[int, ...]] = {}
@@ -228,34 +222,18 @@ def _is_squarefree(n: int) -> bool:
 
 
 def fundamental_decomposition(m: int) -> Tuple[int, int]:
-    """Write m = D * f^2 with D a fundamental discriminant (m = 0,1 mod 4)."""
+    """Write m = D * f^2 with D a fundamental discriminant (m = 0,1 mod 4).
+
+    With m = d f^2 and d squarefree, D = d if d = 1 mod 4; otherwise d = 2, 3
+    mod 4 forces f even (m = 0, 1 mod 4), and D = 4d with f halved.
+    """
     if m % 4 not in (0, 1):
         raise ValueError(f"{m} is not a discriminant")
     if m == 0:
         raise ValueError("m must be nonzero")
-    n = abs(m)
-    f = 1
-    for p in range(2, isqrt(n) + 1):
-        if n % (p * p) == 0:
-            e = 0
-            while n % (p * p) == 0:
-                n //= p * p
-                e += 1
-            f *= p**e
+    f = max(k for k in range(1, isqrt(abs(m)) + 1) if m % (k * k) == 0)
     d = m // (f * f)
-    if d % 4 != 1:
-        # absorb a factor of 2 from f so that d becomes 0 mod 4
-        if f % 2:
-            raise AssertionError(f"cannot decompose {m}")
-        f //= 2
-        d *= 4
-    if d % 4 == 1 and not is_fundamental_discriminant(d):
-        raise AssertionError(f"bad decomposition {m} = {d} * {f}^2")
-    if d % 4 == 0 and not is_fundamental_discriminant(d):
-        # d = 4u with u = 1 mod 4 squarefree: move the 4 back into f
-        d //= 4
-        f *= 2
-    return d, f
+    return (d, f) if d % 4 == 1 else (4 * d, f // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +400,10 @@ def plus_eisenstein_gamma0_3(w: int, prec) -> ScalarForm:
     n_max = int(prec)
 
     def coeff_a(n):  # chi on the divisor
-        return Fraction(sum(chi3(d) * d ** (w - 1) for d in divisors(n)))
+        return Fraction(sum(kronecker_symbol(-3, d) * d ** (w - 1) for d in divisors(n)))
 
     def coeff_b(n):  # chi on the complementary divisor
-        return Fraction(sum(chi3(n // d) * d ** (w - 1) for d in divisors(n)))
+        return Fraction(sum(kronecker_symbol(-3, n // d) * d ** (w - 1) for d in divisors(n)))
 
     lval = dirichlet_l_negative(w, -3)
     const_a = lval / 2

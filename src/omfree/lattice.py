@@ -1,20 +1,22 @@
 """Even positive-definite root lattices and exact (norm, pairing) counts of dual cosets.
 
-Lattices are realized concretely as Z^rank with an integer Gram matrix.  The
-dual lattice lives in the same rational coordinates (it is spanned by the
-columns of the inverse Gram matrix), so the pairing of a dual vector ``l``
-with a lattice vector ``v`` is always ``l^T A v``.
+Lattices are realized concretely as Z^rank with an integer Gram matrix A.
+The dual lattice lives in the same rational coordinates (it is spanned by
+the columns of A^-1), so the pairing of a dual vector ``l`` with a lattice
+vector ``v`` is always ``l^T A v``.
 
-:func:`pairing_counts`, the counting path of theta pullbacks, counts by an
-orthogonal frame: pairwise orthogonal roots of L, completed by integer
-Gram-Schmidt vectors to a basis b_1..b_n of a sublattice M of finite index.
-In frame coordinates the norm and the pairing with a fixed vector split
-into n independent rank-1 terms, and a coset of L is the disjoint union of
-[L:M] translates of M.  The theta series of an orthogonal sum is the product
-of its summands' (Conway and Sloane, *Sphere Packings, Lattices and Groups*,
-ch. 4), so each translate's (norm, pairing) tally is a product of n rank-1
-theta factors, multiplied as sparse exact-integer tables truncated at the
-norm bound.  No vector is enumerated.
+Every dual coordinate comes from one orthogonal frame: pairwise orthogonal
+roots of L, completed by integer Gram-Schmidt vectors to a basis b_1..b_n of
+a sublattice M of finite index.  With N_i = b_i^T A b_i and S = lcm N_i,
+S*A^-1 = sum_i (S/N_i) b_i b_i^T is an integer matrix, so the discriminant
+cosets are closed on integer tuples mod S.  In frame coordinates the norm
+and the pairing with a fixed vector split into n independent rank-1 terms,
+and a coset of L is the disjoint union of [L:M] translates of M.  The theta
+series of an orthogonal sum is the product of its summands' (Conway and
+Sloane, *Sphere Packings, Lattices and Groups*, ch. 4), so
+:func:`pairing_counts` multiplies n rank-1 theta factors per translate, as
+sparse exact-integer tables truncated at the norm bound.  No vector is
+enumerated.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import det, solve
+from .linalg import det
 from .qseries import as_fraction
 
 Vector = Tuple[Fraction, ...]
@@ -142,15 +144,20 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _inverse(gram) -> List[List[Fraction]]:
-    """Inverse of a nonsingular integer matrix, one exact solve per column."""
-    n = len(gram)
-    cols = [solve(gram, [int(i == j) for i in range(n)]).values for j in range(n)]
-    return [list(row) for row in zip(*cols)]
+def _form(gram, x: Sequence[int], y: Sequence[int]) -> int:
+    """x^T A y for integer vectors."""
+    return _dot(x, [_dot(row, y) for row in gram])
+
+
+def _cleared(v: Sequence) -> Tuple[List[int], int]:
+    """(den*v, den) with den the least common denominator of v's entries."""
+    vv = [as_fraction(x) for x in v]
+    den = lcm(1, *(x.denominator for x in vv))
+    return [x.numerator * (den // x.denominator) for x in vv], den
 
 
 # ---------------------------------------------------------------------------
-# Discriminant group
+# Orthogonal frame
 
 
 def _closure(start, moves) -> set:
@@ -167,76 +174,6 @@ def _closure(start, moves) -> set:
                     nxt.append(y)
         frontier = nxt
     return seen
-
-
-def _discriminant_cosets(gram) -> List[Vector]:
-    """All cosets of the dual modulo the lattice, reps with coordinates in [0,1)."""
-    n = len(gram)
-    inv = _inverse(gram)
-    gens = [tuple(inv[i][j] % 1 for i in range(n)) for j in range(n)]
-    moves = [lambda x, g=g: tuple((a + b) % 1 for a, b in zip(x, g)) for g in gens]
-    return sorted(_closure([tuple(Fraction(0) for _ in range(n))], moves))
-
-
-def norm_of(gram, v: Sequence) -> Fraction:
-    """Q(v) = (v^T A v) / 2 in exact arithmetic."""
-    n = len(gram)
-    if len(v) != n:
-        raise ValueError(f"vector has length {len(v)}, lattice rank is {n}")
-    vv = [as_fraction(x) for x in v]
-    total = Fraction(0)
-    for i in range(n):
-        row = gram[i]
-        total += vv[i] * sum(Fraction(row[j]) * vv[j] for j in range(n))
-    return total / 2
-
-
-@lru_cache(maxsize=None)
-def lattice(name: str) -> LatticeData:
-    gram = gram_matrix(name)
-    reps = _discriminant_cosets(gram)
-    # Zero coset first, then sorted by (norm mod 1, coordinates).
-    reps = sorted(reps, key=lambda r: (any(x != 0 for x in r), norm_of(gram, r) % 1, r))
-    cosets = []
-    for i, rep in enumerate(reps):
-        den = lcm(1, *(x.denominator for x in rep))
-        cosets.append(Coset(index=i, rep=rep, norm_mod1=norm_of(gram, rep) % 1, denominator=den))
-    cosets = tuple(cosets)
-    size = det(gram)
-    if len(cosets) != size:
-        raise AssertionError(f"discriminant group of {name} has {len(cosets)} elements, det is {size}")
-    return LatticeData(
-        name=name,
-        rank=len(gram),
-        gram=gram,
-        cosets=cosets,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pairings and norms on a LatticeData
-
-
-def norm(lat: LatticeData, v: Sequence) -> Fraction:
-    return norm_of(lat.gram, v)
-
-
-def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
-    """<l, v> = l^T A v; must be an integer when l is dual and v integral."""
-    n = lat.rank
-    if len(dual_vec) != n or len(v) != n:
-        raise ValueError("dimension mismatch")
-    lv = [as_fraction(x) for x in dual_vec]
-    total = Fraction(0)
-    for i in range(n):
-        total += lv[i] * sum(Fraction(lat.gram[i][j]) * as_fraction(v[j]) for j in range(n))
-    if total.denominator != 1:
-        raise ValueError(f"pairing {total} is not integral; vector is not in the dual lattice")
-    return int(total)
-
-
-# ---------------------------------------------------------------------------
-# Orthogonal frame
 
 
 def _roots(gram) -> List[Tuple[int, ...]]:
@@ -261,9 +198,10 @@ class _Frame:
 
     ``duals[i]`` is A b_i, so <b_i, y> = duals[i] . y, and ``norms[i]`` is
     N_i = b_i^T A b_i.  In frame coordinates l = sum_i x_i b_i with
-    x_i = <b_i, l> / N_i, so y^T A y = sum_i <b_i, y>^2 / N_i.  ``shifts``
-    lists L/M as the tuples (<b_i, x> mod N_i)_i over x in L: the map has
-    kernel M, so there are [L:M] of them.
+    x_i = <b_i, l> / N_i, so y^T A y = sum_i <b_i, y>^2 / N_i and
+    A^-1 = sum_i b_i b_i^T / N_i.  ``shifts`` lists L/M as the tuples
+    (<b_i, x> mod N_i)_i over x in L: the map has kernel M, so there are
+    [L:M] of them.
     """
 
     basis: Tuple[Tuple[int, ...], ...]
@@ -304,6 +242,74 @@ def _frame(gram: Tuple[Tuple[int, ...], ...]) -> _Frame:
     moves = [lambda x, g=g: tuple((a + b) % nb for a, b, nb in zip(x, g, norms)) for g in gens]
     shifts = tuple(sorted(_closure([(0,) * n], moves)))
     return _Frame(tuple(basis), tuple(duals), norms, shifts)
+
+
+# ---------------------------------------------------------------------------
+# Discriminant group
+
+
+def _scaled_inverse(gram) -> Tuple[int, List[List[int]]]:
+    """(S, S*A^-1) with S = lcm N_i, read off the frame: S*A^-1 = sum_i (S/N_i) b_i b_i^T."""
+    frame = _frame(gram)
+    scale = lcm(*frame.norms)
+    n = len(gram)
+    terms = [(scale // nb, b) for b, nb in zip(frame.basis, frame.norms)]
+    return scale, [[sum(c * b[i] * b[j] for c, b in terms) for j in range(n)] for i in range(n)]
+
+
+def _discriminant_cosets(gram) -> Tuple[int, List[Tuple[int, ...]]]:
+    """S and the cosets of L'/L as integer tuples y = S*rep with entries in [0, S)."""
+    scale, inv = _scaled_inverse(gram)
+    # S*A^-1 is symmetric, so its rows are the generating columns
+    gens = [tuple(x % scale for x in row) for row in inv]
+    moves = [lambda y, g=g: tuple((a + b) % scale for a, b in zip(y, g)) for g in gens]
+    return scale, list(_closure([(0,) * len(gram)], moves))
+
+
+@lru_cache(maxsize=None)
+def lattice(name: str) -> LatticeData:
+    gram = gram_matrix(name)
+    scale, reps = _discriminant_cosets(gram)
+    square = 2 * scale * scale  # Q(y/S) = y^T A y / 2S^2
+    # Zero coset first, then sorted by (norm mod 1, coordinates).
+    reps.sort(key=lambda y: (any(y), _form(gram, y, y) % square, y))
+    cosets = tuple(
+        Coset(
+            index=i,
+            rep=tuple(Fraction(a, scale) for a in y),
+            norm_mod1=Fraction(_form(gram, y, y) % square, square),
+            denominator=scale // gcd(scale, *y),
+        )
+        for i, y in enumerate(reps)
+    )
+    size = det(gram)
+    if len(cosets) != size:
+        raise AssertionError(f"discriminant group of {name} has {len(cosets)} elements, det is {size}")
+    return LatticeData(name, len(gram), gram, cosets)
+
+
+# ---------------------------------------------------------------------------
+# Pairings and norms on a LatticeData
+
+
+def norm(lat: LatticeData, v: Sequence) -> Fraction:
+    """Q(v) = (v^T A v) / 2 in exact arithmetic."""
+    if len(v) != lat.rank:
+        raise ValueError(f"vector has length {len(v)}, lattice rank is {lat.rank}")
+    y, den = _cleared(v)
+    return Fraction(_form(lat.gram, y, y), 2 * den * den)
+
+
+def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
+    """<l, v> = l^T A v; must be an integer when l is dual and v integral."""
+    n = lat.rank
+    if len(dual_vec) != n or len(v) != n:
+        raise ValueError("dimension mismatch")
+    (x, dx), (y, dy) = _cleared(dual_vec), _cleared(v)
+    total = Fraction(_form(lat.gram, x, y), dx * dy)
+    if total.denominator != 1:
+        raise ValueError(f"pairing {total} is not integral; vector is not in the dual lattice")
+    return int(total)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +366,11 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
     raises ``ValueError``.
     """
     qmax = as_fraction(qmax)
-    rep = coset.rep
     n = lat.rank
     if len(direction) != n:
         raise ValueError(f"direction has length {len(direction)}, lattice rank is {n}")
-    den = lcm(1, *(x.denominator for x in rep))
-    g = [int(x * den) for x in rep]
+    den = coset.denominator
+    g = [int(x * den) for x in coset.rep]
     smax = floor(2 * den * den * qmax)  # s is an integer, so s <= smax is exactly Q <= qmax
     if smax < 0:
         return {}
@@ -374,7 +379,7 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
     norms = frame.norms
     v = [int(x) for x in direction]
     p = [_dot(d, v) for d in frame.duals]
-    vav = _dot(v, [_dot(row, v) for row in lat.gram])
+    vav = _form(lat.gram, v, v)
     s_scale = lcm(*norms)
     r_scale = lcm(*(nb * den // gcd(nb * den, pb) for nb, pb in zip(norms, p)))
     half = isqrt(r_scale * r_scale * smax * vav) // den

@@ -268,14 +268,12 @@ def e6_from_plus(g: ScalarForm) -> ComponentForm:
     return ComponentForm(lat, jacobi_weight, tuple(comps))
 
 
-def e6_from_sl2(f: ScalarForm, prec=None) -> ComponentForm:
-    """Odd correspondence: a level-1 form f maps to (0, f eta^8, -f eta^8)."""
+def e6_from_sl2(f: ScalarForm) -> ComponentForm:
+    """Odd correspondence: a level-1 form f maps to (0, f eta^8, -f eta^8), at f's truncation."""
     if f.level != "SL2":
         raise ValueError("expected a level-1 form")
     lat = lattice("E6")
-    trunc = f.series.truncation if prec is None else as_fraction(prec)
-    eta8 = eta_pow(8, trunc)
-    prod = f.series.truncate(min(trunc, f.series.truncation)) * eta8
+    prod = f.series * eta_pow(8, f.series.truncation)
     i0, i1, i2 = _e6_coset_order()
     comps = [None, None, None]
     comps[i0] = QSeries.zero(prod.truncation)

@@ -31,10 +31,10 @@ def generator_pullback_forms():
         comp = jacobi_eisenstein("E6", k, 0, prec=prec)
         forms[("E6", f"E{k}")] = pullback(comp, CASES["E6"].vector, nq=nq)
     one = ScalarForm(Fraction(0), "SL2", QSeries.one(prec))
-    forms[("E6", "M7")] = pullback(e6_from_sl2(one, prec=prec), CASES["E6"].vector, nq=nq)
+    forms[("E6", "M7")] = pullback(e6_from_sl2(one), CASES["E6"].vector, nq=nq)
     e4 = eisenstein_sl2(4, prec)
     e4sq = ScalarForm(Fraction(8), "SL2", e4.series * e4.series)
-    forms[("E6", "M15")] = pullback(e6_from_sl2(e4sq, prec=prec), CASES["E6"].vector, nq=nq)
+    forms[("E6", "M15")] = pullback(e6_from_sl2(e4sq), CASES["E6"].vector, nq=nq)
     for k in (4, 6, 10, 12, 14, 16):
         comp = jacobi_eisenstein("E7", k, 0, prec=prec)
         forms[("E7", f"E{k}")] = pullback(comp, CASES["E7"].vector, nq=nq)

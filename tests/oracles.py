@@ -6,7 +6,9 @@ that returns the vectors themselves (small qmax), and :func:`descent_counts`,
 the same descent in exact int64 numpy arrays that returns only the (s, r)
 tally (qmax up to production scale).  :func:`pullback_oracle` checks
 ``omfree.weil.pullback`` by a dict loop over (norm, pairing) pairs in
-Python ints.
+Python ints.  :func:`rational_cosets` checks the discriminant cosets of
+``omfree.lattice.lattice`` from the rational inverse Gram matrix, which
+:func:`descent_counts` also uses, so neither depends on the orthogonal frame.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from omfree.classical import eisenstein_sl2
-from omfree.lattice import Coset, LatticeData, Vector, _inverse, norm, pairing_counts
+from omfree.lattice import Coset, LatticeData, Vector, norm, pairing_counts
+from omfree.linalg import solve
 from omfree.qseries import QSeries, as_fraction
 from omfree.weil import ComponentForm, JacobiForm
 
@@ -70,6 +73,36 @@ def pullback_oracle(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiFor
                 if c:
                     acc[(n, r)] = acc.get((n, r), 0) + count * c
     return JacobiForm.from_numerators(int(form.weight), int(norm(lat, v)), acc, den, nq)
+
+
+# ---------------------------------------------------------------------------
+# Discriminant cosets from the rational inverse
+
+
+def rational_inverse(gram) -> List[List[Fraction]]:
+    """Inverse of a nonsingular integer matrix, one exact solve per column."""
+    n = len(gram)
+    cols = [solve(gram, [int(i == j) for i in range(n)]).values for j in range(n)]
+    return [list(row) for row in zip(*cols)]
+
+
+def rational_cosets(gram) -> Tuple[Coset, ...]:
+    """L'/L with reps in [0,1)^n: zero first, then by (norm mod 1, rep), all in Fractions."""
+    n = len(gram)
+    inv = rational_inverse(gram)
+    gens = [tuple(inv[i][j] % 1 for i in range(n)) for j in range(n)]
+    seen = frontier = {tuple(Fraction(0) for _ in range(n))}
+    while frontier:
+        frontier = {tuple((a + b) % 1 for a, b in zip(x, g)) for x in frontier for g in gens} - seen
+        seen = seen | frontier
+
+    def norm_mod1(rep):
+        return sum(rep[i] * gram[i][j] * rep[j] for i in range(n) for j in range(n)) / 2 % 1
+
+    reps = sorted(seen, key=lambda rep: (any(rep), norm_mod1(rep), rep))
+    return tuple(
+        Coset(i, rep, norm_mod1(rep), lcm(1, *(x.denominator for x in rep))) for i, rep in enumerate(reps)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +229,7 @@ def _scaled_ldl(gram: Tuple[Tuple[int, ...], ...]) -> _ScaledLDL:
     scale = lcm(*(d[i].denominator * mults[i] ** 2 for i in range(n)))
     weights = tuple(int(scale * d[i] / mults[i] ** 2) for i in range(n))
     cross = tuple(tuple(int(mults[k] * u[k][j]) for j in range(n)) for k in range(n))
-    inv = _inverse(gram)
+    inv = rational_inverse(gram)
     return _ScaledLDL(scale, weights, tuple(mults), cross, tuple(inv[j][j] for j in range(n)))
 
 

@@ -409,8 +409,8 @@ def test_hurwitz_formula_matches_oracle_to_200():
 
 
 def test_kronecker_character_mod_3():
-    # the quadratic character mod 3
-    for n in range(1, 40):
+    # the quadratic character mod 3, which the level-3 Eisenstein series read off kronecker_symbol
+    for n in range(1, 3000):
         want = 0 if n % 3 == 0 else (1 if n % 3 == 1 else -1)
         assert kronecker_symbol(-3, n) == want
 
@@ -426,6 +426,14 @@ def test_kronecker_character_mod_8():
     for n in range(1, 40):
         want = 0 if n % 2 == 0 else table[n % 8]
         assert kronecker_symbol(-8, n) == want
+
+
+def test_fundamental_decomposition_is_fundamental():
+    for m in range(-4000, 4001):
+        if m == 0 or m % 4 not in (0, 1):
+            continue
+        d, f = fundamental_decomposition(m)
+        assert is_fundamental_discriminant(d) and f > 0 and d * f * f == m, m
 
 
 def test_generalized_bernoulli_values():

@@ -22,7 +22,7 @@ from omfree.lattice import (
 )
 from omfree.linalg import det
 import oracles
-from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset
+from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset, rational_cosets
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 #: The first direction of the seeded D8 pullback sweep.
@@ -144,6 +144,12 @@ def test_cusp_orbits():
     for name in ("D8", "E6", "E7"):
         assert lattice(name).coset(0).is_zero()
     assert [c.norm_mod1 for c in lattice("D8").cosets] == [0, 0, 0, Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_cosets_match_rational_inverse_oracle(name):
+    # index, rep, norm_mod1, denominator and order, against Fractions from n exact solves
+    assert lattice(name).cosets == rational_cosets(gram_matrix(name))
 
 
 def test_coset_reps_are_dual_vectors():

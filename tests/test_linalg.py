@@ -6,9 +6,9 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from omfree.lattice import _inverse, gram_matrix
+from omfree.lattice import _scaled_inverse, gram_matrix
 from omfree.linalg import MODULUS, bareiss_rank, clear_denominators, det, left_kernel, solve
-from oracles import LATTICES
+from oracles import LATTICES, rational_inverse
 
 small_ints = st.integers(-4, 4)
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -104,10 +104,12 @@ def test_solve_reports_first_failing_row():
 
 
 def test_inverse_of_every_gram_matrix():
+    # A (S A^-1) = S I for the frame's integer form, which is S times the solved inverse
     for name in LATTICES:
         gram = gram_matrix(name)
-        inv = _inverse(gram)
+        scale, inv = _scaled_inverse(gram)
         n = len(gram)
-        assert [[dot(inv[i], [gram[k][j] for k in range(n)]) for j in range(n)] for i in range(n)] == [
-            [int(i == j) for j in range(n)] for i in range(n)
+        assert [[dot(gram[i], [inv[k][j] for k in range(n)]) for j in range(n)] for i in range(n)] == [
+            [scale * int(i == j) for j in range(n)] for i in range(n)
         ], name
+        assert inv == [[scale * x for x in row] for row in rational_inverse(gram)], name
