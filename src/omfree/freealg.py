@@ -240,12 +240,14 @@ def weak_jacobi_dim(name: str, k: int, t: int) -> int:
         return _sl2_dim(k)
     if Fraction(k) < -delta(name) * t:
         return 0
-    # Quantize cache keys so repeated queries share one table.
+    # Quantize cache keys so repeated queries share one table; weights
+    # k <= 0 fall in the first bucket too, whose table covers them.
     t_cap = ((t + 7) // 8) * 8
-    k_hi = ((max(k, 0) + 63) // 64) * 64
+    k_hi = ((max(k, 1) + 63) // 64) * 64
     return _bigraded_dims(name, t_cap, k_hi).get((t, k), 0)
 
 
+@lru_cache(maxsize=None)
 def delta(name: str) -> Fraction:
     """max_j k_j / m_j: invariant weak forms vanish when k < -delta * t."""
     rec = root_system(name)

@@ -24,10 +24,14 @@ sum |f| * max |g| over the factors' numerators, so no digit can overflow.
 A rank certificate needs products only mod the prime ``linalg.MODULUS``,
 and there they are cheaper in r-evaluation space: :func:`evaluate` reduces
 each (n, M) slice's numerators mod p and evaluates the slice's Laurent
-polynomial in r at W fixed points, and :func:`multiply_values` multiplies
+polynomial in r at the points x = 1..W, which determine every slice of the
+box, or at only the first K of them.  :func:`multiply_values` multiplies
 two such arrays pointwise in the points, with a truncated convolution over
-(n, M).  For h = ``multiply(f, g)``, the evaluation of h times
-f.den * g.den // h.den is exactly the pointwise product of the factors'.
+(n, M) done as one gathered kernel.  For h = ``multiply(f, g)``, the
+evaluation of h times f.den * g.den // h.den is exactly the pointwise
+product of the factors', at any number of points.  A K-point sample keeps
+a subset of the full evaluation's columns, so a rank it shows is a lower
+bound on the full one (see ``certify``).
 """
 
 from __future__ import annotations
@@ -263,12 +267,12 @@ def evaluation_width(level: int, nq: int, nxi: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _powers(width: int) -> np.ndarray:
-    """x^r mod p at row r + R, column j, for x = j + 1 and |r| <= R = (width - 1) // 2."""
+def _powers(width: int, points: int) -> np.ndarray:
+    """x^r mod p at row r + R, column j, for x = j + 1 <= points and |r| <= R = (width - 1) // 2."""
     rmax = (width - 1) // 2
-    x = np.arange(1, width + 1, dtype=np.int64)
+    x = np.arange(1, points + 1, dtype=np.int64)
     inverse = np.array([pow(int(v), -1, MODULUS) for v in x], dtype=np.int64)
-    table = np.ones((width, width), dtype=np.int64)
+    table = np.ones((width, points), dtype=np.int64)
     for k in range(1, rmax + 1):
         table[rmax + k] = table[rmax + k - 1] * x % MODULUS
         table[rmax - k] = table[rmax - k + 1] * inverse % MODULUS
@@ -276,16 +280,18 @@ def _powers(width: int) -> np.ndarray:
     return table
 
 
-def evaluate(f: ParamodularForm, nq: int, nxi: int) -> np.ndarray:
-    """f's numerators mod p, each (n, M) slice's r-polynomial at the points 1..W.
+def evaluate(f: ParamodularForm, nq: int, nxi: int, points: Optional[int] = None) -> np.ndarray:
+    """f's numerators mod p, each (n, M) slice's r-polynomial at the points 1..K.
 
-    An int64 array of shape (min(nq, f.nq) + 1, min(nxi, f.nxi) + 1, W),
-    W = ``evaluation_width(f.level, nq, nxi)``: entry (n, M, j) is
-    sum_r nums[(n, r, M)] (j + 1)^r mod p.  Every coefficient must satisfy
-    r^2 <= 4 n M level, as lifts do, so the first 2 isqrt(4 n M level) + 1
-    values of a slice determine it (a Vandermonde matrix times a diagonal
-    one, invertible mod p).  The dot products run on the power table split
-    into 16-bit halves, so each term is below 2^47 and W of them fit int64.
+    An int64 array of shape (min(nq, f.nq) + 1, min(nxi, f.nxi) + 1, K),
+    K = min(points, W) with W = ``evaluation_width(f.level, nq, nxi)`` and
+    K = W by default: entry (n, M, j) is sum_r nums[(n, r, M)] (j + 1)^r
+    mod p.  Every coefficient must satisfy r^2 <= 4 n M level, as lifts do,
+    so the first 2 isqrt(4 n M level) + 1 values of a slice determine it (a
+    Vandermonde matrix times a diagonal one, invertible mod p); with fewer
+    points the values are the first columns of that map.  The dot products
+    run on the power table split into 16-bit halves, so each term is below
+    2^47 and W of them fit int64.
     """
     width = evaluation_width(f.level, nq, nxi)
     _check_int64("W * 2^47", width << 47)
@@ -297,28 +303,52 @@ def evaluate(f: ParamodularForm, nq: int, nxi: int) -> np.ndarray:
             if r * r > 4 * n * m * f.level:
                 raise ValueError(f"coefficient at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0")
             coeffs[n, m, r + rmax] = c % MODULUS
-    powers = _powers(width)
+    powers = _powers(width, width if points is None else min(points, width))
     high = coeffs @ (powers >> 16) % MODULUS
     low = coeffs @ (powers & 0xFFFF) % MODULUS
     return ((high << 16) + low) % MODULUS
+
+
+@lru_cache(maxsize=None)
+def _convolution_index(a: int, b: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (target, f-slice, g-slice) triples of the truncated (a, b) box, flattened.
+
+    Slices are numbered n b + M.  Triples are grouped by target in order;
+    ``starts`` holds each target's first triple, for ``np.add.reduceat``,
+    and every target has at least its (0, 0) term.
+    """
+    f_index, g_index, starts = [], [], []
+    for n in range(a):
+        for m in range(b):
+            starts.append(len(f_index))
+            for n1 in range(n + 1):
+                for m1 in range(m + 1):
+                    f_index.append(n1 * b + m1)
+                    g_index.append((n - n1) * b + m - m1)
+    arrays = tuple(np.array(x, dtype=np.intp) for x in (f_index, g_index, starts))
+    for x in arrays:
+        x.flags.writeable = False  # shared by every caller through the cache
+    return arrays
 
 
 def multiply_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The evaluation of the product, from the evaluations of the factors.
 
     Pointwise in the last axis, a convolution over (n, M) truncated to the
-    smaller box: one vectorised multiply-add per nonzero slice of ``f``.
-    Each term is reduced below p before it is added, so the at most
-    (nq + 1)(nxi + 1) terms of an entry stay below 2^63.
+    smaller box, as one gathered kernel: every (target, f-slice, g-slice)
+    triple of the box is multiplied mod p at once and the terms of each
+    target are summed by one ``np.add.reduceat``.  Each term is below p, so
+    the at most (nq + 1)(nxi + 1) terms of an entry stay below 2^63.
     """
     if f.shape[2] != g.shape[2]:
         raise ValueError(f"evaluation widths differ: {f.shape[2]} vs {g.shape[2]}")
     a, b = min(f.shape[0], g.shape[0]), min(f.shape[1], g.shape[1])
     _check_int64("slice terms * p", a * b * MODULUS)
-    out = np.zeros((a, b, f.shape[2]), dtype=np.int64)
-    for n, m in zip(*np.nonzero(f[:a, :b].any(axis=2))):
-        out[n:, m:] += f[n, m] * g[: a - n, : b - m] % MODULUS
-    return out % MODULUS
+    f_index, g_index, starts = _convolution_index(a, b)
+    fs = f[:a, :b].reshape(a * b, -1)
+    gs = g[:a, :b].reshape(a * b, -1)
+    terms = fs[f_index] * gs[g_index] % MODULUS
+    return (np.add.reduceat(terms, starts, axis=0) % MODULUS).reshape(a, b, -1)
 
 
 def evaluation_mask(level: int, nq: int, nxi: int) -> np.ndarray:

@@ -9,6 +9,8 @@ tally (qmax up to production scale).  :func:`pullback_oracle` checks
 Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 ``omfree.lattice.lattice`` from the rational inverse Gram matrix, which
 :func:`descent_counts` also uses, so neither depends on the orthogonal frame.
+:func:`multiply_values_oracle` checks the gathered product kernel
+``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from omfree.classical import eisenstein_sl2
 from omfree.lattice import Coset, LatticeData, Vector, norm, pairing_counts
-from omfree.linalg import solve
+from omfree.linalg import MODULUS, solve
 from omfree.qseries import QSeries, as_fraction
 from omfree.weil import ComponentForm, JacobiForm
 
@@ -77,6 +79,19 @@ def pullback_oracle(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiFor
 
 # ---------------------------------------------------------------------------
 # Discriminant cosets from the rational inverse
+
+
+def multiply_values_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Residue product by a slice loop: one numpy multiply-add per nonzero slice of ``f``.
+
+    The truncated (n, M) convolution of ``lifts.multiply_values``, pointwise
+    in the last axis; each term is reduced below p before it is added.
+    """
+    a, b = min(f.shape[0], g.shape[0]), min(f.shape[1], g.shape[1])
+    out = np.zeros((a, b, f.shape[2]), dtype=np.int64)
+    for n, m in zip(*np.nonzero(f[:a, :b].any(axis=2))):
+        out[n:, m:] += f[n, m] * g[: a - n, : b - m] % MODULUS
+    return out % MODULUS
 
 
 def rational_inverse(gram) -> List[List[Fraction]]:

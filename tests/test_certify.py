@@ -4,10 +4,13 @@ import json
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
+from omfree import certify
 from omfree.certify import (
     CASES,
+    SAMPLE_POINTS,
     GeneratorSpec,
     IndependenceCertificate,
     bareiss_rank,
@@ -19,11 +22,12 @@ from omfree.certify import (
     left_kernel,
     monomials,
     verify_weight14,
+    _MonomialCache,
 )
 from omfree.cli import build_parser
 from omfree.freealg import orthogonal_weights
 from omfree.lattice import lattice, norm
-from omfree.lifts import ParamodularForm, evaluate, gritsenko_lift, multiply
+from omfree.lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
 from omfree.weil import jacobi_eisenstein, pullback
 
@@ -217,6 +221,58 @@ def test_residue_ranks_equal_exact_ranks(case):
         rows = [[f.nums.get(key, 0) for key in index_set] for f in forms]
         assert rec.matrix_shape == (len(rows), len(index_set))
         assert rec.rank == bareiss_rank(rows), rec.weight
+
+
+CASE_WMAX = {"D8": 18, "E6": 24, "E7": 30}
+
+
+@pytest.mark.parametrize("nq", [4, 5])
+@pytest.mark.parametrize("case", sorted(CASE_WMAX))
+def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
+    # a column subset can only lose rank; on the case rows it must lose none,
+    # or a full-rank weight would pay for the exact Bareiss rank
+    wmax = CASE_WMAX[case]
+    gens = [g for g in case_generators(case) if g.weight <= wmax]
+    cache = _MonomialCache(gens, nq, nq)
+    mask = evaluation_mask(cache.lift(0).level, nq, nq)
+    assert mask.shape[2] > SAMPLE_POINTS
+    full = {}
+
+    def full_values(expo):
+        if expo not in full:
+            i = next(j for j, e in enumerate(expo) if e)
+            leaf = evaluate(cache.lift(i), nq, nq)
+            reduced = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+            full[expo] = multiply_values(full_values(reduced), leaf) if sum(reduced) else leaf
+        return full[expo]
+
+    for w in range(1, wmax + 1):
+        monos = [m for m in monomials([g.weight for g in gens], w) if sum(m) > 0]
+        if not monos:
+            continue
+        sampled = cache.residue_rows(monos)
+        assert sampled.shape == (len(monos), int(mask[:, :, :SAMPLE_POINTS].sum()))
+        rows = np.array([full_values(m)[mask] for m in monos])
+        assert _rank_mod_p(sampled) == _rank_mod_p(rows), (case, nq, w)
+
+
+def test_sample_deficits_fall_back_to_bareiss(monkeypatch):
+    # with one point nearly every weight is deficient on the sample; the exact
+    # rank must then give the same certificate byte for byte
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(certify, "bareiss_rank", counted)
+    cases = ("E7", "E6", "D8")
+    want = {case: certify_freeness(case, 16, schedule=((2, 2),)).to_json() for case in cases}
+    default_calls = len(calls)
+    monkeypatch.setattr(certify, "SAMPLE_POINTS", 1)
+    for case in cases:
+        assert certify_freeness(case, 16, schedule=((2, 2),)).to_json() == want[case], case
+    assert len(calls) - default_calls > default_calls
 
 
 def test_case_generators_counts():

@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omfree.certify import canonical_index_set, case_generators
+from omfree.certify import SAMPLE_POINTS, canonical_index_set, case_generators
 from omfree.classical import sigma
 from omfree.lattice import lattice, norm, pairing
 from omfree.lifts import (
     ParamodularForm,
     evaluate,
     evaluation_mask,
+    evaluation_width,
     gritsenko_lift,
     hecke_V,
     multiply,
@@ -21,7 +23,7 @@ from omfree.lifts import (
 )
 from omfree.linalg import MODULUS
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
-from oracles import enumerate_coset
+from oracles import enumerate_coset, multiply_values_oracle
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 
@@ -495,16 +497,55 @@ def test_lift_symmetry_method(phi8):
 @pytest.mark.parametrize("nq,nxi", [(2, 2), (3, 3)])
 def test_evaluation_of_product_is_pointwise_product(case, nq, nxi):
     # the residue path's product agrees with the exact product, up to the
-    # integer factor by which from_numerators reduced the numerators
+    # integer factor by which from_numerators reduced the numerators, at
+    # full width and on the certificate's sample
     e4, e6 = (g.build(nq, nxi) for g in case_generators(case)[:2])
-    for f, g in ((e4, e6), (multiply(e4, e6), e4)):
-        h = multiply(f, g)
-        scale = f.den * g.den // h.den % MODULUS
-        fast = multiply_values(evaluate(f, nq, nxi), evaluate(g, nq, nxi))
-        assert (fast == evaluate(h, nq, nxi) * scale % MODULUS).all()
     mask = evaluation_mask(e4.level, nq, nxi)
-    assert mask.shape == fast.shape
+    for points in (None, SAMPLE_POINTS):
+        for f, g in ((e4, e6), (multiply(e4, e6), e4)):
+            h = multiply(f, g)
+            scale = f.den * g.den // h.den % MODULUS
+            fast = multiply_values(evaluate(f, nq, nxi, points), evaluate(g, nq, nxi, points))
+            assert (fast == evaluate(h, nq, nxi, points) * scale % MODULUS).all()
+        assert mask[:, :, :points].shape == fast.shape
     assert int(mask.sum()) == len(canonical_index_set(e4.level, nq, nxi))
+
+
+@pytest.mark.parametrize("case,nq,nxi", [("D8", 4, 4), ("E7", 5, 5), ("E7", 3, 1)])
+def test_sampled_evaluation_is_the_first_columns(case, nq, nxi):
+    forms = [g.build(nq, nxi) for g in case_generators(case)[:3]]
+    width = evaluation_width(forms[0].level, nq, nxi)
+    for f in forms:
+        full = evaluate(f, nq, nxi)
+        assert full.shape[2] == width
+        for points in (1, SAMPLE_POINTS, width - 1, width, width + 5):
+            assert (evaluate(f, nq, nxi, points) == full[:, :, :points]).all()
+
+
+# boxes (f, g): equal, a != b, f's box smaller than g's on both axes or one
+BOXES = [((6, 6), (6, 6)), ((3, 5), (3, 5)), ((2, 3), (5, 6)), ((5, 2), (3, 4)), ((1, 1), (4, 4)), ((4, 1), (4, 3))]
+
+
+@pytest.mark.parametrize("width", [1, SAMPLE_POINTS, 69])
+@pytest.mark.parametrize("fbox,gbox", BOXES)
+def test_multiply_values_matches_slice_loop(fbox, gbox, width):
+    rng = np.random.default_rng(hash((fbox, gbox, width)) % 2**32)
+    for trial in range(4):
+        f = rng.integers(0, MODULUS, size=fbox + (width,), dtype=np.int64)
+        g = rng.integers(0, MODULUS, size=gbox + (width,), dtype=np.int64)
+        if trial:  # zero out slices of either factor, up to all of them at the last trial
+            f[rng.random(fbox) < trial / 3] = 0
+            g[rng.random(gbox) < trial / 3] = 0
+        want = multiply_values_oracle(f, g)
+        got = multiply_values(f, g)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got == want).all()
+        assert (multiply_values(g, f) == want).all()
+
+
+def test_multiply_values_rejects_unequal_widths():
+    with pytest.raises(ValueError, match="widths differ"):
+        multiply_values(np.zeros((2, 2, 3), dtype=np.int64), np.zeros((2, 2, 4), dtype=np.int64))
 
 
 def test_evaluation_rejects_coefficients_outside_the_support():
