@@ -4,17 +4,21 @@ A lattice-index Jacobi form of index one is stored through its theta
 decomposition: one exact q-expansion per coset of the discriminant group,
 with exponents whose fractional parts are determined by the coset norms.
 Scalar forms enter through the explicit component correspondences for the
-three big lattices; restriction along a lattice vector produces scalar-index
-Jacobi forms ready for lifting.
+three big lattices: D8 from a pair of level-1 and level-2 forms, E6 and E7
+from one plus-space form split by coset norm (a term q^n goes to every coset
+gamma with -Q(gamma) = n/N mod 1).  Restriction along a lattice vector
+produces scalar-index Jacobi forms ready for lifting; its per-coset counts
+are memoised per (lattice, direction, qmax), at most 32 of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,8 +66,7 @@ class ComponentForm:
         return self.components[index]
 
     def constant_term(self, index: int) -> Fraction:
-        comp = self.components[index]
-        return comp.coefficient(0) if comp.truncation > 0 else Fraction(0)
+        return self.components[index].coefficient(0)
 
     def truncation(self) -> Fraction:
         return min(c.truncation for c in self.components)
@@ -217,94 +220,60 @@ def d8_pair_to_component(f1: ScalarForm, f2: ScalarForm, slashed: Tuple[QSeries,
 def d8_invariant_from_gamma02(f2: ScalarForm) -> ComponentForm:
     """Invariant component form from a level-2 form: f1 = f2 + f2|S + f2|U."""
     slashed = slash_level2(f2)
-    form = d8_pair_to_component(trace_to_sl2(f2, slashed), f2, slashed)
-    if form.component(1) != form.component(2):
-        raise InvarianceError("trace construction produced unequal middle components")
-    return form
+    return d8_pair_to_component(trace_to_sl2(f2, slashed), f2, slashed)
 
 
 # ---------------------------------------------------------------------------
-# E6: ternary discriminant group
+# E6 and E7: plus-space forms split by coset norm
 
 
-def _e6_coset_order() -> Tuple[int, int, int]:
-    """Indices (zero, gamma, -gamma) for the E6 discriminant group."""
-    lat = lattice("E6")
-    zero = next(c.index for c in lat.cosets if c.is_zero())
-    others = [c for c in lat.cosets if not c.is_zero()]
-    first = others[0]
-    neg_rep = tuple((-x) % 1 for x in first.rep)
-    second = next(c for c in others if c.rep == neg_rep)
-    if first.index == second.index:
-        raise AssertionError("E6 discriminant group must have two nonzero cosets")
-    return zero, first.index, second.index
+def _plus_components(g: ScalarForm, case: str, modulus: int) -> ComponentForm:
+    """Send each term c q^n of g to q^(n/modulus) on every coset gamma with -Q(gamma) = n/modulus mod 1.
+
+    The cosets that share a norm share c equally; a term that meets no coset
+    raises ``ValueError``.  The Jacobi weight is g's weight plus rank/2.
+    """
+    lat = lattice(case)
+    residues = [-coset.norm_mod1 % 1 * modulus for coset in lat.cosets]
+    terms = [{} for _ in lat.cosets]
+    for e, c in g.series.terms():
+        n = int(e)
+        x = Fraction(n, modulus)
+        hits = [i for i, r in enumerate(residues) if r == n % modulus]
+        if not hits:
+            raise ValueError(f"plus-space form has support at {n} = {n % modulus} mod {modulus}")
+        share = c / len(hits)
+        for i in hits:
+            terms[i][x] = share
+    trunc = g.series.truncation / modulus
+    jacobi_weight = as_fraction(g.weight) + Fraction(lat.rank, 2)
+    return ComponentForm(lat, jacobi_weight, tuple(QSeries(t, trunc) for t in terms))
 
 
 def e6_from_plus(g: ScalarForm) -> ComponentForm:
-    """Split a plus-space form into components by residue class of the exponent.
-
-    The zero component collects exponents divisible by 3 (rescaled by 1/3);
-    the two conjugate components each take half of the residue-1 part.
-    """
+    """Exponents n = 0 mod 3 go to the zero coset, n = 1 mod 3 in halves to the two conjugate cosets."""
     if g.level != "Gamma0_3_chi":
         raise ValueError("expected a plus-space form for the character mod 3")
-    lat = lattice("E6")
-    zero_terms, half_terms = {}, {}
-    for e, c in g.series.terms():
-        n = int(e)
-        if n % 3 == 0:
-            zero_terms[Fraction(n, 3)] = c
-        elif n % 3 == 1:
-            half_terms[Fraction(n, 3)] = c / 2
-        else:
-            raise ValueError(f"plus-space form has support at {n} = 2 mod 3")
-    trunc = g.series.truncation / 3
-    f0 = QSeries(zero_terms, trunc)
-    f1 = QSeries(half_terms, trunc)
-    i0, i1, i2 = _e6_coset_order()
-    comps = [None, None, None]
-    comps[i0], comps[i1], comps[i2] = f0, f1, f1
-    jacobi_weight = as_fraction(g.weight) + 3
-    return ComponentForm(lat, jacobi_weight, tuple(comps))
+    return _plus_components(g, "E6", 3)
 
 
 def e6_from_sl2(f: ScalarForm) -> ComponentForm:
-    """Odd correspondence: a level-1 form f maps to (0, f eta^8, -f eta^8), at f's truncation."""
+    """Odd correspondence: a level-1 form f maps to (0, f eta^8, -f eta^8), at f's truncation.
+
+    The zero coset comes first, and cosets 1 and 2 are each other's negatives.
+    """
     if f.level != "SL2":
         raise ValueError("expected a level-1 form")
-    lat = lattice("E6")
     prod = f.series * eta_pow(8, f.series.truncation)
-    i0, i1, i2 = _e6_coset_order()
-    comps = [None, None, None]
-    comps[i0] = QSeries.zero(prod.truncation)
-    comps[i1] = prod
-    comps[i2] = -prod
-    jacobi_weight = as_fraction(f.weight) + 7
-    return ComponentForm(lat, jacobi_weight, tuple(comps))
-
-
-# ---------------------------------------------------------------------------
-# E7: half-integral weight correspondence
+    comps = (QSeries.zero(prod.truncation), prod, -prod)
+    return ComponentForm(lattice("E6"), as_fraction(f.weight) + 7, comps)
 
 
 def e7_from_plus(g: ScalarForm) -> ComponentForm:
     """Components (sum_{N=0(4)} c(N) q^(N/4), sum_{N=1(4)} c(N) q^(N/4))."""
     if g.level != "KohnenPlus4":
         raise ValueError("expected a plus-space form of half-integral weight")
-    lat = lattice("E7")
-    zero_terms, quarter_terms = {}, {}
-    for e, c in g.series.terms():
-        n = int(e)
-        if n % 4 == 0:
-            zero_terms[Fraction(n, 4)] = c
-        elif n % 4 == 1:
-            quarter_terms[Fraction(n, 4)] = c
-        else:
-            raise ValueError(f"plus-space form has support at {n} = {n % 4} mod 4")
-    trunc = g.series.truncation / 4
-    comps = (QSeries(zero_terms, trunc), QSeries(quarter_terms, trunc))
-    jacobi_weight = as_fraction(g.weight) + Fraction(7, 2)
-    return ComponentForm(lat, jacobi_weight, comps)
+    return _plus_components(g, "E7", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +294,14 @@ def jacobi_eisenstein(case: str, k: int, orbit: int = 0, prec=10) -> ComponentFo
     prec = as_fraction(prec)
     if case == "D8":
         return _d8_eisenstein(k, orbit, prec)
-    if case == "E6":
+    if case in ("E6", "E7"):
         if orbit != 0:
-            raise ValueError("E6 has a single zero-dimensional cusp orbit")
+            raise ValueError(f"{case} has a single zero-dimensional cusp orbit")
         if k % 2 or k < 4:
-            raise ValueError(f"E6 Eisenstein weights are even and >= 4, got {k}")
-        g = plus_eisenstein_gamma0_3(k - 3, 3 * prec)
-        return e6_from_plus(g)
-    if case == "E7":
-        if orbit != 0:
-            raise ValueError("E7 has a single zero-dimensional cusp orbit")
-        if k % 2 or k < 4:
-            raise ValueError(f"E7 Eisenstein weights are even and >= 4, got {k}")
-        g = cohen_eisenstein(k - 4, 4 * prec)
-        return e7_from_plus(g)
+            raise ValueError(f"{case} Eisenstein weights are even and >= 4, got {k}")
+        if case == "E6":
+            return e6_from_plus(plus_eisenstein_gamma0_3(k - 3, 3 * prec))
+        return e7_from_plus(cohen_eisenstein(k - 4, 4 * prec))
     raise ValueError(f"unknown case {case!r}; expected D8, E6 or E7")
 
 
@@ -385,28 +348,15 @@ def _d8_eisenstein(k: int, orbit: int, prec: Fraction) -> ComponentForm:
 #: Bound on every int64 entry of ``pullback``'s limb accumulation.
 _LIMB_LIMIT = 1 << 62
 
-#: Count tables kept, one per (lattice, direction); the oldest insertion goes first.
+#: Count tables kept, one per (lattice, direction, qmax); the least recently used goes first.
 _COUNTS_CACHE_LIMIT = 32
-_COUNTS_CACHE: Dict[Tuple[str, Tuple[int, ...]], Tuple[Fraction, List[Dict[Tuple[int, int], int]]]] = {}
 
 
-def _coset_counts(lat: LatticeData, v: Tuple[int, ...], qmax: Fraction) -> List[Dict[Tuple[int, int], int]]:
-    """Per-coset (scaled norm, pairing) counts up to Q <= qmax at least, cached.
-
-    A hit returns the cached tables as they are, which may reach past qmax;
-    ``pullback`` skips the norms beyond its nq.  A re-count at a larger qmax
-    re-inserts its key as the newest entry.
-    """
-    key = (lat.name, v)
-    cached = _COUNTS_CACHE.get(key)
-    if cached is not None and cached[0] >= qmax:
-        return cached[1]
-    tables = [pairing_counts(lat, coset, v, qmax) for coset in lat.cosets]
-    _COUNTS_CACHE.pop(key, None)
-    _COUNTS_CACHE[key] = (qmax, tables)
-    if len(_COUNTS_CACHE) > _COUNTS_CACHE_LIMIT:
-        del _COUNTS_CACHE[next(iter(_COUNTS_CACHE))]
-    return tables
+@lru_cache(maxsize=_COUNTS_CACHE_LIMIT)
+def _coset_counts(lattice_name: str, v: Tuple[int, ...], qmax: int) -> Tuple[Dict[Tuple[int, int], int], ...]:
+    """Per-coset (scaled norm, pairing) counts up to Q <= qmax; every caller shares the tables, read only."""
+    lat = lattice(lattice_name)
+    return tuple(pairing_counts(lat, coset, v, qmax) for coset in lat.cosets)
 
 
 def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
@@ -450,7 +400,7 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     trunc = form.truncation()
     if nq >= trunc:
         raise ValueError(f"requested nq={nq} exceeds component truncation O(q^{trunc})")
-    tables = _coset_counts(lat, v, as_fraction(nq))
+    tables = _coset_counts(lat.name, v, nq)
 
     if form.weight.denominator != 1:
         raise ValueError("pullbacks of half-integral Jacobi weights are not supported")
@@ -482,10 +432,9 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
             j, off_class = divmod(int(se) + offset, scale)
             if j <= nq and not off_class:
                 numerators[j] = c.numerator * (den // c.denominator)
-        keep = keys[:, 0] <= nq * scale
-        if not numerators or not keep.any():
+        if not numerators:
             continue
-        steps, pairings, counts = steps[keep], keys[keep, 1], counts[keep]
+        pairings = keys[:, 1]
         total += int(counts.sum())
         rmax = max(rmax, int(np.abs(pairings).max()))
         bits = max(bits, *(abs(a).bit_length() for a in numerators.values()))

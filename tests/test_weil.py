@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 import omfree.weil as weil_module
+from omfree.certify import CASES
 from omfree.classical import (
     ScalarForm,
     eisenstein_sl2,
@@ -103,8 +104,12 @@ def test_weight2_input_traces_to_zero():
 def test_component_exponents_match_coset_norms():
     for k, orbit in [(4, 0), (8, 0), (8, 1)]:
         jacobi_eisenstein("D8", k, orbit, prec=7).check_exponent_fractions()
-    jacobi_eisenstein("E6", 4, 0, prec=7).check_exponent_fractions()
-    jacobi_eisenstein("E7", 4, 0, prec=7).check_exponent_fractions()
+    # every E6 and E7 Eisenstein generator weight of the certified cases
+    for case in ("E6", "E7"):
+        weights = [k for _, k, recipe, _ in CASES[case].generators if "Eisenstein" in recipe]
+        assert len(weights) == {"E6": 7, "E7": 10}[case]
+        for k in weights:
+            jacobi_eisenstein(case, k, 0, prec=7).check_exponent_fractions()
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +129,10 @@ def test_e6_odd_map_components():
     form = e6_from_sl2(one)
     assert form.weight == 7
     comps = form.components
-    zero_idx = [i for i, c in enumerate(comps) if c.is_zero()]
-    assert len(zero_idx) == 1
-    others = [i for i in range(3) if i not in zero_idx]
-    assert comps[others[0]] == -comps[others[1]]
-    third = Fraction(1, 3)
-    nonzero = comps[others[0]]
-    assert abs(nonzero.coefficient(third)) == 1
+    # (0, f eta^8, -f eta^8) in coset order: the zero coset is first
+    assert [i for i, c in enumerate(comps) if c.is_zero()] == [0]
+    assert comps[1] == -comps[2]
+    assert comps[1].coefficient(Fraction(1, 3)) == 1
     form.check_exponent_fractions()
 
 
@@ -159,6 +161,35 @@ def test_e7_zero_form():
     zero = ScalarForm(Fraction(1, 2), "KohnenPlus4", QSeries.zero(8))
     form = e7_from_plus(zero)
     assert all(c.is_zero() for c in form.components)
+
+
+# ---------------------------------------------------------------------------
+# Plus-space split (E6 and E7)
+
+
+@pytest.mark.parametrize(
+    "split, level, modulus, n",
+    [
+        (e6_from_plus, "Gamma0_3_chi", 3, 2),
+        (e6_from_plus, "Gamma0_3_chi", 3, 5),
+        (e7_from_plus, "KohnenPlus4", 4, 2),
+        (e7_from_plus, "KohnenPlus4", 4, 3),
+        (e7_from_plus, "KohnenPlus4", 4, 7),
+    ],
+)
+def test_plus_split_rejects_a_term_off_every_coset_norm(split, level, modulus, n):
+    # n/modulus mod 1 is -Q(gamma) for no coset gamma
+    good = {0: 1, 1: 2, modulus: 3}
+    split(ScalarForm(Fraction(5), level, QSeries(good, 12)))
+    with pytest.raises(ValueError, match=f"support at {n} = {n % modulus} mod {modulus}$"):
+        split(ScalarForm(Fraction(5), level, QSeries({**good, n: 7}, 12)))
+
+
+def test_plus_split_rejects_a_wrong_level_tag():
+    series = QSeries({0: 1, 1: 2}, 12)
+    for split, level in [(e6_from_plus, "KohnenPlus4"), (e6_from_plus, "SL2"), (e7_from_plus, "Gamma0_3_chi")]:
+        with pytest.raises(ValueError, match="expected a plus-space form"):
+            split(ScalarForm(Fraction(5), level, series))
 
 
 # ---------------------------------------------------------------------------
@@ -251,39 +282,59 @@ def test_pullback_linearity():
             assert lhs.coefficient(n, r) == a * rhs_f.coefficient(n, r) + b * rhs_g.coefficient(n, r)
 
 
-def test_counts_cache_evicts_oldest_direction(monkeypatch):
-    monkeypatch.setattr(weil_module, "_COUNTS_CACHE", {})
-    cache = weil_module._COUNTS_CACHE
+@pytest.fixture
+def pairing_calls(monkeypatch):
+    """A cold counts memo, and the qmax of every ``pairing_counts`` call that ``weil`` makes."""
+    calls = []
+    real = weil_module.pairing_counts
+
+    def counted(lat, coset, v, qmax):
+        calls.append(qmax)
+        return real(lat, coset, v, qmax)
+
+    monkeypatch.setattr(weil_module, "pairing_counts", counted)
+    weil_module._coset_counts.cache_clear()
+    yield calls
+    weil_module._coset_counts.cache_clear()
+
+
+def test_counts_cache_evicts_oldest_direction(pairing_calls):
+    memo = weil_module._coset_counts
     form = jacobi_eisenstein("E6", 4, 0, prec=4)
-    keys = [("E6", (a, b, 1, 0, 0, 0)) for a in range(-3, 3) for b in range(-3, 3)][:33]
-    first = pullback(form, keys[0][1], nq=2)
-    first_tables = cache[keys[0]][1]
-    for _, v in keys[1:]:
+    cosets = len(form.lattice.cosets)
+    dirs = [(a, b, 1, 0, 0, 0) for a in range(-3, 3) for b in range(-3, 3)][:33]
+    first = pullback(form, dirs[0], nq=2)
+    first_tables = memo("E6", dirs[0], 2)
+    for v in dirs[1:]:
         pullback(form, v, nq=2)
-    # direction 33 evicted direction 1
-    assert list(cache) == keys[1:] and len(cache) == weil_module._COUNTS_CACHE_LIMIT == 32
-    # a re-count at larger qmax re-inserts its key as the newest
-    pullback(form, keys[1][1], nq=3)
-    assert list(cache) == keys[2:] + keys[1:2]
-    # re-counting an evicted direction gives the same tables and form
-    assert pullback(form, keys[0][1], nq=2) == first
-    assert cache[keys[0]][1] == first_tables
-    assert list(cache) == keys[3:] + keys[1:2] + keys[:1]
+    info = memo.cache_info()
+    assert info.maxsize == info.currsize == weil_module._COUNTS_CACHE_LIMIT == 32
+    assert (info.misses, len(pairing_calls)) == (33, 33 * cosets)
+    # a direction still held counts nothing
+    pullback(form, dirs[-1], nq=2)
+    assert len(pairing_calls) == 33 * cosets
+    # direction 33 evicted direction 1: asking for it again counts it again, to equal tables
+    assert pullback(form, dirs[0], nq=2) == first
+    assert (memo.cache_info().misses, len(pairing_calls)) == (34, 34 * cosets)
+    again = memo("E6", dirs[0], 2)
+    assert again == first_tables and again is not first_tables
 
 
 @pytest.mark.parametrize("case", ["D8", "E6", "E7"])
-def test_counts_cache_hit_matches_a_cold_count(case, monkeypatch):
-    # a hit returns tables counted to a larger qmax as they are
+def test_counts_cache_hit_matches_a_cold_count(case, pairing_calls):
+    # nq=3 after nq=5 on one vector is a key of its own, counted to qmax 3
     vec = {"D8": D8_VEC, "E6": E6_VEC, "E7": E7_VEC}[case]
     form = jacobi_eisenstein(case, 4, 0, prec=6)
-    monkeypatch.setattr(weil_module, "_COUNTS_CACHE", {})
+    cosets = len(form.lattice.cosets)
     pullback(form, vec, nq=5)
     warm = pullback(form, vec, nq=3)
-    assert weil_module._COUNTS_CACHE[(case, vec)][0] == 5
-    monkeypatch.setattr(weil_module, "_COUNTS_CACHE", {})
+    assert pairing_calls == [5] * cosets + [3] * cosets
+    hit = pullback(form, vec, nq=3)
+    assert len(pairing_calls) == 2 * cosets
+    assert weil_module._coset_counts.cache_info()[:2] == (1, 2)
+    weil_module._coset_counts.cache_clear()
     cold = pullback(form, vec, nq=3)
-    assert weil_module._COUNTS_CACHE[(case, vec)][0] == 3
-    assert warm == cold and not cold.is_zero()
+    assert warm == hit == cold and not cold.is_zero()
 
 
 def mixed_sign_form(case):
