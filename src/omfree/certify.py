@@ -158,7 +158,11 @@ class Case:
 
 def _eisenstein(lattice_name: str, name: str, k: int, orbit: Optional[int] = None) -> GeneratorRow:
     data = f"weight-{k}" if orbit is None else f"weight-{k} orbit-{orbit}"
-    component = partial(jacobi_eisenstein, lattice_name, k, orbit or 0)
+
+    def component(prec: int) -> ComponentForm:
+        # jacobi_eisenstein is looked up at call time, so a wrapper installed on this module sees the call
+        return jacobi_eisenstein(lattice_name, k, orbit or 0, prec)
+
     return (name, k, f"lift of pullback of {data} Eisenstein data", component)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import ceil, comb, isqrt, lcm
 from typing import Dict, List, Literal, Optional, Tuple
 
@@ -50,17 +51,44 @@ class ScalarForm:
 # Elementary arithmetic
 
 
-@lru_cache(maxsize=None)
+#: Tangent numbers T_1, T_2, ... (tan x = sum_m T_m x^(2m-1)/(2m-1)!); rebuilt longer when a call needs more.
+_TANGENT_NUMBERS: List[int] = []
+
+
+def _tangent_number(m: int) -> int:
+    """T_m for m >= 1, read from the shared table.
+
+    A table shorter than m is rebuilt to length max(m, 2 len) by the
+    Brent-Harvey recurrence (*Fast computation of Bernoulli, tangent and
+    secant numbers*, arXiv:1108.0286): O(n^2) integer steps, no division.
+    """
+    if len(_TANGENT_NUMBERS) < m:
+        n = max(m, 2 * len(_TANGENT_NUMBERS))
+        t = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _TANGENT_NUMBERS[:] = t[1:]
+    return _TANGENT_NUMBERS[m - 1]
+
+
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n with B_1 = -1/2."""
+    """Bernoulli number B_n with B_1 = -1/2.
+
+    B_n = 0 for odd n >= 3, and B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))
+    with T_m the tangent numbers (``_tangent_number``).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        total += comb(n + 1, j) * bernoulli(j)
-    return -total / (n + 1)
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    m = n // 2
+    power = 4**m
+    return Fraction((-1) ** (m - 1) * n * _tangent_number(m), power * (power - 1))
 
 
 def sigma(n: int, k: int) -> int:
@@ -136,37 +164,54 @@ def kronecker_symbol(a: int, b: int) -> int:
     return k if b == 1 else 0
 
 
-#: Character power sums kept, one tuple per fundamental discriminant; the oldest insertion goes first.
+#: Character tables kept, one per fundamental discriminant D: the a <= |D|
+#: with chi_D(a) = 1, those with chi_D(a) = -1, and the power sums read off
+#: them; the oldest insertion goes first.
 _POWER_SUMS_LIMIT = 128
-_POWER_SUMS: Dict[int, Tuple[int, ...]] = {}
+_POWER_SUMS: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = {}
 
 
 def _character_power_sums(disc: int, n: int) -> Tuple[int, ...]:
     """(S_0, ..., S_e) with S_e = sum_{a=1}^{|D|} chi_D(a) a^e and e >= n, cached per discriminant.
 
-    A call with a larger n than the cached tuple holds extends it: one power
-    a^e per a with chi_D(a) != 0 at the first new exponent, then one
-    multiplication per such a and exponent.
+    chi_D is listed once per discriminant, as the a with chi_D(a) = 1 and
+    those with chi_D(a) = -1.  A call with a larger n than the cached tuple
+    holds extends it by one pair of ``sum(map(pow, ...))`` per new exponent.
     """
-    sums = _POWER_SUMS.get(disc, ())
+    plus, minus, sums = _POWER_SUMS.get(disc, (None, None, ()))
     if len(sums) > n:
         return sums
-    chars = [(a, ch) for a in range(1, abs(disc) + 1) if (ch := kronecker_symbol(disc, a))]
-    terms = [ch * a ** len(sums) for a, ch in chars]
-    grown = list(sums)
-    while True:
-        grown.append(sum(terms))
-        if len(grown) > n:
-            break
-        terms = [t * a for t, (a, _) in zip(terms, chars)]
+    if plus is None:
+        chars = [(a, kronecker_symbol(disc, a)) for a in range(1, abs(disc) + 1)]
+        plus = tuple(a for a, ch in chars if ch == 1)
+        minus = tuple(a for a, ch in chars if ch == -1)
+    sums += tuple(
+        sum(map(pow, plus, repeat(e))) - sum(map(pow, minus, repeat(e))) for e in range(len(sums), n + 1)
+    )
     _POWER_SUMS.pop(disc, None)
-    _POWER_SUMS[disc] = sums = tuple(grown)
+    _POWER_SUMS[disc] = (plus, minus, sums)
     if len(_POWER_SUMS) > _POWER_SUMS_LIMIT:
         del _POWER_SUMS[next(iter(_POWER_SUMS))]
     return sums
 
 
-@lru_cache(maxsize=None)
+#: Rows of ``_binomial_bernoulli`` kept, one per n; the least recently used goes first.
+_BERNOULLI_ROWS_LIMIT = 64
+
+
+@lru_cache(maxsize=_BERNOULLI_ROWS_LIMIT)
+def _binomial_bernoulli(n: int) -> Tuple[int, Tuple[int, ...]]:
+    """(den, (C(n, j) B_j den for j = 0, ..., n)) with den the lcm of the denominators of B_0, ..., B_n."""
+    values = [bernoulli(j) for j in range(n + 1)]
+    den = lcm(*(b.denominator for b in values))
+    return den, tuple(comb(n, j) * b.numerator * (den // b.denominator) for j, b in enumerate(values))
+
+
+#: Values of ``generalized_bernoulli`` kept, one per (n, disc); the least recently used goes first.
+_GENERALIZED_BERNOULLI_LIMIT = 1024
+
+
+@lru_cache(maxsize=_GENERALIZED_BERNOULLI_LIMIT)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n,chi} for the Kronecker character of a fundamental discriminant.
 
@@ -175,18 +220,20 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
     with B_1 = -1/2.  For disc = 1 this gives the convention with B_1 = +1/2.
     The power sums are computed once per discriminant
     (``_character_power_sums``) and the sum over j runs on integers over
-    one common denominator, the lcm of the denominators of B_0, ..., B_n.
+    one common denominator, the lcm of the denominators of B_0, ..., B_n,
+    with the integers C(n,j) B_j times it read from one row per n
+    (``_binomial_bernoulli``).
     """
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     m = abs(disc)
     sums = _character_power_sums(disc, n)
-    den = lcm(*(bernoulli(j).denominator for j in range(n + 1)))
+    den, row = _binomial_bernoulli(n)
     total = 0
     m_power = 1
-    for j in range(n + 1):
-        b = bernoulli(j)
-        total += comb(n, j) * b.numerator * (den // b.denominator) * m_power * sums[n - j]
+    for j, c in enumerate(row):
+        if c:
+            total += c * m_power * sums[n - j]
         m_power *= m
     return Fraction(total, den * m)
 
@@ -442,12 +489,38 @@ def theta_series(prec) -> ScalarForm:
     return ScalarForm(Fraction(1, 2), "KohnenPlus4", QSeries(terms, prec))
 
 
+#: Class-number rows kept, one per m = (-1)^r N; the least recently used goes first.
+_CLASS_ROWS_LIMIT = 4096
+
+
+@lru_cache(maxsize=_CLASS_ROWS_LIMIT)
+def _class_number_row(m: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """(D, ((d, mu(d) chi_D(d), f/d), ...)) for a nonzero discriminant m = D f^2, D fundamental.
+
+    The rows run over the divisors d of f with mu(d) chi_D(d) != 0, so
+    H(r, N) = L(1-r, chi_D) * ``_divisor_sum(r, rows)`` for m = (-1)^r N.
+    """
+    d, f = fundamental_decomposition(m)
+    rows = []
+    for dd in divisors(f):
+        mu = moebius(dd)
+        if mu and (ch := kronecker_symbol(d, dd)):
+            rows.append((dd, mu * ch, f // dd))
+    return d, tuple(rows)
+
+
+def _divisor_sum(r: int, rows: Tuple[Tuple[int, int, int], ...]) -> int:
+    """sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), one ``sigma`` per row of ``_class_number_row``."""
+    return sum(c * dd ** (r - 1) * sigma(e, 2 * r - 1) for dd, c, e in rows)
+
+
 def cohen_class_number(r: int, n: int) -> Fraction:
     """Generalized class number H(r, N) for r >= 1, N >= 0.
 
     H(r, 0) = zeta(1 - 2r).  For N > 0 with (-1)^r N = D f^2 (D fundamental):
     H(r, N) = L(1-r, chi_D) sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d),
-    and H(r, N) = 0 when (-1)^r N is not 0 or 1 mod 4.
+    and H(r, N) = 0 when (-1)^r N is not 0 or 1 mod 4.  D and the divisor
+    rows come from ``_class_number_row``, which ``cohen_eisenstein`` reads too.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -458,17 +531,8 @@ def cohen_class_number(r: int, n: int) -> Fraction:
     m = n if r % 2 == 0 else -n
     if m % 4 not in (0, 1):
         return Fraction(0)
-    d, f = fundamental_decomposition(m)
-    total = Fraction(0)
-    for dd in divisors(f):
-        mu = moebius(dd)
-        if mu == 0:
-            continue
-        ch = kronecker_symbol(d, dd)
-        if ch == 0:
-            continue
-        total += mu * ch * dd ** (r - 1) * sigma(f // dd, 2 * r - 1)
-    return dirichlet_l_negative(r, d) * total
+    d, rows = _class_number_row(m)
+    return dirichlet_l_negative(r, d) * _divisor_sum(r, rows)
 
 
 def hurwitz_class_number(n: int) -> Fraction:
@@ -513,9 +577,12 @@ def cohen_eisenstein(r: int, prec) -> ScalarForm:
     """Weight r + 1/2 plus-space Eisenstein series, constant term 1.
 
     r = 0 returns theta.  For even r >= 2 the coefficients are
-    H(r, N)/H(r, 0).  Odd r is rejected: those series are not members of the
-    plus space used here; the raw values remain available through
-    cohen_class_number.
+    H(r, N)/H(r, 0), read from the class-number row of N
+    (``_class_number_row``, shared with ``cohen_class_number``): one
+    ``sigma`` per divisor row, and one L-value per fundamental discriminant
+    D, kept as L(1-r, chi_D)/H(r, 0).  Odd r is rejected: those series are
+    not members of the plus space used here; the raw values remain
+    available through cohen_class_number.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -527,12 +594,16 @@ def cohen_eisenstein(r: int, prec) -> ScalarForm:
         )
     prec = as_fraction(prec)
     h0 = cohen_class_number(r, 0)
+    ratios: Dict[int, Fraction] = {}
     terms = {Fraction(0): Fraction(1)}
-    for n in range(1, int(prec) + 1):
+    for n in range(1, ceil(prec)):
         if n % 4 in (2, 3):
             continue
-        h = cohen_class_number(r, n)
+        d, rows = _class_number_row(n)
+        if d not in ratios:
+            ratios[d] = dirichlet_l_negative(r, d) / h0
+        h = ratios[d] * _divisor_sum(r, rows)
         if h:
-            terms[Fraction(n)] = h / h0
+            terms[Fraction(n)] = h
     series = QSeries(terms, prec)
     return ScalarForm(Fraction(2 * r + 1, 2), "KohnenPlus4", series)

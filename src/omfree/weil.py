@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import isqrt, lcm
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -232,18 +232,22 @@ def _plus_components(g: ScalarForm, case: str, modulus: int) -> ComponentForm:
 
     The cosets that share a norm share c equally; a term that meets no coset
     raises ``ValueError``.  The Jacobi weight is g's weight plus rank/2.
+    Each residue is mapped to its coset indices once, before one pass over
+    the terms.
     """
     lat = lattice(case)
-    residues = [-coset.norm_mod1 % 1 * modulus for coset in lat.cosets]
+    hits: Dict[Fraction, List[int]] = {}
+    for i, coset in enumerate(lat.cosets):
+        hits.setdefault(-coset.norm_mod1 % 1 * modulus, []).append(i)
     terms = [{} for _ in lat.cosets]
     for e, c in g.series.terms():
         n = int(e)
-        x = Fraction(n, modulus)
-        hits = [i for i, r in enumerate(residues) if r == n % modulus]
-        if not hits:
+        targets = hits.get(n % modulus)
+        if targets is None:
             raise ValueError(f"plus-space form has support at {n} = {n % modulus} mod {modulus}")
-        share = c / len(hits)
-        for i in hits:
+        x = Fraction(n, modulus)
+        share = c if len(targets) == 1 else c / len(targets)
+        for i in targets:
             terms[i][x] = share
     trunc = g.series.truncation / modulus
     jacobi_weight = as_fraction(g.weight) + Fraction(lat.rank, 2)

@@ -11,6 +11,8 @@ Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 :func:`descent_counts` also uses, so neither depends on the orthogonal frame.
 :func:`multiply_values_oracle` checks the gathered product kernel
 ``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice.
+:func:`bernoulli_recursive` checks the tangent-number Bernoulli numbers of
+``omfree.classical.bernoulli`` by the defining recursion in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt, lcm
+from math import ceil, comb, floor, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +35,16 @@ from omfree.weil import ComponentForm, JacobiForm
 LATTICES = sorted(
     [f"A{n}" for n in range(1, 8)] + ["2A1", "3A1", "4A1"] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
 )
+
+
+@lru_cache(maxsize=None)
+def bernoulli_recursive(n: int) -> Fraction:
+    """B_n with B_1 = -1/2 from sum_{j <= n} C(n+1, j) B_j = 0, one ``Fraction`` sum per n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return Fraction(1)
+    return -sum((comb(n + 1, j) * bernoulli_recursive(j) for j in range(n)), Fraction(0)) / (n + 1)
 
 
 def sl2_monomial_basis(k: int, prec):

@@ -281,6 +281,21 @@ def test_case_generators_counts():
         assert [g.weight for g in case_generators(name)] == orthogonal_weights(row.bound_system)
 
 
+def test_eisenstein_rows_call_jacobi_eisenstein_through_the_module(monkeypatch):
+    # a wrapper installed on certify.jacobi_eisenstein after import sees every E7 generator's input
+    calls = []
+
+    def recording(*args, real=certify.jacobi_eisenstein):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certify, "jacobi_eisenstein", recording)
+    specs = case_generators("E7")
+    for spec in specs:
+        spec.build(1, 1)
+    assert calls == [("E7", spec.weight, 0, 2) for spec in specs]
+
+
 def test_case_levels():
     levels = {name: norm(lattice(row.lattice), row.vector) for name, row in CASES.items()}
     assert levels == {"D8": 24, "E6": 12, "E7": 12}

@@ -32,7 +32,7 @@ from omfree.classical import (
     weight2_level2,
 )
 from omfree.qseries import QSeries
-from oracles import sl2_monomial_basis
+from oracles import bernoulli_recursive, sl2_monomial_basis
 
 
 def sigma_odd(n):
@@ -74,6 +74,23 @@ def test_bernoulli_values():
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_matches_the_recursion():
+    assert [bernoulli(n) for n in range(151)] == [bernoulli_recursive(n) for n in range(151)]
+    assert bernoulli(1) == Fraction(-1, 2)
+    assert all(bernoulli(n) == 0 for n in range(3, 151, 2))
+    with pytest.raises(ValueError):
+        bernoulli(-1)
+
+
+def test_bernoulli_regrows_the_tangent_table(monkeypatch):
+    # a cold table, asked out of order: each rebuild at least doubles it and keeps the values
+    monkeypatch.setattr(classical, "_TANGENT_NUMBERS", [])
+    for n in (52, 4, 120, 2, 130, 60):
+        assert bernoulli(n) == bernoulli_recursive(n), n
+    assert len(classical._TANGENT_NUMBERS) == 120
+    assert classical._TANGENT_NUMBERS[:5] == [1, 2, 16, 272, 7936]
 
 
 def test_sigma_matches_brute_force():
@@ -484,13 +501,28 @@ def test_generalized_bernoulli_in_scrambled_order(monkeypatch):
     generalized_bernoulli.cache_clear()
 
 
+def test_inner_caches_are_bounded():
+    assert generalized_bernoulli.cache_info().maxsize == classical._GENERALIZED_BERNOULLI_LIMIT == 1024
+    assert classical._binomial_bernoulli.cache_info().maxsize == classical._BERNOULLI_ROWS_LIMIT
+    assert classical._class_number_row.cache_info().maxsize == classical._CLASS_ROWS_LIMIT
+
+
 def fraction_cohen_eisenstein(r, prec):
-    """cohen_eisenstein(r, prec) coefficients from Fraction sums of a**e over a full period."""
+    """cohen_eisenstein(r, prec) coefficients from Fraction sums of a**e over a full period.
+
+    Bernoulli numbers come from the recursion; each L-value is computed once per discriminant.
+    """
+    l_values = {}
+
     def l_value(disc):
-        m = abs(disc)
-        sums = [sum(kronecker_symbol(disc, a) * a**e for a in range(1, m + 1)) for e in range(r + 1)]
-        b_r = sum(comb(r, j) * bernoulli(j) * Fraction(m) ** (j - 1) * sums[r - j] for j in range(r + 1))
-        return -b_r / r
+        if disc not in l_values:
+            m = abs(disc)
+            sums = [sum(kronecker_symbol(disc, a) * a**e for a in range(1, m + 1)) for e in range(r + 1)]
+            b_r = sum(
+                comb(r, j) * bernoulli_recursive(j) * Fraction(m) ** (j - 1) * sums[r - j] for j in range(r + 1)
+            )
+            l_values[disc] = -b_r / r
+        return l_values[disc]
 
     def class_number(n):
         d, f = fundamental_decomposition(n if r % 2 == 0 else -n)
@@ -501,19 +533,51 @@ def fraction_cohen_eisenstein(r, prec):
         )
         return l_value(d) * total
 
-    h0 = -bernoulli(2 * r) / (2 * r)
+    h0 = -bernoulli_recursive(2 * r) / (2 * r)
     return {n: class_number(n) / h0 for n in range(1, prec + 1) if n % 4 in (0, 1)}
 
 
 def test_cohen_eisenstein_matches_a_fraction_recomputation():
-    # the ten E7 generator weights k give r = k - 4; the certificate uses O(q^104)
-    for r in (2, 6, 8, 10, 12, 14, 18, 20, 26):
-        form = cohen_eisenstein(r, 104)
-        want = fraction_cohen_eisenstein(r, 104)
-        assert form.series.truncation == 104 and form.coefficient(0) == 1
-        for n in range(1, 104):
+    # every even r of the E7 tower (weights k = r + 4 from 4 to 30) at the certificate's
+    # O(q^104), and the end points r = 2, 26 further out
+    precisions = [(r, 104) for r in range(2, 27, 2)] + [(2, 300), (26, 300)]
+    for r, prec in precisions:
+        form = cohen_eisenstein(r, prec)
+        want = fraction_cohen_eisenstein(r, prec)
+        assert form.series.truncation == prec and form.coefficient(0) == 1
+        for n in range(1, prec):
             assert form.coefficient(n) == want.get(n, 0), (r, n)
     assert cohen_eisenstein(0, 104) == theta_series(104)
+
+
+@pytest.mark.parametrize("r", [2, 4, 16, 22, 24, 26])
+def test_cohen_class_numbers_are_the_series_coefficients(r):
+    # cohen_class_number and cohen_eisenstein read one class-number row per N
+    h0 = cohen_class_number(r, 0)
+    form = cohen_eisenstein(r, 300)
+    for n in range(300):
+        assert cohen_class_number(r, n) == h0 * form.coefficient(n), (r, n)
+
+
+def test_e7_cohen_series_list_each_character_once(monkeypatch):
+    # the nine E7 inputs with r > 0 at the certificate's O(q^104), every cache cold
+    monkeypatch.setattr(classical, "_POWER_SUMS", {})
+    for cached in (generalized_bernoulli, classical._binomial_bernoulli, classical._class_number_row):
+        cached.cache_clear()
+    calls = []
+
+    def counted(a, b, symbol=classical.kronecker_symbol):
+        calls.append((a, b))
+        return symbol(a, b)
+
+    monkeypatch.setattr(classical, "kronecker_symbol", counted)
+    for r in (2, 6, 8, 10, 12, 14, 18, 20, 26):
+        cohen_eisenstein(r, 104)
+    # chi_D(a) for a <= |D| is listed once per discriminant (1719 calls with the divisor rows);
+    # listing it again at each new exponent made 16416
+    assert len(calls) <= 2000
+    generalized_bernoulli.cache_clear()
+    classical._class_number_row.cache_clear()
 
 
 def test_e2_half_rescale_example():

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -234,3 +235,27 @@ def test_certify_json_deterministic(capsys):
     _, out1 = run(capsys, "certify", "D8", "--wmax", "6", "--nq", "2", "--nxi", "2", "--json")
     _, out2 = run(capsys, "certify", "D8", "--wmax", "6", "--nq", "2", "--nxi", "2", "--json")
     assert out1 == out2
+
+
+# sha256 of the stdout of `eisenstein E7 -k K --prec 26 --json`, recorded before the class numbers
+# moved to shared integer tables (tangent-number Bernoulli numbers, one character table per
+# discriminant, one class-number row per N); the inputs of every E7 generator stay byte-identical.
+E7_EISENSTEIN_SHA256 = {
+    4: "a2c9d879bbec4ad5695d07633390c7c7b7d5682f5523631b9ae613c0261f19e8",
+    6: "4a3915a7bc4c8af4da14a4dd374460fe204ca27f91eb9ecb370b4f1b429f6733",
+    10: "aae75845976ca1c4eec0ce6074d156562258ec526efbc989a7b549af981559e7",
+    12: "48c28ef2cac5159a0ac5eaf197080d5ba864c2c81df10917c589341dd9940845",
+    14: "48cdf2ff0081dcaa5c79d937295324af4bb9bc48861b12da5eb4fdd41fe2c2bd",
+    16: "d5a30dcbf171edc7fbc26c0d1d91352f7dac91143a5f38be01c91304ad3694b4",
+    18: "fcb77cb42b93dfb1076178d3e8ea6f54154bb5757e88ddd20dd0056a0a87ad7b",
+    22: "52ace1c600b7843a43a3ad5a28a0362006a0675c93cb5bfd96869a66e93ffdba",
+    24: "14b656045ad1bcf9bca053bc465b80beb48ff7d3fd23d06cc906f9fae56e9afd",
+    30: "274b40f475344dffc99881a1b2bc616ef22e46799ac761e4b9dc374944f0239b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(E7_EISENSTEIN_SHA256))
+def test_e7_eisenstein_json_is_byte_identical(capsys, k):
+    code, out = run(capsys, "eisenstein", "E7", "-k", str(k), "--prec", "26", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == E7_EISENSTEIN_SHA256[k]
