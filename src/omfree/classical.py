@@ -207,11 +207,6 @@ def _binomial_bernoulli(n: int) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(comb(n, j) * b.numerator * (den // b.denominator) for j, b in enumerate(values))
 
 
-#: Values of ``generalized_bernoulli`` kept, one per (n, disc); the least recently used goes first.
-_GENERALIZED_BERNOULLI_LIMIT = 1024
-
-
-@lru_cache(maxsize=_GENERALIZED_BERNOULLI_LIMIT)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n,chi} for the Kronecker character of a fundamental discriminant.
 
@@ -293,12 +288,10 @@ def eisenstein_sl2(k: int, prec) -> ScalarForm:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     prec = as_fraction(prec)
     factor = Fraction(-2 * k) / bernoulli(k)
-    terms = {Fraction(0): Fraction(1)}
-    n = 1
-    while n < prec:
-        terms[Fraction(n)] = factor * sigma(n, k - 1)
-        n += 1
-    return ScalarForm(Fraction(k), "SL2", QSeries(terms, prec), quasi=(k == 2))
+    nums = {Fraction(0): factor.denominator}
+    for n in range(1, ceil(prec)):
+        nums[Fraction(n)] = factor.numerator * sigma(n, k - 1)
+    return ScalarForm(Fraction(k), "SL2", QSeries.from_numerators(nums, factor.denominator, prec), quasi=(k == 2))
 
 
 def eta_pow(m: int, prec) -> QSeries:
@@ -307,17 +300,10 @@ def eta_pow(m: int, prec) -> QSeries:
         raise ValueError(f"exponent must be a positive multiple of 8, got {m}")
     prec = as_fraction(prec)
     prod = QSeries.one(prec)
-    n = 1
-    while n < prec:
-        factor_terms = {}
-        j = 0
-        while Fraction(n * j) < prec:
-            factor_terms[Fraction(n * j)] = Fraction((-1) ** j * comb(m, j))
-            j += 1
-            if j > m:
-                break
-        prod = prod * QSeries(factor_terms, prec)
-        n += 1
+    for n in range(1, ceil(prec)):
+        # (1 - q^n)^m without its terms at or past the truncation
+        factor = {Fraction(n * j): (-1) ** j * comb(m, j) for j in range(m + 1) if n * j < prec}
+        prod = prod * QSeries.from_numerators(factor, 1, prec)
     return prod.shift(Fraction(m, 24)).truncate(prec)
 
 
@@ -373,7 +359,8 @@ def _eisenstein_bases(k: int, prec: Fraction) -> Tuple[List[QSeries], List[QSeri
 def _level2_weight(f: ScalarForm) -> int:
     """f's weight k, once f is an even-weight level-2 form with the 1 + k//4 coefficients of the Sturm bound."""
     k = int(f.weight)
-    if f.level != "Gamma0_2" or f.weight != k or k % 2 or k < 0 or f.series.denominator != 1:
+    fractional = any(e.denominator != 1 for e in f.series.nums)
+    if f.level != "Gamma0_2" or f.weight != k or k % 2 or k < 0 or fractional:
         raise DecompositionError(f"expected an even-weight level-2 form with integer exponents, got {f.level} weight {f.weight}")
     if ceil(f.series.truncation) < 1 + k // 4:
         raise DecompositionError(
@@ -444,32 +431,33 @@ def plus_eisenstein_gamma0_3(w: int, prec) -> ScalarForm:
     if w < 1 or w % 2 == 0:
         raise ValueError(f"weight must be odd and positive, got {w}")
     prec = as_fraction(prec)
-    n_max = int(prec)
 
     def coeff_a(n):  # chi on the divisor
-        return Fraction(sum(kronecker_symbol(-3, d) * d ** (w - 1) for d in divisors(n)))
+        return sum(kronecker_symbol(-3, d) * d ** (w - 1) for d in divisors(n))
 
     def coeff_b(n):  # chi on the complementary divisor
-        return Fraction(sum(kronecker_symbol(-3, n // d) * d ** (w - 1) for d in divisors(n)))
+        return sum(kronecker_symbol(-3, n // d) * d ** (w - 1) for d in divisors(n))
 
     lval = dirichlet_l_negative(w, -3)
     const_a = lval / 2
     const_b = lval / 2 if w == 1 else Fraction(0)
     a2, b2 = coeff_a(2), coeff_b(2)
-    t = Fraction(1) if b2 == 0 else -a2 / b2
+    t = Fraction(1) if b2 == 0 else Fraction(-a2, b2)
     const = const_a + t * const_b
     if const == 0:
         raise PlusSpaceError(f"plus combination at weight {w} has zero constant term")
-    terms = {Fraction(0): Fraction(1)}
-    for n in range(1, n_max + 1):
-        c = (coeff_a(n) + t * coeff_b(n)) / const
+    # (a + t b) / const over the one denominator t.denominator * const.numerator
+    den = t.denominator * const.numerator
+    nums = {Fraction(0): den}
+    for n in range(1, ceil(prec)):
+        c = (coeff_a(n) * t.denominator + t.numerator * coeff_b(n)) * const.denominator
         if c:
-            terms[Fraction(n)] = c
-    series = QSeries(terms, prec)
-    for e, c in series.terms():
-        if e.numerator % 3 == 2 and c != 0:
+            nums[Fraction(n)] = c
+    series = QSeries.from_numerators(nums, den, prec)
+    for e, c in series.nums.items():
+        if e.numerator % 3 == 2:
             raise PlusSpaceError(
-                f"weight-{w} plus combination has nonzero coefficient {c} at q^{e}"
+                f"weight-{w} plus combination has nonzero coefficient {Fraction(c, series.den)} at q^{e}"
             )
     return ScalarForm(Fraction(w), "Gamma0_3_chi", series)
 
@@ -595,15 +583,19 @@ def cohen_eisenstein(r: int, prec) -> ScalarForm:
     prec = as_fraction(prec)
     h0 = cohen_class_number(r, 0)
     ratios: Dict[int, Fraction] = {}
-    terms = {Fraction(0): Fraction(1)}
+    sums = []
     for n in range(1, ceil(prec)):
         if n % 4 in (2, 3):
             continue
         d, rows = _class_number_row(n)
         if d not in ratios:
             ratios[d] = dirichlet_l_negative(r, d) / h0
-        h = ratios[d] * _divisor_sum(r, rows)
-        if h:
-            terms[Fraction(n)] = h
-    series = QSeries(terms, prec)
+        sums.append((n, d, _divisor_sum(r, rows)))
+    # every ratio over one denominator, so each coefficient is one integer product
+    den = lcm(1, *(x.denominator for x in ratios.values()))
+    scaled = {d: x.numerator * (den // x.denominator) for d, x in ratios.items()}
+    nums = {Fraction(0): den}
+    for n, d, s in sums:
+        nums[Fraction(n)] = scaled[d] * s
+    series = QSeries.from_numerators(nums, den, prec)
     return ScalarForm(Fraction(2 * r + 1, 2), "KohnenPlus4", series)

@@ -8,20 +8,20 @@ represented and everything at or beyond ``T`` is unknown.  Arithmetic always
 propagates the smaller truncation of its operands; precision is never
 silently extended.  There is no floating point anywhere.
 
-Coefficient tables in more than one variable (Jacobi forms, paramodular
-forms) share one store, :class:`NumeratorStore`: integer numerators over
-one common denominator, in lowest terms, with a read-only ``Fraction``
-view for the edges of a layer.
+Every exact coefficient table (q-series, Jacobi forms, paramodular forms)
+shares one store, :class:`NumeratorStore`: integer numerators over one
+common denominator, in lowest terms, with a read-only ``Fraction`` view for
+the edges of a layer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Hashable, Iterator, List, Tuple, Union
+from typing import Dict, Hashable, Iterator, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -75,33 +75,50 @@ class NumeratorStore:
     built only by the rational constructor and the ``coeffs`` view.
 
     A subclass is a frozen dataclass with ``init=False`` whose fields are
-    ``weight``, its grading (Jacobi index, paramodular level), ``nums``,
-    ``den`` and then its truncation bounds; ``_in_box`` says which keys the
-    bounds keep.
+    its head (``weight`` and its grading for Jacobi and paramodular forms,
+    nothing for a q-series), ``nums``, ``den`` and then its truncation
+    bounds; ``_in_box`` says which keys the bounds keep, and may raise on a
+    key no bound can hold.  Both constructors take the head, the
+    coefficients and the bounds in that field order.
     """
 
-    nums: Dict[Tuple[int, ...], int]
+    nums: Dict[Hashable, int]
     den: int
 
-    def __init__(self, weight: int, grading: int, coeffs: Mapping, *bounds: int):
-        """From exact rational (or integer) coefficients."""
-        values = {k: as_fraction(v) for k, v in coeffs.items()}
-        den = lcm(1, *(v.denominator for v in values.values()))
-        nums = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        self._set(weight, grading, nums, den, bounds)
+    def __init_subclass__(cls, **kwargs):
+        """Set ``_head`` and ``_bounds``: the names of the fields before ``nums`` and after ``den``."""
+        super().__init_subclass__(**kwargs)
+        names = list(cls.__annotations__)
+        at = names.index("nums")
+        cls._head, cls._bounds = tuple(names[:at]), tuple(names[at + 2:])
+
+    def __init__(self, *args):
+        """From the head, exact rational (or integer) coefficients by key, and the bounds."""
+        at = len(self._head)
+        coeffs = args[at]
+        values = [as_fraction(v) for v in coeffs.values()]
+        den = lcm(1, *(v.denominator for v in values))
+        nums = dict(zip(coeffs, (v.numerator * (den // v.denominator) for v in values)))
+        self._set(args[:at], nums, den, args[at + 1:])
 
     @classmethod
-    def from_numerators(cls, weight: int, grading: int, nums: Dict, den: int, *bounds: int):
-        """The form with coefficients ``nums[key] / den``; ``den`` is any nonzero int."""
+    def from_numerators(cls, *args):
+        """From the head, integer ``nums``, ``den`` (any nonzero int) and the bounds.
+
+        The store may keep the ``nums`` dict itself, so the caller must not change it afterwards.
+        """
+        at = len(cls._head)
         form = cls.__new__(cls)
-        form._set(weight, grading, nums, den, bounds)
+        form._set(args[:at], args[at], args[at + 1], args[at + 2:])
         return form
 
-    def _set(self, weight, grading, nums, den, bounds) -> None:
-        names = [f.name for f in fields(self)]
-        for name, value in zip(names[:2] + names[4:], (weight, grading, *bounds)):
+    def _set(self, head, nums, den, bounds) -> None:
+        for name, value in zip(self._head + self._bounds, (*head, *bounds)):
             object.__setattr__(self, name, value)
-        nums = {k: v for k, v in nums.items() if v and self._in_box(k)}
+        # a dict is rebuilt only when it must change: hashing a Fraction key is not cheap
+        in_box = self._in_box
+        if not all(v and in_box(k) for k, v in nums.items()):
+            nums = {k: v for k, v in nums.items() if v and in_box(k)}
         g = gcd(den, *nums.values())
         if den < 0:
             g = -g
@@ -111,20 +128,19 @@ class NumeratorStore:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
-    def _in_box(self, key: Tuple[int, ...]) -> bool:
+    def _in_box(self, key) -> bool:
         raise NotImplementedError
 
     def _shape(self) -> Tuple[list, list]:
-        """[weight, grading] and the truncation bounds."""
-        values = [getattr(self, f.name) for f in fields(self)]
-        return values[:2], values[4:]
+        """The head field values and the truncation bounds."""
+        return [getattr(self, name) for name in self._head], [getattr(self, name) for name in self._bounds]
 
     @property
     def coeffs(self) -> Mapping:
         """The rational coefficients, as a read-only map to ``Fraction``."""
         return _RationalView(self.nums, self.den)
 
-    def support(self) -> List[Tuple[int, ...]]:
+    def support(self) -> list:
         return sorted(self.nums)
 
     def is_zero(self) -> bool:
@@ -135,8 +151,7 @@ class NumeratorStore:
             return NotImplemented
         (head, bounds), (other_head, other_bounds) = self._shape(), other._shape()
         if head != other_head:
-            grading = fields(self)[1].name
-            raise ValueError(f"can only add {type(self).__name__}s of equal weight and {grading}")
+            raise ValueError(f"can only add {type(self).__name__}s of equal {' and '.join(self._head)}")
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         nums = {k: a * v for k, v in self.nums.items()}
@@ -151,51 +166,50 @@ class NumeratorStore:
         return self.from_numerators(*head, nums, c.denominator * self.den, *bounds)
 
     def to_json(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("nums", "den")}
+        payload = {name: getattr(self, name) for name in self._head + self._bounds}
         payload["coefficients"] = {
             ",".join(map(str, key)): [c.numerator, c.denominator] for key, c in sorted(self.coeffs.items())
         }
         return payload
 
 
-class QSeries:
+@dataclass(frozen=True, init=False)
+class QSeries(NumeratorStore):
     """Sparse exact series ``sum c_e q^e`` with ``0 <= e < truncation``.
 
-    Instances are immutable and canonical: no zero coefficients are stored,
-    every exponent satisfies ``0 <= e < truncation`` and ``e * denominator``
-    is an integer.  Two series are equal iff their truncations and their
-    coefficient tables agree.  Exponent denominators are bounded by
-    ``DEFAULT_EXPONENT_DENOMINATOR_CAP``.
+    The coefficient of q^e is ``nums[e] / den`` (see ``NumeratorStore``),
+    with ``Fraction`` exponents e.  Instances are immutable and canonical:
+    every stored exponent satisfies ``0 <= e < truncation`` and has a
+    denominator at most ``DEFAULT_EXPONENT_DENOMINATOR_CAP``.  Two series
+    are equal iff their truncations and their coefficient tables agree.
+    ``QSeries(terms, truncation)`` takes rational coefficients,
+    ``from_numerators(nums, den, truncation)`` integer ones.
     """
 
-    __slots__ = ("_coeffs", "truncation", "denominator")
+    nums: Dict[Fraction, int]
+    den: int
+    truncation: Fraction
 
     def __init__(self, terms: Mapping[RationalLike, RationalLike], truncation: RationalLike):
-        trunc = as_fraction(truncation)
-        if trunc <= 0:
-            raise ValueError(f"truncation must be positive, got {trunc}")
-        cap = DEFAULT_EXPONENT_DENOMINATOR_CAP
-        coeffs = {}
-        den = 1
-        for e, c in terms.items():
-            e = as_fraction(e)
-            c = as_fraction(c)
-            if c == 0 or e >= trunc:
-                continue
-            if e < 0:
-                raise ValueError(f"negative exponent {e} not supported")
-            if e.denominator > cap:
-                raise ExponentDenominatorError(
-                    f"exponent {e} has denominator {e.denominator} > cap {cap}"
-                )
-            coeffs[e] = c
-            den = lcm(den, e.denominator)
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "truncation", trunc)
-        object.__setattr__(self, "denominator", den)
+        super().__init__({as_fraction(e): c for e, c in terms.items()}, as_fraction(truncation))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+    def _set(self, head, nums, den, bounds) -> None:
+        if bounds[0] <= 0:
+            raise ValueError(f"truncation must be positive, got {bounds[0]}")
+        super()._set(head, nums, den, bounds)
+
+    def _in_box(self, e: Fraction) -> bool:
+        if e >= self.truncation:
+            return False
+        # the numerator carries the sign; comparing the Fraction with 0 costs ten times more
+        if e.numerator < 0:
+            raise ValueError(f"negative exponent {e} not supported")
+        cap = DEFAULT_EXPONENT_DENOMINATOR_CAP
+        if e.denominator > cap:
+            raise ExponentDenominatorError(
+                f"exponent {e} has denominator {e.denominator} > cap {cap}"
+            )
+        return True
 
     # -- constructors ------------------------------------------------------
 
@@ -217,73 +231,41 @@ class QSeries:
         e = as_fraction(e)
         if e >= self.truncation:
             raise TruncationError(f"coefficient at q^{e} lies beyond truncation O(q^{self.truncation})")
-        return self._coeffs.get(e, Fraction(0))
+        return Fraction(self.nums.get(e, 0), self.den)
 
     def terms(self) -> list:
         """Sorted list of (exponent, coefficient) pairs."""
-        return sorted(self._coeffs.items())
-
-    def support(self) -> list:
-        return sorted(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.truncation == other.truncation and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((self.truncation, tuple(sorted(self._coeffs.items()))))
+        return [(e, Fraction(self.nums[e], self.den)) for e in sorted(self.nums)]
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        trunc = min(self.truncation, other.truncation)
-        coeffs = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return QSeries(coeffs, trunc)
-
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self._coeffs.items()}, self.truncation)
+        return -1 * self
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction, Rational)):
-            c0 = as_fraction(other)
-            return QSeries({e: c * c0 for e, c in self._coeffs.items()}, self.truncation)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            return self.__rmul__(other)
         trunc = min(self.truncation, other.truncation)
-        coeffs = {}
-        for e1, c1 in self._coeffs.items():
-            if e1 >= trunc:
-                continue
-            for e2, c2 in other._coeffs.items():
+        nums: Dict[Fraction, int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 e = e1 + e2
-                if e >= trunc:
-                    continue
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return QSeries(coeffs, trunc)
-
-    def __rmul__(self, other) -> "QSeries":
-        return self.__mul__(other)
+                if e < trunc:
+                    nums[e] = nums.get(e, 0) + c1 * c2
+        return QSeries.from_numerators(nums, self.den * other.den, trunc)
 
     def __truediv__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, Rational)):
-            return self * (Fraction(1) / as_fraction(other))
+            return (Fraction(1) / as_fraction(other)) * self
         return NotImplemented
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"power must be a nonnegative integer, got {n}")
-        result = QSeries({0: 1}, self.truncation)
+        result = QSeries.one(self.truncation)
         base = self
         while n:
             if n & 1:
@@ -304,33 +286,33 @@ class QSeries:
         c = as_fraction(c)
         if c <= 0:
             raise ValueError(f"rescale factor must be positive, got {c}")
-        for e in self._coeffs:
-            if (c * e).denominator > cap:
+        nums = {}
+        for e, v in self.nums.items():
+            ce = c * e
+            if ce.denominator > cap:
                 raise ExponentDenominatorError(
-                    f"rescale by {c} sends q^{e} to denominator {(c * e).denominator} > cap {cap}"
+                    f"rescale by {c} sends q^{e} to denominator {ce.denominator} > cap {cap}"
                 )
-        return QSeries({c * e: v for e, v in self._coeffs.items()}, c * self.truncation)
+            nums[ce] = v
+        return QSeries.from_numerators(nums, self.den, c * self.truncation)
 
     def half_twist(self) -> "QSeries":
         """Substitute tau -> (tau+1)/2 on an integer-exponent series.
 
         q^n maps to (-1)^n q^(n/2).
         """
-        for e in self._coeffs:
+        for e in self.nums:
             if e.denominator != 1:
                 raise ValueError(f"half_twist requires integer exponents, found q^{e}")
-        coeffs = {}
-        for e, c in self._coeffs.items():
-            n = int(e)
-            coeffs[Fraction(n, 2)] = c if n % 2 == 0 else -c
-        return QSeries(coeffs, self.truncation / 2)
+        nums = {Fraction(e.numerator, 2): -v if e.numerator % 2 else v for e, v in self.nums.items()}
+        return QSeries.from_numerators(nums, self.den, self.truncation / 2)
 
     def shift(self, e0: RationalLike) -> "QSeries":
         """Multiply by the exact monomial q^e0 (e0 >= 0)."""
         e0 = as_fraction(e0)
         if e0 < 0:
             raise ValueError("shift exponent must be nonnegative")
-        return QSeries({e + e0: c for e, c in self._coeffs.items()}, self.truncation + e0)
+        return QSeries.from_numerators({e + e0: v for e, v in self.nums.items()}, self.den, self.truncation + e0)
 
     def truncate(self, truncation: RationalLike) -> "QSeries":
         trunc = as_fraction(truncation)
@@ -338,7 +320,7 @@ class QSeries:
             raise TruncationError(
                 f"cannot extend truncation from O(q^{self.truncation}) to O(q^{trunc})"
             )
-        return QSeries(self._coeffs, trunc)
+        return QSeries.from_numerators(self.nums, self.den, trunc)
 
     # -- rendering ---------------------------------------------------------
 

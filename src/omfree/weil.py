@@ -239,19 +239,22 @@ def _plus_components(g: ScalarForm, case: str, modulus: int) -> ComponentForm:
     hits: Dict[Fraction, List[int]] = {}
     for i, coset in enumerate(lat.cosets):
         hits.setdefault(-coset.norm_mod1 % 1 * modulus, []).append(i)
-    terms = [{} for _ in lat.cosets]
-    for e, c in g.series.terms():
+    # every share c / len(targets) is taken over the one denominator den * shares
+    shares = lcm(*map(len, hits.values()))
+    nums = [{} for _ in lat.cosets]
+    for e, c in g.series.nums.items():
         n = int(e)
         targets = hits.get(n % modulus)
         if targets is None:
             raise ValueError(f"plus-space form has support at {n} = {n % modulus} mod {modulus}")
         x = Fraction(n, modulus)
-        share = c if len(targets) == 1 else c / len(targets)
+        share = c * (shares // len(targets))
         for i in targets:
-            terms[i][x] = share
+            nums[i][x] = share
+    den = g.series.den * shares
     trunc = g.series.truncation / modulus
     jacobi_weight = as_fraction(g.weight) + Fraction(lat.rank, 2)
-    return ComponentForm(lat, jacobi_weight, tuple(QSeries(t, trunc) for t in terms))
+    return ComponentForm(lat, jacobi_weight, tuple(QSeries.from_numerators(t, den, trunc) for t in nums))
 
 
 def e6_from_plus(g: ScalarForm) -> ComponentForm:
@@ -410,9 +413,9 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
         raise ValueError("pullbacks of half-integral Jacobi weights are not supported")
     weight = int(form.weight)
 
-    # Clear all component denominators once and accumulate plain ints:
+    # Bring all components to one denominator and accumulate plain ints:
     # c(n, r) = (1/den) * sum of count * (den * coefficient at n - Q(l)).
-    den = lcm(1, *(c.denominator for comp in form.components for _, c in comp.terms()))
+    den = lcm(1, *(comp.den for comp in form.components))
     parts = []
     total = rmax = bits = 0
     for coset, comp, table in zip(lat.cosets, form.components, tables):
@@ -429,13 +432,14 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
         if rest.any():
             raise AssertionError("coset norms fall in more than one class mod 1")
         numerators: Dict[int, int] = {}
-        for e, c in comp.terms():
-            se = e * scale
-            if se.denominator != 1:
+        lift = den // comp.den
+        for e, c in comp.nums.items():
+            se, remainder = divmod(e.numerator * scale, e.denominator)
+            if remainder:
                 raise AssertionError("component exponent incompatible with coset scale")
-            j, off_class = divmod(int(se) + offset, scale)
+            j, off_class = divmod(se + offset, scale)
             if j <= nq and not off_class:
-                numerators[j] = c.numerator * (den // c.denominator)
+                numerators[j] = c * lift
         if not numerators:
             continue
         pairings = keys[:, 1]

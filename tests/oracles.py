@@ -13,6 +13,9 @@ Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 ``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice.
 :func:`bernoulli_recursive` checks the tangent-number Bernoulli numbers of
 ``omfree.classical.bernoulli`` by the defining recursion in ``Fraction``.
+The ``series_*`` functions check the ``omfree.qseries.QSeries`` operations
+on plain ``{exponent: coefficient}`` dicts of ``Fraction`` values, a table
+and its truncation, with no integer numerators.
 """
 
 from __future__ import annotations
@@ -45,6 +48,56 @@ def bernoulli_recursive(n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     return -sum((comb(n + 1, j) * bernoulli_recursive(j) for j in range(n)), Fraction(0)) / (n + 1)
+
+
+#: A truncated q-series as a plain table: ({exponent: nonzero coefficient}, truncation), all ``Fraction``.
+SeriesTable = Tuple[Dict[Fraction, Fraction], Fraction]
+
+
+def series_table(terms, truncation) -> SeriesTable:
+    """The table of ``terms`` below ``truncation``, zero coefficients dropped."""
+    trunc = Fraction(truncation)
+    return {Fraction(e): Fraction(c) for e, c in terms.items() if c != 0 and e < trunc}, trunc
+
+
+def series_add(a: SeriesTable, b: SeriesTable) -> SeriesTable:
+    total = dict(a[0])
+    for e, c in b[0].items():
+        total[e] = total.get(e, Fraction(0)) + c
+    return series_table(total, min(a[1], b[1]))
+
+
+def series_scale(a: SeriesTable, c) -> SeriesTable:
+    return series_table({e: c * v for e, v in a[0].items()}, a[1])
+
+
+def series_mul(a: SeriesTable, b: SeriesTable) -> SeriesTable:
+    product: Dict[Fraction, Fraction] = {}
+    for e1, c1 in a[0].items():
+        for e2, c2 in b[0].items():
+            product[e1 + e2] = product.get(e1 + e2, Fraction(0)) + c1 * c2
+    return series_table(product, min(a[1], b[1]))
+
+
+def series_pow(a: SeriesTable, n: int) -> SeriesTable:
+    """a^n by n - 1 plain products; a^0 is 1 at a's truncation."""
+    result = series_table({0: 1}, a[1])
+    for _ in range(n):
+        result = series_mul(result, a)
+    return result
+
+
+def series_rescale(a: SeriesTable, c) -> SeriesTable:
+    return series_table({c * e: v for e, v in a[0].items()}, c * a[1])
+
+
+def series_half_twist(a: SeriesTable) -> SeriesTable:
+    """tau -> (tau + 1)/2 on integer exponents: c q^n goes to (-1)^n c q^(n/2)."""
+    return series_table({e / 2: (-1) ** int(e) * v for e, v in a[0].items()}, a[1] / 2)
+
+
+def series_shift(a: SeriesTable, e0) -> SeriesTable:
+    return series_table({e + e0: v for e, v in a[0].items()}, a[1] + e0)
 
 
 def sl2_monomial_basis(k: int, prec):

@@ -490,7 +490,6 @@ def test_generalized_bernoulli_in_scrambled_order(monkeypatch):
     # cold caches, a power-sum cache that evicts, and n rising and falling per discriminant
     monkeypatch.setattr(classical, "_POWER_SUMS", {})
     monkeypatch.setattr(classical, "_POWER_SUMS_LIMIT", 4)
-    generalized_bernoulli.cache_clear()
     discs = [d for d in range(-60, 61) if d not in (0, 1) and is_fundamental_discriminant(d)]
     oracles = {disc: exp_series_bernoulli(disc, 27) for disc in discs}
     pairs = [(n, disc) for disc in discs for n in range(1, 27)]
@@ -498,11 +497,9 @@ def test_generalized_bernoulli_in_scrambled_order(monkeypatch):
     for n, disc in pairs:
         assert generalized_bernoulli(n, disc) == oracles[disc][n], (n, disc)
     assert len(classical._POWER_SUMS) == 4
-    generalized_bernoulli.cache_clear()
 
 
 def test_inner_caches_are_bounded():
-    assert generalized_bernoulli.cache_info().maxsize == classical._GENERALIZED_BERNOULLI_LIMIT == 1024
     assert classical._binomial_bernoulli.cache_info().maxsize == classical._BERNOULLI_ROWS_LIMIT
     assert classical._class_number_row.cache_info().maxsize == classical._CLASS_ROWS_LIMIT
 
@@ -562,7 +559,7 @@ def test_cohen_class_numbers_are_the_series_coefficients(r):
 def test_e7_cohen_series_list_each_character_once(monkeypatch):
     # the nine E7 inputs with r > 0 at the certificate's O(q^104), every cache cold
     monkeypatch.setattr(classical, "_POWER_SUMS", {})
-    for cached in (generalized_bernoulli, classical._binomial_bernoulli, classical._class_number_row):
+    for cached in (classical._binomial_bernoulli, classical._class_number_row):
         cached.cache_clear()
     calls = []
 
@@ -576,7 +573,6 @@ def test_e7_cohen_series_list_each_character_once(monkeypatch):
     # chi_D(a) for a <= |D| is listed once per discriminant (1719 calls with the divisor rows);
     # listing it again at each new exponent made 16416
     assert len(calls) <= 2000
-    generalized_bernoulli.cache_clear()
     classical._class_number_row.cache_clear()
 
 

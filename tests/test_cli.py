@@ -253,9 +253,37 @@ E7_EISENSTEIN_SHA256 = {
     30: "274b40f475344dffc99881a1b2bc616ef22e46799ac761e4b9dc374944f0239b",
 }
 
+# sha256 of the stdout of more `--json` commands, recorded before q-series moved onto integer
+# numerators: the D8 and E6 Eisenstein inputs, the E6 certificate (its odd generators M7 and M15
+# are built on eta^8), and the first seed-1 direction of the D8 pullback sweep benchmark.
+GOLDEN_JSON_SHA256 = {
+    **{str(k): (("eisenstein", "E7", "-k", str(k), "--prec", "26"), h) for k, h in E7_EISENSTEIN_SHA256.items()},
+    "eisenstein-D8-k6": (
+        ("eisenstein", "D8", "-k", "6", "--prec", "9"),
+        "1eb65c82869dc21b1af7066198fd41231b286ac186c2006c71fd21e297577d49",
+    ),
+    "eisenstein-D8-k10-orbit1": (
+        ("eisenstein", "D8", "-k", "10", "--orbit", "1", "--prec", "9"),
+        "95a825f0e32c3eeb825bc7288aad14a950b5fea867c712ff655220f07f1083b1",
+    ),
+    "eisenstein-E6-k8": (
+        ("eisenstein", "E6", "-k", "8", "--prec", "5"),
+        "e59d7dc6638667c1516daa8cbb6a7aa569d8580f6c2f94bb4ba013c8a9f2c532",
+    ),
+    "certify-E6": (
+        ("certify", "E6", "--wmax", "24"),
+        "8df284b4eb05df88d68936328487ae37b614faceb0bff1225e74f0ac0708370c",
+    ),
+    "pullback-D8-sweep": (
+        ("pullback", "D8", "-k", "8", "--vector=-2,1,3,3,3,-3,-1,-3", "--nq", "14"),
+        "500c37a32b840a16d28aaf0bcbb8a312c118177e9bbf0072407193d8b3b298ac",
+    ),
+}
 
-@pytest.mark.parametrize("k", sorted(E7_EISENSTEIN_SHA256))
-def test_e7_eisenstein_json_is_byte_identical(capsys, k):
-    code, out = run(capsys, "eisenstein", "E7", "-k", str(k), "--prec", "26", "--json")
+
+@pytest.mark.parametrize("case", list(GOLDEN_JSON_SHA256))
+def test_e7_eisenstein_json_is_byte_identical(capsys, case):
+    argv, digest = GOLDEN_JSON_SHA256[case]
+    code, out = run(capsys, *argv, "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == E7_EISENSTEIN_SHA256[k]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,6 +11,16 @@ from omfree.qseries import (
     QSeries,
     TruncationError,
 )
+from oracles import (
+    series_add,
+    series_half_twist,
+    series_mul,
+    series_pow,
+    series_rescale,
+    series_scale,
+    series_shift,
+    series_table,
+)
 
 
 def series(terms, trunc=10):
@@ -44,6 +54,21 @@ def test_negative_exponent_rejected():
 def test_denominator_cap():
     with pytest.raises(ExponentDenominatorError):
         series({Fraction(1, 25): 1})
+
+
+def test_zero_coefficient_at_negative_exponent_dropped():
+    assert series({-1: 0, 0: 1}) == QSeries.one(10)
+    with pytest.raises(ValueError, match="negative exponent -1 not supported"):
+        series({-1: 1, 0: 1})
+
+
+def test_product_exponent_over_cap_raises_only_if_its_coefficient_survives():
+    # q^(1/5) q^(1/6) = q^(11/30), and 30 is above the cap of 24
+    fifth, sixth = series({Fraction(1, 5): 1}), series({Fraction(1, 6): 1})
+    with pytest.raises(ExponentDenominatorError, match="exponent 11/30 has denominator 30 > cap 24"):
+        fifth * sixth
+    # (q^(1/5) - q^(1/6)) (q^(1/5) + q^(1/6)) = q^(2/5) - q^(1/3): the q^(11/30) terms cancel
+    assert (fifth - sixth) * (fifth + sixth) == series({Fraction(2, 5): 1, Fraction(1, 3): -1})
 
 
 def test_coefficient_beyond_truncation_raises():
@@ -185,11 +210,15 @@ def test_json_terms():
 # ---------------------------------------------------------------------------
 # ring laws (property-based)
 
-rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
-exponents = st.integers(min_value=0, max_value=9).map(
-    lambda n: Fraction(n, 1)
-) | st.integers(min_value=0, max_value=18).map(lambda n: Fraction(n, 2))
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6) | st.builds(
+    Fraction, st.integers(min_value=-(10**30), max_value=10**30), st.integers(min_value=1, max_value=10**30)
+)
+# exponent denominators 1, 2, 3, 4 and 8: every sum of two has a denominator dividing the cap 24
+exponents = st.sampled_from((1, 2, 3, 4, 8)).flatmap(
+    lambda d: st.integers(min_value=0, max_value=10 * d - 1).map(lambda n: Fraction(n, d))
+)
 sparse = st.dictionaries(exponents, rationals, max_size=5).map(lambda d: QSeries(d, 10))
+whole = st.dictionaries(st.integers(min_value=0, max_value=9), rationals, max_size=5).map(lambda d: QSeries(d, 10))
 
 
 @settings(max_examples=60)
@@ -214,3 +243,36 @@ def test_mul_associates(a, b, c):
 @given(sparse, sparse, sparse)
 def test_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+def table(s):
+    return dict(s.terms()), s.truncation
+
+
+@settings(max_examples=60)
+@given(sparse, sparse, rationals.filter(bool), st.integers(min_value=0, max_value=3))
+def test_ring_operations_match_dict_oracle(a, b, c, n):
+    ta, tb = table(a), table(b)
+    assert table(a + b) == series_add(ta, tb)
+    assert table(a - b) == series_add(ta, series_scale(tb, -1))
+    assert table(-a) == series_scale(ta, -1)
+    assert table(a * b) == series_mul(ta, tb)
+    assert table(a**n) == series_pow(ta, n)
+    assert table(c * a) == table(a * c) == series_scale(ta, c)
+    assert table(a / c) == series_scale(ta, 1 / c)
+
+
+@settings(max_examples=60)
+@given(
+    sparse,
+    whole,
+    st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), 2, 3)),
+    exponents,
+    exponents.filter(bool),
+)
+def test_substitutions_match_dict_oracle(a, w, c, e0, trunc):
+    ta = table(a)
+    assert table(a.rescale(c)) == series_rescale(ta, c)
+    assert table(w.half_twist()) == series_half_twist(table(w))
+    assert table(a.shift(e0)) == series_shift(ta, e0)
+    assert table(a.truncate(trunc)) == series_table(ta[0], trunc)
