@@ -342,19 +342,18 @@ def independence(
     generators = list(generators)
     weights_list = [g.weight for g in generators]
     say = progress or (lambda msg: None)
-    records: Dict[int, WeightRecord] = {}
     relations: List[dict] = []
-    pending = list(range(w_max + 1))
+    # each weight's monomials, enumerated once for every schedule step
+    by_weight = {w: [m for m in monomials(weights_list, w) if sum(m) > 0] for w in range(w_max + 1)}
+    records = {w: WeightRecord(w, [], (0, 0), 0, "trivial") for w, monos in by_weight.items() if not monos}
+    pending = [w for w, monos in by_weight.items() if monos]
     used_precision = schedule[0]
     for step, (nq, nxi) in enumerate(schedule):
         used_precision = (nq, nxi)
         cache = _MonomialCache(generators, nq, nxi)
         still_pending = []
         for w in pending:
-            monos = [m for m in monomials(weights_list, w) if sum(m) > 0]
-            if not monos:
-                records[w] = WeightRecord(w, [], (0, 0), 0, "trivial")
-                continue
+            monos = by_weight[w]
             shape = (len(monos), int(cache.mask.sum()))
             if _rank_mod_p(cache.residue_rows(monos)) == len(monos):
                 rank = len(monos)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import ceil, comb, isqrt, lcm
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Tuple
 
 from .linalg import solve
 from .qseries import QSeries, as_fraction
@@ -95,14 +95,7 @@ def sigma(n: int, k: int) -> int:
     """Divisor power sum sum_{d | n} d^k for n >= 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-    return total
+    return sum(d**k for d in divisors(n))
 
 
 def divisors(n: int) -> List[int]:
@@ -241,26 +234,8 @@ def dirichlet_l_negative(r: int, disc: int) -> Fraction:
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    if d == 1:
-        return True
-    if d % 4 == 1:
-        return _is_squarefree(d)
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and _is_squarefree(q)
-    return False
-
-
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 1
-    return True
+    """True when d = 0, 1 mod 4 is nonzero and is its own fundamental part (``fundamental_decomposition``)."""
+    return d % 4 in (0, 1) and d != 0 and fundamental_decomposition(d) == (d, 1)
 
 
 def fundamental_decomposition(m: int) -> Tuple[int, int]:
@@ -311,49 +286,45 @@ def eta_pow(m: int, prec) -> QSeries:
 # Level 2: Eisenstein basis and its slash expansions
 
 
-def weight2_level2(prec) -> ScalarForm:
-    """The weight-2 form 2 E_2(2 tau) - E_2(tau) = 1 + 24 sum sigma^odd_1(n) q^n."""
-    prec = as_fraction(prec)
-    e2 = eisenstein_sl2(2, 2 * prec).series
-    series = (2 * e2.rescale(2) - e2).truncate(prec)
-    return ScalarForm(Fraction(2), "Gamma0_2", series)
+#: Level-2 expansions kept, one per (weight, truncation); the least recently used goes first.
+_LEVEL2_BASES_LIMIT = 16
 
 
 def gamma0_2_eisenstein_basis(k: int, prec) -> List[ScalarForm]:
-    """Eisenstein basis of M_k(Gamma0(2)): {1}, {weight-2 form}, or {E_k, E_k(2tau)}."""
+    """Eisenstein basis of M_k(Gamma0(2)): {1}, {2 E_2(2 tau) - E_2}, or {E_k, E_k(2 tau)}.
+
+    The weight-2 form is 1 + 24 sum sigma^odd_1(n) q^n.  The expansions are
+    those of ``_eisenstein_bases``, so the slash expansions of the same
+    weight and truncation come from the same expansion of E_k.
+    """
     if k % 2 or k < 0:
         raise ValueError(f"weight must be even and nonnegative, got {k}")
-    prec = as_fraction(prec)
-    if k == 0:
-        return [ScalarForm(Fraction(0), "Gamma0_2", QSeries.one(prec))]
-    if k == 2:
-        return [weight2_level2(prec)]
-    ek = eisenstein_sl2(k, prec).series
-    return [
-        ScalarForm(Fraction(k), "Gamma0_2", ek),
-        ScalarForm(Fraction(k), "Gamma0_2", ek.rescale(2).truncate(prec)),
-    ]
+    basis = _eisenstein_bases(k, as_fraction(prec))[0]
+    return [ScalarForm(Fraction(k), "Gamma0_2", b) for b in basis]
 
 
-def _eisenstein_bases(k: int, prec: Fraction) -> Tuple[List[QSeries], List[QSeries], List[QSeries]]:
-    """The weight-k Eisenstein basis, and that basis slashed by S and by U, each in basis order.
+@lru_cache(maxsize=_LEVEL2_BASES_LIMIT)
+def _eisenstein_bases(k: int, prec: Fraction) -> Tuple[Tuple[QSeries, ...], Tuple[QSeries, ...], Tuple[QSeries, ...]]:
+    """The weight-k level-2 Eisenstein basis, and that basis slashed by S and by U, each in basis order.
 
-    The basis is gamma0_2_eisenstein_basis(k, prec).  S is inversion, U is
-    inversion followed by translation.  With h = tau/2 for S and
-    h = (tau+1)/2 for U the closed forms are
+    The one expansion of the level-2 basis: ``gamma0_2_eisenstein_basis``,
+    ``decompose_level2`` and ``slash_level2`` all read it, memoised per
+    (k, prec).  S is inversion, U is inversion followed by translation.
+    With h = tau/2 for S and h = (tau+1)/2 for U the closed forms are
       1 | S = 1,                  w2 | S = E_2(h)/2 - E_2,
       E_k | S = E_k,              E_k(2 tau) | S = 2^-k E_k(h),
-    and the same with U in place of S.  All three lists are read off one
-    expansion of E_k to O(q^(2 prec)).
+    and the same with U in place of S, where w2 = 2 E_2(2 tau) - E_2.  All
+    three tuples are read off one expansion of E_k to O(q^(2 prec)).
     """
     if k == 0:
-        return [QSeries.one(prec)], [QSeries.one(prec)], [QSeries.one(prec)]
+        one = (QSeries.one(prec),)
+        return one, one, one
     ek = eisenstein_sl2(k, 2 * prec).series
     level1, level2 = ek.truncate(prec), ek.rescale(2).truncate(prec)
     s_half, u_half = ek.rescale(Fraction(1, 2)), ek.half_twist()
     if k == 2:
-        return [2 * level2 - level1], [s_half / 2 - level1], [u_half / 2 - level1]
-    return [level1, level2], [level1, s_half / 2**k], [level1, u_half / 2**k]
+        return (2 * level2 - level1,), (s_half / 2 - level1,), (u_half / 2 - level1,)
+    return (level1, level2), (level1, s_half / 2**k), (level1, u_half / 2**k)
 
 
 def _level2_weight(f: ScalarForm) -> int:
@@ -369,21 +340,18 @@ def _level2_weight(f: ScalarForm) -> int:
     return k
 
 
-def decompose_level2(f: ScalarForm, basis: Optional[List[QSeries]] = None) -> List[Fraction]:
-    """Coefficients of f in gamma0_2_eisenstein_basis(k, prec), by one exact solve.
+def decompose_level2(f: ScalarForm) -> List[Fraction]:
+    """Coefficients of f in the level-2 Eisenstein basis of ``_eisenstein_bases``, by one exact solve.
 
     Every known coefficient enters the solve, and at least 1 + k//4 are
     required: the Sturm bound of Gamma0(2) is k/4, so a form in
     M_k(Gamma0(2)) agreeing that far with a combination of the basis equals
     it.  Raises DecompositionError for a short expansion, a fractional
     exponent, or a form outside the Eisenstein span (such as a cusp form).
-    ``basis`` is the basis's expansions, when ``slash_level2`` has read
-    them off its own expansion of E_k.
     """
     k = _level2_weight(f)
     prec = f.series.truncation
-    if basis is None:
-        basis = [b.series for b in gamma0_2_eisenstein_basis(k, prec)]
+    basis = _eisenstein_bases(k, prec)[0]
     n_coeffs = ceil(prec)
     matrix = [[b.coefficient(n) for b in basis] for n in range(n_coeffs)]
     sol = solve(matrix, [f.coefficient(n) for n in range(n_coeffs)])
@@ -395,14 +363,14 @@ def decompose_level2(f: ScalarForm, basis: Optional[List[QSeries]] = None) -> Li
 def slash_level2(f: ScalarForm) -> Tuple[QSeries, QSeries]:
     """Exact q^(1/2)-expansions (f |_k S, f |_k U) for f in the Eisenstein span of M_k(Gamma0(2)).
 
-    The basis that ``decompose_level2`` solves against and both slashed
-    bases come from one expansion of E_k (``_eisenstein_bases``), which is
-    built here and not by the caller, so the decomposition still checks f
-    against an Eisenstein basis of its own.
+    ``decompose_level2`` writes f in the basis of ``_eisenstein_bases``, and
+    the slashed bases of the same memoised expansion carry the coefficients
+    over.  The basis is never taken from the caller, so the decomposition
+    checks f against an Eisenstein basis of its own.
     """
     prec = f.series.truncation
-    basis, *slashed = _eisenstein_bases(_level2_weight(f), prec)
-    coeffs = decompose_level2(f, basis)
+    coeffs = decompose_level2(f)
+    _, *slashed = _eisenstein_bases(int(f.weight), prec)
     s, u = (sum((c * b for c, b in zip(coeffs, bases) if c), QSeries.zero(prec)) for bases in slashed)
     return s, u
 

@@ -200,7 +200,11 @@ def _sl2_dim(k: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+#: Bigraded dimension tables kept, one per (name, t_cap, k_hi); the least recently used goes first.
+_BIGRADED_TABLES_LIMIT = 128
+
+
+@lru_cache(maxsize=_BIGRADED_TABLES_LIMIT)
 def _bigraded_dims(name: str, t_cap: int, k_hi: int) -> Dict[Tuple[int, int], int]:
     """dim J^w_{k, L, t} for 0 <= t <= t_cap and -delta*t <= k <= k_hi.
 
@@ -247,7 +251,11 @@ def weak_jacobi_dim(name: str, k: int, t: int) -> int:
     return _bigraded_dims(name, t_cap, k_hi).get((t, k), 0)
 
 
-@lru_cache(maxsize=None)
+#: Values of ``delta`` kept, one per root system (25 are registered); the least recently used goes first.
+_DELTA_LIMIT = 64
+
+
+@lru_cache(maxsize=_DELTA_LIMIT)
 def delta(name: str) -> Fraction:
     """max_j k_j / m_j: invariant weak forms vanish when k < -delta * t."""
     rec = root_system(name)

@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import det
+from .linalg import clear_denominators, det
 from .qseries import as_fraction
 
 Vector = Tuple[Fraction, ...]
@@ -149,13 +149,6 @@ def _form(gram, x: Sequence[int], y: Sequence[int]) -> int:
     return _dot(x, [_dot(row, y) for row in gram])
 
 
-def _cleared(v: Sequence) -> Tuple[List[int], int]:
-    """(den*v, den) with den the least common denominator of v's entries."""
-    vv = [as_fraction(x) for x in v]
-    den = lcm(1, *(x.denominator for x in vv))
-    return [x.numerator * (den // x.denominator) for x in vv], den
-
-
 # ---------------------------------------------------------------------------
 # Orthogonal frame
 
@@ -210,7 +203,11 @@ class _Frame:
     shifts: Tuple[Tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+#: Frames and ``LatticeData`` kept, one per registered lattice (17 are registered); the least recently used goes first.
+_LATTICES_LIMIT = 32
+
+
+@lru_cache(maxsize=_LATTICES_LIMIT)
 def _frame(gram: Tuple[Tuple[int, ...], ...]) -> _Frame:
     """Greedily pick orthogonal roots, then add primitive integer Gram-Schmidt vectors."""
     n = len(gram)
@@ -266,7 +263,7 @@ def _discriminant_cosets(gram) -> Tuple[int, List[Tuple[int, ...]]]:
     return scale, list(_closure([(0,) * len(gram)], moves))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LATTICES_LIMIT)
 def lattice(name: str) -> LatticeData:
     gram = gram_matrix(name)
     scale, reps = _discriminant_cosets(gram)
@@ -296,7 +293,7 @@ def norm(lat: LatticeData, v: Sequence) -> Fraction:
     """Q(v) = (v^T A v) / 2 in exact arithmetic."""
     if len(v) != lat.rank:
         raise ValueError(f"vector has length {len(v)}, lattice rank is {lat.rank}")
-    y, den = _cleared(v)
+    y, den = clear_denominators(v)
     return Fraction(_form(lat.gram, y, y), 2 * den * den)
 
 
@@ -305,7 +302,7 @@ def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
     n = lat.rank
     if len(dual_vec) != n or len(v) != n:
         raise ValueError("dimension mismatch")
-    (x, dx), (y, dy) = _cleared(dual_vec), _cleared(v)
+    (x, dx), (y, dy) = clear_denominators(dual_vec), clear_denominators(v)
     total = Fraction(_form(lat.gram, x, y), dx * dy)
     if total.denominator != 1:
         raise ValueError(f"pairing {total} is not integral; vector is not in the dual lattice")

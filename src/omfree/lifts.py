@@ -266,7 +266,11 @@ def evaluation_width(level: int, nq: int, nxi: int) -> int:
     return 2 * isqrt(4 * nq * nxi * level) + 1
 
 
-@lru_cache(maxsize=None)
+#: Power tables kept, one per (width, points); the least recently used goes first.
+_POWERS_LIMIT = 64
+
+
+@lru_cache(maxsize=_POWERS_LIMIT)
 def _powers(width: int, points: int) -> np.ndarray:
     """x^r mod p at row r + R, column j, for x = j + 1 <= points and |r| <= R = (width - 1) // 2."""
     rmax = (width - 1) // 2
@@ -309,7 +313,11 @@ def evaluate(f: ParamodularForm, nq: int, nxi: int, points: Optional[int] = None
     return ((high << 16) + low) % MODULUS
 
 
-@lru_cache(maxsize=None)
+#: Convolution index triples kept, one per (a, b) box; the least recently used goes first.
+_CONVOLUTION_INDEX_LIMIT = 32
+
+
+@lru_cache(maxsize=_CONVOLUTION_INDEX_LIMIT)
 def _convolution_index(a: int, b: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (target, f-slice, g-slice) triples of the truncated (a, b) box, flattened.
 

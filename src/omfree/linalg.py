@@ -30,10 +30,10 @@ import numpy as np
 MODULUS = 2_147_483_647
 
 
-def clear_denominators(row: Sequence) -> List[int]:
-    """The rational row scaled by the lcm of its denominators."""
+def clear_denominators(row: Sequence) -> Tuple[List[int], int]:
+    """(den * row, den) for a row of ints and Fractions, den the lcm of its denominators."""
     den = lcm(1, *(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _echelon(m: List[List[int]], ncols: int) -> Tuple[int, int]:
@@ -126,7 +126,7 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Solution:
     order.
     """
     ncols = len(matrix[0]) if matrix else 0
-    m = [clear_denominators(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    m = [clear_denominators(list(row) + [b])[0] for row, b in zip(matrix, rhs)]
     if _echelon(m, ncols)[0] < ncols:
         return Solution("underdetermined")
     x = [Fraction(0)] * ncols
@@ -152,7 +152,7 @@ def left_kernel(rows: Sequence[Sequence]) -> List[List[int]]:
     if n == 0:
         return []
     width = len(rows[0])
-    m = [clear_denominators(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(rows)]
+    m = [clear_denominators(list(row) + [int(i == j) for j in range(n)])[0] for i, row in enumerate(rows)]
     rank = _echelon(m, width)[0]
     kernels = []
     for r in m[rank:]:

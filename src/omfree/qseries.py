@@ -350,3 +350,8 @@ class QSeries(NumeratorStore):
             [e.numerator, e.denominator, c.numerator, c.denominator]
             for e, c in self.terms()
         ]
+
+    def to_json(self) -> dict:
+        """{"truncation": [num, den], "terms": ``to_json_terms()``}; the keys are exponents, not tuples."""
+        t = self.truncation
+        return {"truncation": [t.numerator, t.denominator], "terms": self.to_json_terms()}

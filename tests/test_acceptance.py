@@ -17,7 +17,6 @@ from omfree.classical import (
     hurwitz_class_number,
     hurwitz_oracle,
     slash_level2,
-    weight2_level2,
 )
 from omfree.lattice import lattice, norm
 from omfree.lifts import gritsenko_lift, multiply
@@ -280,7 +279,7 @@ def test_c7e_weight2_identity():
     for _ in range(200):
         prec = rng.randint(5, 14)
         scale = Fraction(rng.randint(1, 20), rng.randint(1, 7))
-        d = weight2_level2(prec)
+        d = gamma0_2_eisenstein_basis(2, prec)[0]
         scaled = ScalarForm(Fraction(2), "Gamma0_2", scale * d.series)
         s, u = slash_level2(scaled)
         total = scaled.series + s + u

@@ -1,5 +1,6 @@
 """Monomial enumeration, exact rank machinery, and certification drivers."""
 
+import hashlib
 import json
 from fractions import Fraction
 from functools import reduce
@@ -438,6 +439,26 @@ def test_certificates_replay_bit_for_bit():
     first = independence(gens, 8, schedule=((2, 2),)).to_json()
     second = independence(gens, 8, schedule=((2, 2),)).to_json()
     assert first == second
+
+
+def test_monomials_are_enumerated_once_per_weight(monkeypatch):
+    # weights 16 and 18 are deficient at (2, 2) and escalate to (4, 4)
+    calls = []
+
+    def counted(weights, w):
+        calls.append(w)
+        return monomials(weights, w)
+
+    monkeypatch.setattr(certify, "monomials", counted)
+    gens = [g for g in case_generators("D8") if g.weight <= 18]
+    cert = independence(gens, 18, schedule=((2, 2), (4, 4)))
+    assert cert.precision == (4, 4)
+    assert sorted(calls) == list(range(19))
+    # sha256 of the certificate, recorded when each step enumerated its weights again
+    payload = json.dumps(cert.to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "e423f24acd35102cbd9c1e98fadf4eaaac02951fb05d11acbe00eb58eca44434"
+    )
 
 
 def test_express_solution_stable_under_precision_increase():

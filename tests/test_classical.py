@@ -1,11 +1,14 @@
 """Scalar modular forms: expansions, slash identities, class numbers."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, isqrt
 
 import pytest
 
+import omfree
 from omfree import classical
 from omfree.classical import (
     DecompositionError,
@@ -29,9 +32,9 @@ from omfree.classical import (
     slash_level2,
     theta_series,
     trace_to_sl2,
-    weight2_level2,
 )
 from omfree.qseries import QSeries
+from omfree.weil import jacobi_eisenstein
 from oracles import bernoulli_recursive, sl2_monomial_basis
 
 
@@ -175,7 +178,7 @@ def test_eta_cubed_is_delta():
 
 
 def test_weight2_form_has_odd_divisor_sums():
-    d = weight2_level2(8)
+    d = gamma0_2_eisenstein_basis(2, 8)[0]
     assert d.coefficient(0) == 1
     for n in range(1, 8):
         assert d.coefficient(n) == 24 * sigma_odd(n)
@@ -202,7 +205,7 @@ def test_slash_constant_is_identity():
 
 
 def test_weight2_slash_sum_vanishes():
-    d = weight2_level2(10)
+    d = gamma0_2_eisenstein_basis(2, 10)[0]
     s, u = slash_level2(d)
     total = d.series + s + u
     assert total.is_zero()
@@ -276,7 +279,7 @@ def w2_e4_slash(f, which):
     k, prec = int(f.weight), f.series.truncation
     e2 = eisenstein_sl2(2, 2 * prec).series
     half = e2.rescale(Fraction(1, 2)) if which == "S" else e2.half_twist()
-    w2, w2_slashed = weight2_level2(prec).series, half / 2 - e2.truncate(prec)
+    w2, w2_slashed = 2 * e2.rescale(2).truncate(prec) - e2.truncate(prec), half / 2 - e2.truncate(prec)
     e4 = eisenstein_sl2(4, prec).series
     expos = [(a, (k - 2 * a) // 4) for a in range(k // 2 + 1) if (k - 2 * a) % 4 == 0]
     monos = [w2**a * e4**b for a, b in expos]
@@ -323,13 +326,32 @@ def test_decompose_needs_sturm_bound_coefficients(k):
 
 @pytest.mark.parametrize("prec", [Fraction(5, 2), 3, 8])
 def test_slash_reads_the_basis_off_its_own_expansion(prec):
-    # the basis slash_level2 hands to decompose_level2 is gamma0_2_eisenstein_basis itself
+    # decompose_level2 solves against gamma0_2_eisenstein_basis itself, one memoised expansion
     for k in range(0, 26, 2):
-        basis = [b.series for b in gamma0_2_eisenstein_basis(k, prec)]
+        basis = tuple(b.series for b in gamma0_2_eisenstein_basis(k, prec))
         assert classical._eisenstein_bases(k, Fraction(prec))[0] == basis, k
         if ceil(prec) >= 1 + k // 4:
             f = ScalarForm(Fraction(k), "Gamma0_2", sum(basis[1:], 3 * basis[0]))
-            assert decompose_level2(f, basis) == decompose_level2(f) == [3, 1][: len(basis)]
+            assert decompose_level2(f) == [3, 1][: len(basis)]
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 14])
+def test_one_d8_input_expands_e_k_once(monkeypatch, k):
+    # from a cleared memo: one E_(k-4) for the basis, the decomposition and both slashes, none at k = 4;
+    # the orbit-1 input of the same weight reads the same expansion
+    classical._eisenstein_bases.cache_clear()
+    calls = []
+
+    def counted(weight, prec, real=classical.eisenstein_sl2):
+        calls.append(weight)
+        return real(weight, prec)
+
+    monkeypatch.setattr(classical, "eisenstein_sl2", counted)
+    jacobi_eisenstein("D8", k, 0, 15)
+    assert calls == ([] if k == 4 else [k - 4])
+    if k >= 8:
+        jacobi_eisenstein("D8", k, 1, 15)
+        assert calls == [k - 4]
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +475,16 @@ def test_fundamental_decomposition_is_fundamental():
         assert is_fundamental_discriminant(d) and f > 0 and d * f * f == m, m
 
 
+def test_fundamental_discriminants_are_the_squarefree_ones():
+    # independent of fundamental_decomposition: D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree
+    def squarefree(n):
+        return n != 0 and all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
+
+    for d in range(-4000, 4001):
+        want = (d % 4 == 1 and squarefree(d)) or (d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4))
+        assert is_fundamental_discriminant(d) == want, d
+
+
 def test_generalized_bernoulli_values():
     assert generalized_bernoulli(1, -3) == Fraction(-1, 3)
     assert generalized_bernoulli(1, -4) == Fraction(-1, 2)
@@ -502,6 +534,21 @@ def test_generalized_bernoulli_in_scrambled_order(monkeypatch):
 def test_inner_caches_are_bounded():
     assert classical._binomial_bernoulli.cache_info().maxsize == classical._BERNOULLI_ROWS_LIMIT
     assert classical._class_number_row.cache_info().maxsize == classical._CLASS_ROWS_LIMIT
+
+
+def test_every_lru_cache_in_the_package_is_bounded():
+    # every functools.lru_cache of every omfree module, at module level or on a class
+    found = {}
+    for info in pkgutil.iter_modules(omfree.__path__):
+        module = importlib.import_module(f"omfree.{info.name}")
+        members = list(vars(module).items())
+        members += [(f"{n}.{m}", v) for n, c in vars(module).items() if isinstance(c, type) for m, v in vars(c).items()]
+        for name, value in members:
+            value = getattr(value, "__func__", value)
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert len(found) >= 10, found
+    assert all(size is not None for size in found.values()), found
 
 
 def fraction_cohen_eisenstein(r, prec):

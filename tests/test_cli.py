@@ -253,11 +253,46 @@ E7_EISENSTEIN_SHA256 = {
     30: "274b40f475344dffc99881a1b2bc616ef22e46799ac761e4b9dc374944f0239b",
 }
 
+# sha256 of the stdout of `eisenstein D8 -k K --orbit O --prec 26 --json` for every D8 generator
+# and E14,1, and of `eisenstein E6 -k K --prec 26 --json` for every E6 Eisenstein row, recorded
+# before the level-2 basis became one memoised expansion of E_k.
+D8_EISENSTEIN_SHA256 = {
+    (4, 0): "93a42e4945265ab34d7f1b6ee71ec99c50bfded368d3fe5a14f81f0a23857066",
+    (6, 0): "263431a772aa9d735e6d421fa41e1b3b012be59eba6a73f2bfed1652e1d61d56",
+    (8, 0): "197e6d6beea902c786d217c8bf82e52035b07e86e78fe404be12ba0361f36cb7",
+    (8, 1): "e4594e0dffc841b753b70841fc672f1902922dcfa8f0b0184dd97219ae719238",
+    (10, 0): "ec8a95e5fb965ca0b3966a55fa83a1b500db688056b70109db681b2a545fd2ed",
+    (10, 1): "ee5dd6897c1eea4e0eba88e0da6df5c5148910e4f706e5c355e8bddcfcb7ef20",
+    (12, 0): "48ba5e5dea6bb3432fad4b02b15ca687b6fa6b411f804af4abbf1b82c2852f00",
+    (12, 1): "cfbc3026039f46e92d518034d3512c89bb32a1869c5c67ab146c8b7fd5f9417a",
+    (14, 0): "4d29535cb87907bec810ec05813fc9c57b80197076a6b2deae4ced0f8c477b47",
+    (14, 1): "716d6cb4fc89e729bf1bd84da9c61689b4af0bd04136522236962a2eaf021796",
+    (16, 0): "633a65027ce705f3d82d44ba404440a7fcbf79ac35c41c40b8260746d371672d",
+    (18, 0): "9c56137c352bd3e97373aa320ea4a368cf419db63e970fb818924fa9d248b9cc",
+}
+E6_EISENSTEIN_SHA256 = {
+    4: "1714212dba66ef1fdbdfefe86917dce4dbecb90921ac3b79da96d2761a6e316c",
+    6: "76cc10cf55e158560fee54c6f3d3a03f32ddf28b6ad4cbcba881ee7df1fd42b6",
+    10: "91d927d3fd91156bd15f84b99c4045b18e6b418df97744e229a19610ccbd3cd5",
+    12: "65097d5f75aeb27d63c442648a696d1166eb139cfcf24d166d47eedf91aad355",
+    16: "86cb84b0f5e37c062cf9f44d38bfa367a0ee1d30c20ac102faaf5d016e413f8e",
+    18: "b4080f478002e8b710b53e0fb378d185622a06a4445390b22cb166bf6fbdc740",
+    24: "6cb67949af81cb89921da8630a4f5331397bcca6544e55ba1d43b6e8586d74aa",
+}
+
 # sha256 of the stdout of more `--json` commands, recorded before q-series moved onto integer
 # numerators: the D8 and E6 Eisenstein inputs, the E6 certificate (its odd generators M7 and M15
 # are built on eta^8), and the first seed-1 direction of the D8 pullback sweep benchmark.
 GOLDEN_JSON_SHA256 = {
     **{str(k): (("eisenstein", "E7", "-k", str(k), "--prec", "26"), h) for k, h in E7_EISENSTEIN_SHA256.items()},
+    **{
+        f"eisenstein-D8-k{k}-orbit{o}-prec26": (("eisenstein", "D8", "-k", str(k), "--orbit", str(o), "--prec", "26"), h)
+        for (k, o), h in D8_EISENSTEIN_SHA256.items()
+    },
+    **{
+        f"eisenstein-E6-k{k}-prec26": (("eisenstein", "E6", "-k", str(k), "--prec", "26"), h)
+        for k, h in E6_EISENSTEIN_SHA256.items()
+    },
     "eisenstein-D8-k6": (
         ("eisenstein", "D8", "-k", "6", "--prec", "9"),
         "1eb65c82869dc21b1af7066198fd41231b286ac186c2006c71fd21e297577d49",

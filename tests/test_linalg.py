@@ -55,7 +55,7 @@ def dot(row, x):
 
 
 def rank(rows):
-    return bareiss_rank([clear_denominators(r) for r in rows])
+    return bareiss_rank([clear_denominators(r)[0] for r in rows])
 
 
 @given(matrices(square=True))
@@ -101,6 +101,12 @@ def test_solve_status_and_witness(matrix, data):
 def test_solve_reports_first_failing_row():
     sol = solve([[1, 0], [0, 1], [1, 1], [1, -1], [2, 2]], [1, 2, 3, 5, 7])
     assert sol.status == "inconsistent" and sol.values == [1, 2] and sol.row == 3
+
+
+def test_clear_denominators_returns_the_lcm():
+    assert clear_denominators([Fraction(1, 2), 3, Fraction(-2, 3), 0]) == ([3, 18, -4, 0], 6)
+    assert clear_denominators([4, -1]) == ([4, -1], 1)
+    assert clear_denominators([]) == ([], 1)
 
 
 def test_inverse_of_every_gram_matrix():

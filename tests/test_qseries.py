@@ -1,5 +1,6 @@
 """Exact series arithmetic: identities, substitutions, and ring laws."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,19 @@ def test_str_rendering():
 def test_json_terms():
     s = series({Fraction(1, 2): Fraction(-3, 4), 1: 2}, 3)
     assert s.to_json_terms() == [[1, 2, -3, 4], [1, 1, 2, 1]]
+
+
+@pytest.mark.parametrize(
+    "s",
+    [series({0: 1}, 3), series({Fraction(1, 2): Fraction(-3, 4), 1: 2}, Fraction(7, 2)), QSeries.zero(1)],
+    ids=["one", "halves", "zero"],
+)
+def test_json_payload_round_trips(s):
+    payload = s.to_json()
+    assert json.loads(json.dumps(payload)) == payload
+    num, den = payload["truncation"]
+    terms = {Fraction(a, b): Fraction(c, d) for a, b, c, d in payload["terms"]}
+    assert QSeries(terms, Fraction(num, den)) == s
 
 
 # ---------------------------------------------------------------------------

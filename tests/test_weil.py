@@ -11,10 +11,10 @@ from omfree.certify import CASES
 from omfree.classical import (
     ScalarForm,
     eisenstein_sl2,
+    gamma0_2_eisenstein_basis,
     plus_eisenstein_gamma0_3,
     slash_level2,
     theta_series,
-    weight2_level2,
 )
 from omfree.lattice import lattice, pairing_counts
 from omfree.qseries import QSeries
@@ -72,8 +72,6 @@ def test_pair_map_weight_mismatch():
 
 def test_pair_map_additivity():
     prec = 8
-    from omfree.classical import gamma0_2_eisenstein_basis
-
     e4 = eisenstein_sl2(4, prec)
     zero1 = ScalarForm(Fraction(4), "SL2", QSeries.zero(prec))
     b0, b1 = gamma0_2_eisenstein_basis(4, prec)
@@ -86,15 +84,13 @@ def test_pair_map_additivity():
 
 def test_invariant_construction_middle_components_equal():
     for k in (0, 2, 4, 8):
-        from omfree.classical import gamma0_2_eisenstein_basis
-
         for f2 in gamma0_2_eisenstein_basis(k, 9):
             form = d8_invariant_from_gamma02(f2)
             assert form.component(1) == form.component(2)
 
 
 def test_weight2_input_traces_to_zero():
-    d = weight2_level2(9)
+    d = gamma0_2_eisenstein_basis(2, 9)[0]
     form = d8_invariant_from_gamma02(d)
     # f1 = 0, so components are (f2/2, -f2/2, -f2/2, *)
     assert form.component(0) == d.series / 2
