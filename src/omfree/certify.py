@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import isqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from . import __version__
 from .freealg import dim_upper_bound
 from .lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
 from .linalg import _rank_mod_p, bareiss_rank, left_kernel, solve
-from .weil import ComponentForm, e6_from_sl2, jacobi_eisenstein, pullback
+from .weil import JacobiForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
 from .qseries import QSeries
 
@@ -133,13 +133,20 @@ class GeneratorSpec:
     build: Callable[[int, int], ParamodularForm] = field(compare=False, repr=False)
 
 
-def pullback_lift(component: Callable[[int], ComponentForm], v: Sequence[int], nq: int, nxi: int) -> ParamodularForm:
-    """Gritsenko lift, truncated at (nq, nxi), of the pullback of ``component(prec)`` along v."""
-    return gritsenko_lift(pullback(component(nq * nxi + 1), v, nq=nq * nxi), nxi)
+class GeneratorRow(NamedTuple):
+    """One generator: name, weight, recipe text and its Jacobi input.
 
+    ``jacobi(v, nq)`` is the row's pullback along v, truncated at O(q^(nq+1)).
+    """
 
-#: One generator: (name, weight, recipe text, component-form factory prec -> ComponentForm).
-GeneratorRow = Tuple[str, int, str, Callable[[int], ComponentForm]]
+    name: str
+    weight: int
+    recipe: str
+    jacobi: Callable[[Sequence[int], int], JacobiForm]
+
+    def lift(self, v: Sequence[int], nq: int, nxi: int) -> ParamodularForm:
+        """Gritsenko lift of the input along v, truncated at (nq, nxi)."""
+        return gritsenko_lift(self.jacobi(v, nq * nxi), nxi)
 
 
 @dataclass(frozen=True)
@@ -156,48 +163,49 @@ class Case:
     generators: Tuple[GeneratorRow, ...]
 
 
-def _eisenstein(lattice_name: str, name: str, k: int, orbit: Optional[int] = None) -> GeneratorRow:
+def eisenstein_row(lattice_name: str, k: int, orbit: Optional[int] = None, name: Optional[str] = None) -> GeneratorRow:
+    """The row of the weight-k Jacobi Eisenstein series of the lattice (of the orbit, on D8)."""
     data = f"weight-{k}" if orbit is None else f"weight-{k} orbit-{orbit}"
 
-    def component(prec: int) -> ComponentForm:
-        # jacobi_eisenstein is looked up at call time, so a wrapper installed on this module sees the call
-        return jacobi_eisenstein(lattice_name, k, orbit or 0, prec)
+    def jacobi(v: Sequence[int], nq: int) -> JacobiForm:
+        # looked up at call time, so a wrapper installed on this module sees both calls
+        return pullback(jacobi_eisenstein(lattice_name, k, orbit or 0, nq + 1), v, nq=nq)
 
-    return (name, k, f"lift of pullback of {data} Eisenstein data", component)
+    return GeneratorRow(name or f"E{k}", k, f"lift of pullback of {data} Eisenstein data", jacobi)
 
 
 def _e6_odd(weight: int, input_text: str, f: Callable[[int], ScalarForm]) -> GeneratorRow:
     recipe = f"lift of pullback of the odd weight-{weight} form ({input_text} input)"
-    return (f"M{weight}", weight, recipe, lambda prec: e6_from_sl2(f(prec)))
+    return GeneratorRow(f"M{weight}", weight, recipe, lambda v, nq: pullback(e6_from_sl2(f(nq + 1)), v, nq=nq))
 
 
 #: The certified cases by name.  Every lift is taken along the case's vector.
 CASES: Dict[str, Case] = {
     "D8": Case("C8", "D8", (4, 2, 3, 4, 1, 3, 2, 4), (
-        _eisenstein("D8", "E4", 4, 0),
-        _eisenstein("D8", "E6", 6, 0),
-        *(_eisenstein("D8", f"E{k},{orbit}", k, orbit) for k in (8, 10, 12) for orbit in (0, 1)),
-        *(_eisenstein("D8", f"E{k},0", k, 0) for k in (14, 16, 18)),
+        eisenstein_row("D8", 4, 0),
+        eisenstein_row("D8", 6, 0),
+        *(eisenstein_row("D8", k, orbit, f"E{k},{orbit}") for k in (8, 10, 12) for orbit in (0, 1)),
+        *(eisenstein_row("D8", k, 0, f"E{k},0") for k in (14, 16, 18)),
     )),
     "E6": Case("E6", "E6", (3, 2, 0, 1, 1, 1), (
-        *(_eisenstein("E6", f"E{k}", k) for k in (4, 6)),
+        *(eisenstein_row("E6", k) for k in (4, 6)),
         _e6_odd(7, "constant", lambda prec: ScalarForm(Fraction(0), "SL2", QSeries.one(prec))),
-        *(_eisenstein("E6", f"E{k}", k) for k in (10, 12)),
+        *(eisenstein_row("E6", k) for k in (10, 12)),
         _e6_odd(15, "E4^2", lambda prec: ScalarForm(Fraction(8), "SL2", eisenstein_sl2(4, prec).series ** 2)),
-        *(_eisenstein("E6", f"E{k}", k) for k in (16, 18, 24)),
+        *(eisenstein_row("E6", k) for k in (16, 18, 24)),
     )),
     "E7": Case("E7", "E7", (3, 2, 0, 1, 1, 1, 1), tuple(
-        _eisenstein("E7", f"E{k}", k) for k in (4, 6, 10, 12, 14, 16, 18, 22, 24, 30)
+        eisenstein_row("E7", k) for k in (4, 6, 10, 12, 14, 16, 18, 22, 24, 30)
     )),
 }
 
 
 def case_generators(case: str) -> List[GeneratorSpec]:
     """The full generator list of the case, in weight order."""
-    row = CASES[case]
+    v = CASES[case].vector
     return [
-        GeneratorSpec(name, k, recipe, partial(pullback_lift, component, row.vector))
-        for name, k, recipe, component in row.generators
+        GeneratorSpec(row.name, row.weight, row.recipe, lambda nq, nxi, row=row: row.lift(v, nq, nxi))
+        for row in CASES[case].generators
     ]
 
 
@@ -482,27 +490,19 @@ class Weight14Result:
         }
 
 
-def verify_weight14(
-    nq: int = 5,
-    nxi: int = 5,
-    corrupt: Optional[Tuple[Tuple[int, int, int], Fraction]] = None,
-) -> Weight14Result:
+def verify_weight14(nq: int = 5, nxi: int = 5) -> Weight14Result:
     """Express E14,0 + E14,1 in {E4^2 E6, E4 (E10,0+E10,1), E6 (E8,0+E8,1)}.
 
-    The expected exact coefficients are (1330560, 2640, -11088).  A solution
-    proportional to but different from the expected one fails with a
-    normalization diagnostic.  ``corrupt`` perturbs one lift coefficient of
-    the first weight-8 generator (negative-control hook).
+    The lifts are taken along the D8 case vector: seven of the D8 case rows,
+    and the E14,1 row.  The expected exact coefficients are
+    (1330560, 2640, -11088).  A solution proportional to but different from
+    the expected one fails with a normalization diagnostic.
     """
+    d8 = CASES["D8"]
+    rows = {row.name: row for row in d8.generators + (eisenstein_row("D8", 14, 1, "E14,1"),)}
     e4, e6, e8_0, e8_1, e10_0, e10_1, e14_0, e14_1 = (
-        pullback_lift(partial(jacobi_eisenstein, "D8", k, orbit), CASES["D8"].vector, nq, nxi)
-        for k, orbit in ((4, 0), (6, 0), (8, 0), (8, 1), (10, 0), (10, 1), (14, 0), (14, 1))
+        rows[name].lift(d8.vector, nq, nxi) for name in ("E4", "E6", "E8,0", "E8,1", "E10,0", "E10,1", "E14,0", "E14,1")
     )
-    if corrupt is not None:
-        key, amount = corrupt
-        coeffs = dict(e8_0.coeffs)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + amount
-        e8_0 = ParamodularForm(e8_0.weight, e8_0.level, coeffs, e8_0.nq, e8_0.nxi)
     target = e14_0 + e14_1
     basis = [
         multiply(multiply(e4, e4), e6),

@@ -13,14 +13,13 @@ import json
 import os
 import re
 import sys
-from functools import partial
 from typing import Callable, List, Optional
 
 from . import __version__, certify, freealg
 from .classical import DecompositionError, PlusSpaceError, hurwitz_class_number, hurwitz_oracle
 from .lattice import lattice, norm
 from .qseries import ExponentDenominatorError, TruncationError
-from .weil import InvarianceError, jacobi_eisenstein, pullback
+from .weil import InvarianceError, jacobi_eisenstein
 
 #: Mathematical failures: an exact construction or consistency check broke.
 #: They exit 65; any other ValueError or KeyError, and an OSError such as an
@@ -141,8 +140,7 @@ def _cmd_pullback(args) -> int:
     vec = _parse_vector(args.vector) if args.vector else certify.CASES[args.case].vector
     lat = lattice(args.case)
     q = norm(lat, vec)
-    form = jacobi_eisenstein(args.case, args.weight, args.orbit, prec=args.nq + 1)
-    phi = pullback(form, vec, nq=args.nq)
+    phi = certify.eisenstein_row(args.case, args.weight, args.orbit).jacobi(vec, args.nq)
     payload = {
         "config": _config(args, vector=list(vec), vector_norm=str(q)),
         "gram": [list(row) for row in lat.gram],
@@ -163,8 +161,7 @@ def _cmd_lift(args) -> int:
     vec = _parse_vector(args.vector) if args.vector else certify.CASES[args.case].vector
     lat = lattice(args.case)
     q = norm(lat, vec)
-    component = partial(jacobi_eisenstein, args.case, args.weight, args.orbit)
-    lifted = certify.pullback_lift(component, vec, args.nq, args.nxi)
+    lifted = certify.eisenstein_row(args.case, args.weight, args.orbit).lift(vec, args.nq, args.nxi)
     payload = {
         "config": _config(args, vector=list(vec), vector_norm=str(q)),
         "paramodular_form": lifted.to_json(),

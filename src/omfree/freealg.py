@@ -200,55 +200,36 @@ def _sl2_dim(k: int) -> int:
     return count
 
 
-#: Bigraded dimension tables kept, one per (name, t_cap, k_hi); the least recently used goes first.
-_BIGRADED_TABLES_LIMIT = 128
+#: Index tables kept, one per (name, t); the least recently used goes first.
+#: ``identity-check`` of all 25 systems to order 60 uses 261.
+_INDEX_TABLES_LIMIT = 512
 
 
-@lru_cache(maxsize=_BIGRADED_TABLES_LIMIT)
-def _bigraded_dims(name: str, t_cap: int, k_hi: int) -> Dict[Tuple[int, int], int]:
-    """dim J^w_{k, L, t} for 0 <= t <= t_cap and -delta*t <= k <= k_hi.
+@lru_cache(maxsize=_INDEX_TABLES_LIMIT)
+def _index_table(name: str, t: int) -> Tuple[Tuple[int, int], ...]:
+    """Pairs (s, c_s): c_s weak-generator monomials of index t have sum k_j = s.
 
-    Coefficient extraction from
-    (1/((1-y^4)(1-y^6))) * prod_j 1/(1 - y^(-k_j) x^(m_j)).
-    Every system has delta <= 8, so starting weights up to k_hi + 8*t_cap
-    cover all monomials that land in the window.
+    Built generator by generator: ``tables[i]`` counts the monomials of
+    index i in the generators taken so far, for every i <= t.
     """
-    rec = root_system(name)
-    k_start_hi = k_hi + 8 * t_cap
-    k_lo = -8 * t_cap
-    table: Dict[Tuple[int, int], int] = {}
-    for k in range(0, k_start_hi + 1):
-        d = _sl2_dim(k)
-        if d:
-            table[(0, k)] = d
-    for kj, mj in rec.generators:
-        new_table = dict(table)
-        for (t, k), d in table.items():
-            c = 1
-            while t + c * mj <= t_cap:
-                key = (t + c * mj, k - c * kj)
-                if key[1] < k_lo:
-                    break
-                new_table[key] = new_table.get(key, 0) + d
-                c += 1
-        table = new_table
-    return table
+    tables: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(t)]
+    for kj, mj in root_system(name).generators:
+        for i in range(mj, t + 1):
+            for s, c in tables[i - mj].items():
+                tables[i][s + kj] = tables[i].get(s + kj, 0) + c
+    return tuple(sorted(tables[t].items()))
 
 
 def weak_jacobi_dim(name: str, k: int, t: int) -> int:
-    """Dimension of the space of invariant weak Jacobi forms of weight k, index t."""
+    """Dimension of the space of invariant weak Jacobi forms of weight k, index t.
+
+    The weak forms are a free M_*(SL2)-module on the generator monomials,
+    and a monomial with sum k_j = s has weight -s, so this is
+    sum_s c_s dim M_{k+s}(SL2) over the index-t monomials.
+    """
     if t < 0:
         raise ValueError("index must be nonnegative")
-    rec = root_system(name)
-    if t == 0:
-        return _sl2_dim(k)
-    if Fraction(k) < -delta(name) * t:
-        return 0
-    # Quantize cache keys so repeated queries share one table; weights
-    # k <= 0 fall in the first bucket too, whose table covers them.
-    t_cap = ((t + 7) // 8) * 8
-    k_hi = ((max(k, 1) + 63) // 64) * 64
-    return _bigraded_dims(name, t_cap, k_hi).get((t, k), 0)
+    return sum(c * _sl2_dim(k + s) for s, c in _index_table(name, t))
 
 
 #: Values of ``delta`` kept, one per root system (25 are registered); the least recently used goes first.
@@ -275,15 +256,12 @@ def dim_upper_bound(name: str, k: int) -> int:
     return total
 
 
-def hilbert_identity_check(name: str, order: int, weights=None) -> Tuple[bool, Optional[int], List[int], List[int]]:
+def hilbert_identity_check(name: str, order: int) -> Tuple[bool, Optional[int], List[int], List[int]]:
     """Compare prod (1-t^w)^-1 against the stacked weak Jacobi dimensions.
 
-    Returns (equal, first_mismatch_exponent_or_None, lhs, rhs).  The
-    ``weights`` override exists for negative controls.
+    Returns (equal, first_mismatch_exponent_or_None, lhs, rhs).
     """
-    if weights is None:
-        weights = orthogonal_weights(name)
-    lhs = hilbert_series(weights, order)
+    lhs = hilbert_series(orthogonal_weights(name), order)
     rhs = [dim_upper_bound(name, k) for k in range(order + 1)]
     for k, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from omfree import certify
 from omfree.certify import CASES
-from omfree.weil import jacobi_eisenstein, pullback
+from omfree.qseries import QSeries
 
 
 @pytest.fixture(scope="session")
@@ -13,29 +16,31 @@ def d8_vector():
     return CASES["D8"].vector
 
 
+#: Highest generator weight kept per case in ``generator_pullback_forms``.
+PULLBACK_FORM_WEIGHTS = {"D8": 14, "E6": 16, "E7": 16}
+
+
 @pytest.fixture(scope="session")
 def generator_pullback_forms():
-    """Jacobi pullbacks (pre-lift) of the case generators at nq = 8."""
-    from omfree.classical import ScalarForm, eisenstein_sl2
-    from omfree.qseries import QSeries
-    from omfree.weil import e6_from_sl2
-    from fractions import Fraction
+    """Jacobi pullbacks (pre-lift) of the case generators at nq = 8, keyed (case, row name)."""
+    return {
+        (case, row.name): row.jacobi(CASES[case].vector, 8)
+        for case, w in PULLBACK_FORM_WEIGHTS.items()
+        for row in CASES[case].generators
+        if row.weight <= w
+    }
 
-    nq = 8
-    prec = nq + 1
-    forms = {}
-    for k, orbit in [(4, 0), (6, 0), (8, 0), (8, 1), (10, 0), (10, 1), (12, 0), (12, 1), (14, 0)]:
-        comp = jacobi_eisenstein("D8", k, orbit, prec=prec)
-        forms[("D8", f"E{k},{orbit}")] = pullback(comp, CASES["D8"].vector, nq=nq)
-    for k in (4, 6, 10, 12, 16):
-        comp = jacobi_eisenstein("E6", k, 0, prec=prec)
-        forms[("E6", f"E{k}")] = pullback(comp, CASES["E6"].vector, nq=nq)
-    one = ScalarForm(Fraction(0), "SL2", QSeries.one(prec))
-    forms[("E6", "M7")] = pullback(e6_from_sl2(one), CASES["E6"].vector, nq=nq)
-    e4 = eisenstein_sl2(4, prec)
-    e4sq = ScalarForm(Fraction(8), "SL2", e4.series * e4.series)
-    forms[("E6", "M15")] = pullback(e6_from_sl2(e4sq), CASES["E6"].vector, nq=nq)
-    for k in (4, 6, 10, 12, 14, 16):
-        comp = jacobi_eisenstein("E7", k, 0, prec=prec)
-        forms[("E7", f"E{k}")] = pullback(comp, CASES["E7"].vector, nq=nq)
-    return forms
+
+@pytest.fixture
+def perturbed_d8_weight8_input(monkeypatch):
+    """Add q^1 to the zero-coset component of every D8 weight-8 orbit-0 input that ``certify`` builds."""
+    real = certify.jacobi_eisenstein
+
+    def perturbed(case, k, orbit=0, prec=10):
+        form = real(case, k, orbit, prec)
+        if (case, k, orbit) == ("D8", 8, 0):
+            first = form.components[0] + QSeries.monomial(1, 1, form.components[0].truncation)
+            form = replace(form, components=(first,) + form.components[1:])
+        return form
+
+    monkeypatch.setattr(certify, "jacobi_eisenstein", perturbed)

@@ -15,7 +15,10 @@ Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 ``omfree.classical.bernoulli`` by the defining recursion in ``Fraction``.
 The ``series_*`` functions check the ``omfree.qseries.QSeries`` operations
 on plain ``{exponent: coefficient}`` dicts of ``Fraction`` values, a table
-and its truncation, with no integer numerators.
+and its truncation, with no integer numerators.  :func:`weak_monomial_weights`
+and :func:`sl2_dimension` check ``omfree.freealg.weak_jacobi_dim`` by a
+brute-force recursion over the exponent vectors of the weak generators and
+the classical dimension formula for M_k(SL2).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,6 +122,38 @@ def sl2_monomial_basis(k: int, prec):
         if b:
             mono = mono * e6**b
         out.append(((a, b), mono))
+    return out
+
+
+def sl2_dimension(k: int) -> int:
+    """dim M_k(SL2) by the classical formula: floor(k/12), plus 1 unless k = 2 mod 12."""
+    if k < 0 or k % 2:
+        return 0
+    return k // 12 + (0 if k % 12 == 2 else 1)
+
+
+def weak_monomial_weights(generators: Sequence[Tuple[int, int]], t: int, least: Optional[int] = None) -> Counter:
+    """{s: number of exponent vectors e >= 0 with sum e_j m_j = t and sum e_j k_j = s}.
+
+    A brute-force recursion over the generators (k_j, m_j), steepest k_j/m_j
+    first.  With ``least``, only vectors with s >= least are counted: a
+    branch is cut when even the steepest remaining generator cannot reach it.
+    """
+    gens = sorted(generators, key=lambda g: Fraction(g[0], g[1]), reverse=True)
+    out: Counter = Counter()
+
+    def recurse(j: int, index: int, weight: int) -> None:
+        kj, mj = gens[j]
+        if least is not None and (weight - least) * mj + index * kj < 0:
+            return
+        if index == 0 or j == len(gens) - 1:
+            if index % mj == 0:
+                out[weight + index // mj * kj] += 1
+            return
+        for e in range(index // mj + 1):
+            recurse(j + 1, index - e * mj, weight + e * kj)
+
+    recurse(0, t, 0)
     return out
 
 

@@ -21,7 +21,7 @@ from omfree.classical import (
 from omfree.lattice import lattice, norm
 from omfree.lifts import gritsenko_lift, multiply
 from omfree.qseries import QSeries
-from omfree.weil import JacobiForm, d8_invariant_from_gamma02, jacobi_eisenstein, pullback
+from omfree.weil import JacobiForm, d8_invariant_from_gamma02
 from oracles import sl2_monomial_basis
 
 
@@ -352,8 +352,8 @@ def test_c8_pullback_norms():
 # Criterion 9: negative controls
 
 
-def test_c9a_corruption_breaks_relation():
-    result = certify.verify_weight14(nq=5, nxi=5, corrupt=((1, 1, 1), Fraction(1)))
+def test_c9a_corruption_breaks_relation(perturbed_d8_weight8_input):
+    result = certify.verify_weight14(nq=5, nxi=5)
     ok = not result.ok() and result.status in ("inconsistent", "mismatch")
     report(
         "criterion 9a: corrupting one generator coefficient breaks the weight-14 relation",
@@ -364,10 +364,8 @@ def test_c9a_corruption_breaks_relation():
 
 def test_c9b_duplicate_generator_kernel():
     nq = nxi = 2
-    prec = nq * nxi + 1
     v = certify.CASES["D8"].vector
-    form = jacobi_eisenstein("D8", 8, 0, prec=prec)
-    lift = gritsenko_lift(pullback(form, v, nq=nq * nxi), nxi)
+    lift = certify.eisenstein_row("D8", 8, 0).lift(v, nq, nxi)
     gens = [
         certify.GeneratorSpec("G", 8, "fixed", lambda a, b: lift),
         certify.GeneratorSpec("G-copy", 8, "fixed", lambda a, b: lift),

@@ -18,6 +18,7 @@ from omfree.certify import (
     canonical_index_set,
     case_generators,
     certify_freeness,
+    eisenstein_row,
     express_in_basis,
     independence,
     left_kernel,
@@ -30,7 +31,6 @@ from omfree.freealg import orthogonal_weights
 from omfree.lattice import lattice, norm
 from omfree.lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
-from omfree.weil import jacobi_eisenstein, pullback
 
 D8_WEIGHTS = [4, 6, 8, 8, 10, 10, 12, 12, 14, 16, 18]
 
@@ -98,20 +98,8 @@ def test_left_kernel_full_rank():
 
 @pytest.fixture(scope="module")
 def small_lifts():
-    nq = nxi = 2
-    prec = nq * nxi + 1
-    v = CASES["D8"].vector
-
-    def lift(k, orbit):
-        form = jacobi_eisenstein("D8", k, orbit, prec=prec)
-        return gritsenko_lift(pullback(form, v, nq=nq * nxi), nxi)
-
-    return {
-        (4, 0): lift(4, 0),
-        (6, 0): lift(6, 0),
-        (8, 0): lift(8, 0),
-        (8, 1): lift(8, 1),
-    }
+    keys = ((4, 0), (6, 0), (8, 0), (8, 1))
+    return {(k, orbit): eisenstein_row("D8", k, orbit).lift(CASES["D8"].vector, 2, 2) for k, orbit in keys}
 
 
 def test_express_unit_vector(small_lifts):
@@ -282,6 +270,21 @@ def test_case_generators_counts():
         assert [g.weight for g in case_generators(name)] == orthogonal_weights(row.bound_system)
 
 
+@pytest.mark.parametrize(
+    "case,i", [(name, i) for name, row in CASES.items() for i in range(len(row.generators))]
+)
+def test_row_jacobi_input_contract(case, i):
+    # a row's recipe is (v, nq) -> the JacobiForm it lifts: its weight, index Q(v), truncation nq
+    c = CASES[case]
+    row = c.generators[i]
+    phi = row.jacobi(c.vector, 2)
+    assert (phi.weight, phi.index, phi.nq) == (row.weight, norm(lattice(c.lattice), c.vector), 2)
+    phi.check_support()
+    phi.check_r_symmetry()
+    phi.check_elliptic_law()
+    assert case_generators(case)[i].build(1, 1) == gritsenko_lift(row.jacobi(c.vector, 1), 1)
+
+
 def test_eisenstein_rows_call_jacobi_eisenstein_through_the_module(monkeypatch):
     # a wrapper installed on certify.jacobi_eisenstein after import sees every E7 generator's input
     calls = []
@@ -405,8 +408,8 @@ def test_weight14_small_precision_matches():
     assert res.coefficients == [1330560, 2640, -11088]
 
 
-def test_weight14_corruption_breaks_relation():
-    res = verify_weight14(nq=2, nxi=2, corrupt=((1, 1, 1), Fraction(1)))
+def test_weight14_corruption_breaks_relation(perturbed_d8_weight8_input):
+    res = verify_weight14(nq=2, nxi=2)
     assert not res.ok()
     assert res.status in ("inconsistent", "mismatch")
 
@@ -493,8 +496,7 @@ def test_d8_independence_stretch_below_20():
 
 
 def _case_lift(case, k, nq, nxi):
-    form = jacobi_eisenstein(case, k, 0, prec=nq * nxi + 1)
-    return gritsenko_lift(pullback(form, CASES[case].vector, nq=nq * nxi), nxi)
+    return eisenstein_row(case, k).lift(CASES[case].vector, nq, nxi)
 
 
 def test_e7_weight8_eisenstein_in_generators():

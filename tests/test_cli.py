@@ -313,6 +313,36 @@ GOLDEN_JSON_SHA256 = {
         ("pullback", "D8", "-k", "8", "--vector=-2,1,3,3,3,-3,-1,-3", "--nq", "14"),
         "500c37a32b840a16d28aaf0bcbb8a312c118177e9bbf0072407193d8b3b298ac",
     ),
+    # recorded before generator rows became (v, nq) -> JacobiForm recipes and the weak
+    # Jacobi dimensions became sums over generator monomials of one index
+    **{
+        "-".join(argv): (argv, h)
+        for argv, h in (
+            (("verify-e14",), "1ed996c32858b810d6ac2c421bc7a03e9b81c1e07a797053f40b566b98b0b21c"),
+            (
+                ("lift", "D8", "-k", "10", "--orbit", "1", "--nq", "3", "--nxi", "3"),
+                "d6a25a95ac934fd4d03703f80555ada924f0da7e75179daff84947fa0f0baa9e",
+            ),
+            (
+                ("lift", "E7", "-k", "30", "--nq", "2", "--nxi", "2"),
+                "5fb6593b6a269e93c498807e47c77efa265bbbbc5c8087886fc8296a8521314e",
+            ),
+            (
+                ("pullback", "E7", "-k", "30", "--nq", "6"),
+                "7649e9531644a943ffe748a01d976a86cee6bd5760596a7dab739728337157d0",
+            ),
+            (
+                ("certify", "D8", "--wmax", "18", "--nq", "4", "--nxi", "4"),
+                "36fe69399bcf2774de89a5cf8476b773138e459bcd8a5f796c3d21312b6eb7da",
+            ),
+            (
+                ("certify", "E7", "--wmax", "30", "--nq", "5", "--nxi", "5"),
+                "a8e8b4ad4c731569c25e869b65afe32cc94233b1df76906cfd3268d159f8cc86",
+            ),
+            (("bound", "C8", "-k", "30"), "6f0a9b4730a0746a6e6a045c3f7e86f84db85aee762fc01c39d1d3de60491b78"),
+            (("identity-check", "E7"), "d74a99f9fcfd6033da6a44978621e595408886eb570d980a95ff99b4e1b3ff0d"),
+        )
+    },
 }
 
 

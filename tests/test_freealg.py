@@ -1,7 +1,11 @@
 """Generator tables, derived weights, Hilbert series, dimension bounds."""
 
+from fractions import Fraction
+from math import floor
+
 import pytest
 
+from omfree import freealg
 from omfree.freealg import (
     GOLDEN_GROUPS,
     GOLDEN_WEIGHTS,
@@ -16,6 +20,7 @@ from omfree.freealg import (
     root_system,
     weak_jacobi_dim,
 )
+from oracles import sl2_dimension, weak_monomial_weights
 
 
 def test_supported_count_is_25():
@@ -128,6 +133,24 @@ def test_index_zero_slice_is_level_one():
         assert weak_jacobi_dim("E7", k, 0) == want
 
 
+@pytest.mark.parametrize("name", SUPPORTED_SYSTEMS)
+def test_weak_jacobi_dims_match_the_monomial_oracle(name):
+    # each exponent vector of index t and weight sum s adds dim M_{k+s}(SL2)
+    gens = generator_table(name)
+    for t in range(9):
+        weights = weak_monomial_weights(gens, t)
+        for k in range(-80, 90):
+            want = sum(c * sl2_dimension(k + s) for s, c in weights.items())
+            assert weak_jacobi_dim(name, k, t) == want, (t, k)
+    # index r adds nothing to the bound at k < 120 once 12 r - 119 > r * slope
+    slope = max(Fraction(kj, mj) for kj, mj in gens)
+    assert slope < 12
+    tables = [weak_monomial_weights(gens, r, least=12 * r - 119) for r in range(floor(119 / (12 - slope)) + 1)]
+    for k in range(120):
+        want = sum(c * sl2_dimension(k - 12 * r + s) for r, table in enumerate(tables) for s, c in table.items())
+        assert dim_upper_bound(name, k) == want, k
+
+
 def test_weak_jacobi_vanishing_below_slope():
     d = delta("E7")
     assert weak_jacobi_dim("E7", int(-d * 2) - 1, 2) == 0
@@ -182,8 +205,9 @@ def test_hilbert_identity_through_60(name):
     assert equal, f"{name}: first mismatch at t^{where}"
 
 
-def test_hilbert_identity_negative_control():
-    equal, where, lhs, rhs = hilbert_identity_check("A1", 60, weights=[4, 6, 10, 13])
+def test_hilbert_identity_negative_control(monkeypatch):
+    monkeypatch.setattr(freealg, "orthogonal_weights", lambda name: [4, 6, 10, 13])
+    equal, where, lhs, rhs = hilbert_identity_check("A1", 60)
     assert not equal
     assert where is not None and lhs[where] != rhs[where]
 
