@@ -28,7 +28,7 @@ schedule escalates first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -123,16 +123,6 @@ def monomials(weights: Sequence[int], w: int) -> List[Tuple[int, ...]]:
 # Generators and cases
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A named generator with a recipe for (re)building its lift at any precision."""
-
-    name: str
-    weight: int
-    recipe: str
-    build: Callable[[int, int], ParamodularForm] = field(compare=False, repr=False)
-
-
 class GeneratorRow(NamedTuple):
     """One generator: name, weight, recipe text and its Jacobi input.
 
@@ -200,15 +190,6 @@ CASES: Dict[str, Case] = {
 }
 
 
-def case_generators(case: str) -> List[GeneratorSpec]:
-    """The full generator list of the case, in weight order."""
-    v = CASES[case].vector
-    return [
-        GeneratorSpec(row.name, row.weight, row.recipe, lambda nq, nxi, row=row: row.lift(v, nq, nxi))
-        for row in CASES[case].generators
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Independence certificates
 
@@ -234,7 +215,7 @@ class WeightRecord:
 @dataclass
 class IndependenceCertificate:
     case: str
-    generators: List[GeneratorSpec]
+    generators: List[GeneratorRow]
     precision: Tuple[int, int]
     weights: List[WeightRecord]
     relations: List[dict]
@@ -271,8 +252,9 @@ class _MonomialCache:
     back to the exact rank.
     """
 
-    def __init__(self, gens: Sequence[GeneratorSpec], nq: int, nxi: int):
-        self.gens = gens
+    def __init__(self, rows: Sequence[GeneratorRow], vector: Sequence[int], nq: int, nxi: int):
+        self.rows = rows
+        self.vector = vector
         self.nq = nq
         self.nxi = nxi
         self._lifts: Dict[int, ParamodularForm] = {}
@@ -282,7 +264,7 @@ class _MonomialCache:
 
     def lift(self, i: int) -> ParamodularForm:
         if i not in self._lifts:
-            self._lifts[i] = self.gens[i].build(self.nq, self.nxi)
+            self._lifts[i] = self.rows[i].lift(self.vector, self.nq, self.nxi)
         return self._lifts[i]
 
     def evaluation(self, i: int) -> np.ndarray:
@@ -332,12 +314,13 @@ class _MonomialCache:
 
 
 def independence(
-    generators: Sequence[GeneratorSpec],
+    rows: Sequence[GeneratorRow],
+    vector: Sequence[int],
     w_max: int,
     schedule: Sequence[Tuple[int, int]] = DEFAULT_SCHEDULE,
     progress: Optional[Callable[[str], None]] = None,
 ) -> IndependenceCertificate:
-    """Certificate of monomial independence for every weight <= w_max.
+    """Certificate of monomial independence of the rows' lifts along ``vector``, for every weight <= w_max.
 
     Coefficients are compared on the canonical index set of the lifts' own
     level.  A weight whose sampled residue rows have full rank mod p is
@@ -347,8 +330,8 @@ def independence(
     escalate through the schedule and only then are reported as
     inconclusive, with the kernel vectors as candidate relations.
     """
-    generators = list(generators)
-    weights_list = [g.weight for g in generators]
+    rows = list(rows)
+    weights_list = [row.weight for row in rows]
     say = progress or (lambda msg: None)
     relations: List[dict] = []
     # each weight's monomials, enumerated once for every schedule step
@@ -358,7 +341,7 @@ def independence(
     used_precision = schedule[0]
     for step, (nq, nxi) in enumerate(schedule):
         used_precision = (nq, nxi)
-        cache = _MonomialCache(generators, nq, nxi)
+        cache = _MonomialCache(rows, vector, nq, nxi)
         still_pending = []
         for w in pending:
             monos = by_weight[w]
@@ -369,8 +352,8 @@ def independence(
                 forms = [cache.product(m) for m in monos]
                 index_set = canonical_index_set(forms[0].level, nq, nxi)
                 # each row is a form's numerators: its coefficients times its own denominator
-                rows = [[f.nums.get(key, 0) for key in index_set] for f in forms]
-                rank = bareiss_rank(rows)
+                numerators = [[f.nums.get(key, 0) for key in index_set] for f in forms]
+                rank = bareiss_rank(numerators)
             if rank == len(monos):
                 records[w] = WeightRecord(w, monos, shape, rank, "independent")
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): independent")
@@ -380,7 +363,7 @@ def independence(
                 still_pending.append(w)
                 if step == len(schedule) - 1:
                     # relations among the forms, so the kernel needs the rational rows
-                    rational = [[Fraction(x, f.den) for x in row] for f, row in zip(forms, rows)]
+                    rational = [[Fraction(x, f.den) for x in row] for f, row in zip(forms, numerators)]
                     for vec in left_kernel(rational):
                         relations.append(
                             {"w": w, "coefficients": [str(x) for x in vec]}
@@ -390,7 +373,7 @@ def independence(
             break
     return IndependenceCertificate(
         case="custom",
-        generators=generators,
+        generators=rows,
         precision=used_precision,
         weights=[records[w] for w in sorted(records)],
         relations=relations,
@@ -403,8 +386,9 @@ def case_independence(
     schedule: Sequence[Tuple[int, int]] = DEFAULT_SCHEDULE,
     progress: Optional[Callable[[str], None]] = None,
 ) -> IndependenceCertificate:
-    gens = [g for g in case_generators(case) if g.weight <= w_max]
-    return replace(independence(gens, w_max, schedule, progress=progress), case=case)
+    c = CASES[case]
+    rows = [row for row in c.generators if row.weight <= w_max]
+    return replace(independence(rows, c.vector, w_max, schedule, progress=progress), case=case)
 
 
 # ---------------------------------------------------------------------------

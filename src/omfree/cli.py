@@ -136,14 +136,20 @@ def _cmd_eisenstein(args) -> int:
     return 0
 
 
+def _row_along(args):
+    """The Eisenstein row of --weight and --orbit, the vector (--vector, else the case's) and Q(v)."""
+    vec = certify.CASES[args.case].vector if args.vector is None else _parse_vector(args.vector)
+    if not vec:
+        raise ValueError("--vector is empty; omit it to take the case vector")
+    return certify.eisenstein_row(args.case, args.weight, args.orbit), vec, norm(lattice(args.case), vec)
+
+
 def _cmd_pullback(args) -> int:
-    vec = _parse_vector(args.vector) if args.vector else certify.CASES[args.case].vector
-    lat = lattice(args.case)
-    q = norm(lat, vec)
-    phi = certify.eisenstein_row(args.case, args.weight, args.orbit).jacobi(vec, args.nq)
+    row, vec, q = _row_along(args)
+    phi = row.jacobi(vec, args.nq)
     payload = {
         "config": _config(args, vector=list(vec), vector_norm=str(q)),
-        "gram": [list(row) for row in lat.gram],
+        "gram": [list(r) for r in lattice(args.case).gram],
         "jacobi_form": phi.to_json(),
     }
 
@@ -158,10 +164,8 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    vec = _parse_vector(args.vector) if args.vector else certify.CASES[args.case].vector
-    lat = lattice(args.case)
-    q = norm(lat, vec)
-    lifted = certify.eisenstein_row(args.case, args.weight, args.orbit).lift(vec, args.nq, args.nxi)
+    row, vec, q = _row_along(args)
+    lifted = row.lift(vec, args.nq, args.nxi)
     payload = {
         "config": _config(args, vector=list(vec), vector_norm=str(q)),
         "paramodular_form": lifted.to_json(),

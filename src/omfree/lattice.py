@@ -286,7 +286,7 @@ def lattice(name: str) -> LatticeData:
 
 
 # ---------------------------------------------------------------------------
-# Pairings and norms on a LatticeData
+# Norms on a LatticeData
 
 
 def norm(lat: LatticeData, v: Sequence) -> Fraction:
@@ -295,18 +295,6 @@ def norm(lat: LatticeData, v: Sequence) -> Fraction:
         raise ValueError(f"vector has length {len(v)}, lattice rank is {lat.rank}")
     y, den = clear_denominators(v)
     return Fraction(_form(lat.gram, y, y), 2 * den * den)
-
-
-def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
-    """<l, v> = l^T A v; must be an integer when l is dual and v integral."""
-    n = lat.rank
-    if len(dual_vec) != n or len(v) != n:
-        raise ValueError("dimension mismatch")
-    (x, dx), (y, dy) = clear_denominators(dual_vec), clear_denominators(v)
-    total = Fraction(_form(lat.gram, x, y), dx * dy)
-    if total.denominator != 1:
-        raise ValueError(f"pairing {total} is not integral; vector is not in the dual lattice")
-    return int(total)
 
 
 # ---------------------------------------------------------------------------

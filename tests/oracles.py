@@ -18,7 +18,9 @@ on plain ``{exponent: coefficient}`` dicts of ``Fraction`` values, a table
 and its truncation, with no integer numerators.  :func:`weak_monomial_weights`
 and :func:`sl2_dimension` check ``omfree.freealg.weak_jacobi_dim`` by a
 brute-force recursion over the exponent vectors of the weak generators and
-the classical dimension formula for M_k(SL2).
+the classical dimension formula for M_k(SL2).  :func:`pairing` is the exact
+pairing of a dual vector with a lattice vector, which the test enumerations
+tally next to the norm.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from omfree.classical import eisenstein_sl2
-from omfree.lattice import Coset, LatticeData, Vector, norm, pairing_counts
-from omfree.linalg import MODULUS, solve
+from omfree.lattice import Coset, LatticeData, Vector, _form, norm, pairing_counts
+from omfree.linalg import MODULUS, clear_denominators, solve
 from omfree.qseries import QSeries, as_fraction
 from omfree.weil import ComponentForm, JacobiForm
 
@@ -242,6 +244,18 @@ def _ldl(gram) -> Tuple[List[Fraction], List[List[Fraction]]]:
                 q[k][m] -= q[i][k] * q[i][m] / d[i]
                 q[m][k] = q[k][m]
     return d, u
+
+
+def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
+    """<l, v> = l^T A v; must be an integer when l is dual and v integral."""
+    n = lat.rank
+    if len(dual_vec) != n or len(v) != n:
+        raise ValueError("dimension mismatch")
+    (x, dx), (y, dy) = clear_denominators(dual_vec), clear_denominators(v)
+    total = Fraction(_form(lat.gram, x, y), dx * dy)
+    if total.denominator != 1:
+        raise ValueError(f"pairing {total} is not integral; vector is not in the dual lattice")
+    return int(total)
 
 
 def enumerate_coset(lat: LatticeData, coset, qmax) -> List[Tuple[Vector, Fraction]]:

@@ -65,7 +65,7 @@ def test_c2_d8_independence():
     elapsed = time.time() - t0
     cert = rep.certificate
     ok = cert.all_independent() and rep.consistent()
-    assert len(certify.case_generators("D8")) == 11
+    assert len(certify.CASES["D8"].generators) == 11
     row = certify.CASES["D8"]
     assert norm(lattice(row.lattice), row.vector) == 24
     assert elapsed < 3600
@@ -80,7 +80,7 @@ def test_c2_d8_independence():
 def test_c2_e6_independence():
     rep = certify.certify_freeness("E6", 16, schedule=((4, 4),))
     ok = rep.certificate.all_independent() and rep.consistent()
-    assert len(certify.case_generators("E6")) == 9
+    assert len(certify.CASES["E6"].generators) == 9
     row = certify.CASES["E6"]
     assert norm(lattice(row.lattice), row.vector) == 12
     report("criterion 2b: 9 E6 generator lifts at K(12), weights <= 16", ok)
@@ -89,7 +89,7 @@ def test_c2_e6_independence():
 def test_c2_e7_independence():
     rep = certify.certify_freeness("E7", 16, schedule=((4, 4),))
     ok = rep.certificate.all_independent() and rep.consistent()
-    assert len(certify.case_generators("E7")) == 10
+    assert len(certify.CASES["E7"].generators) == 10
     row = certify.CASES["E7"]
     assert norm(lattice(row.lattice), row.vector) == 12
     report("criterion 2c: 10 E7 generator lifts at K(12), weights <= 16", ok)
@@ -365,11 +365,11 @@ def test_c9a_corruption_breaks_relation(perturbed_d8_weight8_input):
 def test_c9b_duplicate_generator_kernel():
     nq = nxi = 2
     v = certify.CASES["D8"].vector
-    lift = certify.eisenstein_row("D8", 8, 0).lift(v, nq, nxi)
-    gens = [
-        certify.GeneratorSpec("G", 8, "fixed", lambda a, b: lift),
-        certify.GeneratorSpec("G-copy", 8, "fixed", lambda a, b: lift),
+    phi = certify.eisenstein_row("D8", 8, 0).jacobi(v, nq * nxi)
+    rows = [
+        certify.GeneratorRow("G", 8, "fixed", lambda u, n: phi),
+        certify.GeneratorRow("G-copy", 8, "fixed", lambda u, n: phi),
     ]
-    cert = certify.independence(gens, 8, schedule=((nq, nxi),))
+    cert = certify.independence(rows, v, 8, schedule=((nq, nxi),))
     ok = {"w": 8, "coefficients": ["1", "-1"]} in cert.relations
     report("criterion 9b: duplicated generator yields kernel vector (1, -1)", ok)

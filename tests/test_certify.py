@@ -12,11 +12,10 @@ from omfree import certify
 from omfree.certify import (
     CASES,
     SAMPLE_POINTS,
-    GeneratorSpec,
+    GeneratorRow,
     IndependenceCertificate,
     bareiss_rank,
     canonical_index_set,
-    case_generators,
     certify_freeness,
     eisenstein_row,
     express_in_basis,
@@ -27,12 +26,23 @@ from omfree.certify import (
     _MonomialCache,
 )
 from omfree.cli import build_parser
-from omfree.freealg import orthogonal_weights
+from omfree.freealg import dim_upper_bound, orthogonal_weights
 from omfree.lattice import lattice, norm
 from omfree.lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
 
 D8_WEIGHTS = [4, 6, 8, 8, 10, 10, 12, 12, 14, 16, 18]
+D8_VEC = CASES["D8"].vector
+
+
+def case_rows(case, w_max):
+    """The case's generator rows of weight <= w_max."""
+    return [row for row in CASES[case].generators if row.weight <= w_max]
+
+
+def fixed_row(name, phi):
+    """A row whose Jacobi input is ``phi`` along every vector and at every truncation."""
+    return GeneratorRow(name, phi.weight, "fixed", lambda v, nq: phi)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +109,13 @@ def test_left_kernel_full_rank():
 @pytest.fixture(scope="module")
 def small_lifts():
     keys = ((4, 0), (6, 0), (8, 0), (8, 1))
-    return {(k, orbit): eisenstein_row("D8", k, orbit).lift(CASES["D8"].vector, 2, 2) for k, orbit in keys}
+    return {(k, orbit): eisenstein_row("D8", k, orbit).lift(D8_VEC, 2, 2) for k, orbit in keys}
+
+
+@pytest.fixture(scope="module")
+def e4_input():
+    """The Jacobi input of the D8 E4 lift at (2, 2): its pullback to O(q^5)."""
+    return eisenstein_row("D8", 4, 0).jacobi(D8_VEC, 4)
 
 
 def test_express_unit_vector(small_lifts):
@@ -143,52 +159,45 @@ def test_canonical_index_set_is_lexicographic():
 # independence
 
 
-def test_independence_single_form(small_lifts):
-    e4 = small_lifts[(4, 0)]
-    gen = GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4)
-    cert = independence([gen], 4, schedule=((2, 2),))
+def test_independence_single_form(e4_input):
+    cert = independence([fixed_row("E4", e4_input)], D8_VEC, 4, schedule=((2, 2),))
     rec = next(r for r in cert.weights if r.weight == 4)
     assert rec.rank == 1 and rec.verdict == "independent"
 
 
-def test_independence_duplicate_generator_kernel(small_lifts):
-    e4 = small_lifts[(4, 0)]
-    gens = [
-        GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4),
-        GeneratorSpec("E4-copy", 4, "fixed", lambda nq, nxi: e4),
-    ]
-    cert = independence(gens, 4, schedule=((2, 2),))
+def test_independence_duplicate_generator_kernel(e4_input):
+    rows = [fixed_row("E4", e4_input), fixed_row("E4-copy", e4_input)]
+    cert = independence(rows, D8_VEC, 4, schedule=((2, 2),))
     rec = next(r for r in cert.weights if r.weight == 4)
     assert rec.verdict == "inconclusive"
     assert rec.rank == 1
     assert {"w": 4, "coefficients": ["1", "-1"]} in cert.relations
 
 
-def test_independence_relation_on_rational_rows(small_lifts):
+def test_independence_relation_on_rational_rows(small_lifts, e4_input):
     # A and B = A/7 share their numerators, so a kernel taken on numerator
     # rows would report B - A = 0 instead of 7 B - A = 0 (monomial (0, 1),
     # that is B, comes first)
     e4 = small_lifts[(4, 0)]
     seventh = Fraction(1, 7) * e4
     assert seventh.nums == e4.nums and seventh.den == 7 * e4.den
-    gens = [
-        GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4),
-        GeneratorSpec("E4/7", 4, "fixed", lambda nq, nxi: seventh),
-    ]
-    cert = independence(gens, 4, schedule=((2, 2),))
+    rows = [fixed_row("E4", e4_input), fixed_row("E4/7", Fraction(1, 7) * e4_input)]
+    assert rows[1].lift(D8_VEC, 2, 2) == seventh
+    cert = independence(rows, D8_VEC, 4, schedule=((2, 2),))
     rec = next(r for r in cert.weights if r.weight == 4)
     assert rec.verdict == "inconclusive" and rec.rank == 1
     assert cert.relations == [{"w": 4, "coefficients": ["7", "-1"]}]
 
 
-def test_independence_falls_back_on_a_residue_deficit(small_lifts):
+def test_independence_falls_back_on_a_residue_deficit(small_lifts, e4_input):
     # every numerator of p E4 is 0 mod p and its denominator is prime to p:
     # the residue rows vanish, so only the exact rank can certify it
     scaled = MODULUS * small_lifts[(4, 0)]
     assert scaled.den % MODULUS and all(c % MODULUS == 0 for c in scaled.nums.values())
     assert not evaluate(scaled, 2, 2).any()
-    gen = GeneratorSpec("pE4", 4, "fixed", lambda nq, nxi: scaled)
-    cert = independence([gen], 8, schedule=((2, 2),))
+    row = fixed_row("pE4", MODULUS * e4_input)
+    assert row.lift(D8_VEC, 2, 2) == scaled
+    cert = independence([row], D8_VEC, 8, schedule=((2, 2),))
     ranks = {rec.weight: (rec.rank, rec.verdict) for rec in cert.weights}
     assert ranks[4] == ranks[8] == (1, "independent")
     assert cert.relations == []
@@ -199,10 +208,10 @@ def test_residue_ranks_equal_exact_ranks(case):
     # independence decides most weights from residue rows; the exact rank of
     # the numerator rows, built here from plain products, must agree
     nq = nxi = 2
-    gens = [g for g in case_generators(case) if g.weight <= 16]
-    lifts = [g.build(nq, nxi) for g in gens]
+    rows, v = case_rows(case, 16), CASES[case].vector
+    lifts = [row.lift(v, nq, nxi) for row in rows]
     index_set = canonical_index_set(lifts[0].level, nq, nxi)
-    cert = independence(gens, 16, schedule=((nq, nxi),))
+    cert = independence(rows, v, 16, schedule=((nq, nxi),))
     for rec in cert.weights:
         if rec.verdict == "trivial":
             continue
@@ -221,8 +230,8 @@ def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
     # a column subset can only lose rank; on the case rows it must lose none,
     # or a full-rank weight would pay for the exact Bareiss rank
     wmax = CASE_WMAX[case]
-    gens = [g for g in case_generators(case) if g.weight <= wmax]
-    cache = _MonomialCache(gens, nq, nq)
+    gens = case_rows(case, wmax)
+    cache = _MonomialCache(gens, CASES[case].vector, nq, nq)
     mask = evaluation_mask(cache.lift(0).level, nq, nq)
     assert mask.shape[2] > SAMPLE_POINTS
     full = {}
@@ -266,8 +275,8 @@ def test_sample_deficits_fall_back_to_bareiss(monkeypatch):
 
 def test_case_generators_counts():
     # every row lifts exactly the generators of its bound system's free algebra
-    for name, row in CASES.items():
-        assert [g.weight for g in case_generators(name)] == orthogonal_weights(row.bound_system)
+    for c in CASES.values():
+        assert [row.weight for row in c.generators] == orthogonal_weights(c.bound_system)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +291,7 @@ def test_row_jacobi_input_contract(case, i):
     phi.check_support()
     phi.check_r_symmetry()
     phi.check_elliptic_law()
-    assert case_generators(case)[i].build(1, 1) == gritsenko_lift(row.jacobi(c.vector, 1), 1)
+    assert row.lift(c.vector, 1, 1) == gritsenko_lift(row.jacobi(c.vector, 1), 1)
 
 
 def test_eisenstein_rows_call_jacobi_eisenstein_through_the_module(monkeypatch):
@@ -294,10 +303,10 @@ def test_eisenstein_rows_call_jacobi_eisenstein_through_the_module(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(certify, "jacobi_eisenstein", recording)
-    specs = case_generators("E7")
-    for spec in specs:
-        spec.build(1, 1)
-    assert calls == [("E7", spec.weight, 0, 2) for spec in specs]
+    c = CASES["E7"]
+    for row in c.generators:
+        row.lift(c.vector, 1, 1)
+    assert calls == [("E7", row.weight, 0, 2) for row in c.generators]
 
 
 def test_case_levels():
@@ -349,7 +358,7 @@ FROZEN_GENERATORS = {
 
 def test_certificate_generators_are_frozen():
     for name, expected in FROZEN_GENERATORS.items():
-        cert = IndependenceCertificate(name, case_generators(name), (0, 0), [], [])
+        cert = IndependenceCertificate(name, list(CASES[name].generators), (0, 0), [], [])
         assert cert.to_json()["generators"] == [
             {"name": g, "weight": w, "recipe": recipe} for g, w, recipe in expected
         ]
@@ -364,10 +373,8 @@ def test_cli_case_choices_are_the_table():
         assert case.choices == sorted(CASES)
 
 
-def test_certificate_json_schema(small_lifts):
-    e4 = small_lifts[(4, 0)]
-    gen = GeneratorSpec("E4", 4, "fixed", lambda nq, nxi: e4)
-    cert = independence([gen], 4, schedule=((2, 2),))
+def test_certificate_json_schema(e4_input):
+    cert = independence([fixed_row("E4", e4_input)], D8_VEC, 4, schedule=((2, 2),))
     payload = cert.to_json()
     text = json.dumps(payload)
     assert set(payload) == {
@@ -427,10 +434,10 @@ def test_weight14_json():
 
 def test_rank_monotone_in_precision():
     # computed rank never decreases when the precision schedule escalates
-    gens = [g for g in case_generators("D8") if g.weight <= 12]
+    rows = case_rows("D8", 12)
     ranks = {}
     for nq in (1, 2, 3):
-        cert = independence(gens, 12, schedule=((nq, nq),))
+        cert = independence(rows, D8_VEC, 12, schedule=((nq, nq),))
         rec = next(r for r in cert.weights if r.weight == 12)
         ranks[nq] = rec.rank
     assert ranks[1] <= ranks[2] <= ranks[3]
@@ -438,9 +445,9 @@ def test_rank_monotone_in_precision():
 
 
 def test_certificates_replay_bit_for_bit():
-    gens = [g for g in case_generators("D8") if g.weight <= 8]
-    first = independence(gens, 8, schedule=((2, 2),)).to_json()
-    second = independence(gens, 8, schedule=((2, 2),)).to_json()
+    rows = case_rows("D8", 8)
+    first = independence(rows, D8_VEC, 8, schedule=((2, 2),)).to_json()
+    second = independence(rows, D8_VEC, 8, schedule=((2, 2),)).to_json()
     assert first == second
 
 
@@ -453,8 +460,7 @@ def test_monomials_are_enumerated_once_per_weight(monkeypatch):
         return monomials(weights, w)
 
     monkeypatch.setattr(certify, "monomials", counted)
-    gens = [g for g in case_generators("D8") if g.weight <= 18]
-    cert = independence(gens, 18, schedule=((2, 2), (4, 4)))
+    cert = independence(case_rows("D8", 18), D8_VEC, 18, schedule=((2, 2), (4, 4)))
     assert cert.precision == (4, 4)
     assert sorted(calls) == list(range(19))
     # sha256 of the certificate, recorded when each step enumerated its weights again
@@ -462,6 +468,21 @@ def test_monomials_are_enumerated_once_per_weight(monkeypatch):
     assert hashlib.sha256(payload.encode()).hexdigest() == (
         "e423f24acd35102cbd9c1e98fadf4eaaac02951fb05d11acbe00eb58eca44434"
     )
+
+
+def test_certificate_along_a_vector_that_is_not_the_case_vector():
+    # the D8 rows without E8,1 along a C7 vector certify the C7 bound; every
+    # lift is taken along the given vector, so the matrices have the width of
+    # level 16, not of the case vector's 24
+    rows = [row for row in CASES["D8"].generators if row.name != "E8,1"]
+    v = (0, 2, 3, 4, 1, 3, 2, 4)
+    assert norm(lattice("D8"), v) == 16
+    cert = independence(rows, v, 18, schedule=((4, 4), (6, 6)))
+    assert cert.precision == (4, 4)
+    width = len(canonical_index_set(16, 4, 4))
+    assert all(rec.matrix_shape[1] == width for rec in cert.weights if rec.monomials)
+    ranks = {rec.weight: rec.rank for rec in cert.weights if rec.weight >= 1}
+    assert ranks == {w: dim_upper_bound("C7", w) for w in range(1, 19)}
 
 
 def test_express_solution_stable_under_precision_increase():
@@ -525,7 +546,7 @@ def test_e6_weight14_eisenstein_in_generators():
     e6 = _case_lift("E6", 6, nq, nxi)
     e10 = _case_lift("E6", 10, nq, nxi)
     e14 = _case_lift("E6", 14, nq, nxi)
-    m7 = [g for g in case_generators("E6") if g.name == "M7"][0].build(nq, nxi)
+    m7 = next(row for row in CASES["E6"].generators if row.name == "M7").lift(CASES["E6"].vector, nq, nxi)
     basis = [multiply(e4, e10), multiply(m7, m7), multiply(multiply(e4, e4), e6)]
     res = express_in_basis(e14, basis)
     assert res.status == "unique"

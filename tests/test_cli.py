@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,40 @@ def test_pullback_vector_with_leading_minus(capsys):
     payload = json.loads(out)
     assert payload["config"]["vector"] == [-2, 1, 0, 0, 0, 0, 0, 0]
     assert payload["jacobi_form"]["index"] == 7
+
+
+@pytest.mark.parametrize("command", ["pullback", "lift"])
+@pytest.mark.parametrize("vector", [("--vector=",), ("--vector", "")])
+def test_empty_vector_is_usage_error(capsys, command, vector):
+    # an empty --vector is rejected, not read as "take the case vector"
+    code = main([command, "D8", "-k", "8", *vector, "--nq", "2"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == "error: --vector is empty; omit it to take the case vector\n"
+
+
+def test_lift_along_a_root_is_siegel_e4(capsys):
+    # along a root Q(v) = 1, so the lift of E_{4,1} is a Siegel modular form of
+    # degree 2: the Maass lift of E_{4,1}, which is the Siegel Eisenstein series
+    # E4 (Eichler and Zagier, section 6) over its constant term 240; the values
+    # are E4's classical coefficients at the forms [n, r/2; r/2, M]
+    argv = ("lift", "E7", "-k", "4", "--vector", "1,0,0,0,0,0,0", "--nq", "1", "--nxi", "1", "--json")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    form = json.loads(out)["paramodular_form"]
+    assert (form["weight"], form["level"]) == (4, 1)
+    scaled = {key: 240 * Fraction(num, den) for key, (num, den) in form["coefficients"].items()}
+    assert scaled == {
+        "0,0,0": 1,
+        "1,0,0": 240,
+        "0,0,1": 240,
+        "1,0,1": 30240,
+        "1,1,1": 13440,
+        "1,-1,1": 13440,
+        "1,2,1": 240,
+        "1,-2,1": 240,
+    }
 
 
 def test_lift_dump_keys(capsys):

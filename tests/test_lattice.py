@@ -17,12 +17,11 @@ from omfree.lattice import (
     gram_matrix,
     lattice,
     norm,
-    pairing,
     pairing_counts,
 )
 from omfree.linalg import det
 import oracles
-from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset, rational_cosets
+from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset, pairing, rational_cosets
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 #: The first direction of the seeded D8 pullback sweep.

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omfree.certify import SAMPLE_POINTS, canonical_index_set, case_generators
+from omfree.certify import CASES, SAMPLE_POINTS, canonical_index_set
 from omfree.classical import sigma
-from omfree.lattice import lattice, norm, pairing
+from omfree.lattice import lattice, norm
 from omfree.lifts import (
     ParamodularForm,
     evaluate,
@@ -23,9 +23,15 @@ from omfree.lifts import (
 )
 from omfree.linalg import MODULUS
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
-from oracles import enumerate_coset, multiply_values_oracle
+from oracles import enumerate_coset, multiply_values_oracle, pairing
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
+
+
+def case_lifts(case, count, nq, nxi):
+    """Lifts of the case's first ``count`` generator rows along the case vector."""
+    c = CASES[case]
+    return [row.lift(c.vector, nq, nxi) for row in c.generators[:count]]
 
 
 def fj_slice(f, m):
@@ -368,8 +374,7 @@ def test_multiply_signed_decode_borrows():
 
 
 def test_multiply_e7_lifts_match_pair_loop():
-    gens = case_generators("E7")
-    f, g = gens[0].build(3, 3), gens[1].build(3, 3)
+    f, g = case_lifts("E7", 2, 3, 3)
     assert len(f.coeffs) > 50 and len(g.coeffs) > 50
     assert_products_equal(f, g)
     assert_products_equal(g, g)
@@ -499,7 +504,7 @@ def test_evaluation_of_product_is_pointwise_product(case, nq, nxi):
     # the residue path's product agrees with the exact product, up to the
     # integer factor by which from_numerators reduced the numerators, at
     # full width and on the certificate's sample
-    e4, e6 = (g.build(nq, nxi) for g in case_generators(case)[:2])
+    e4, e6 = case_lifts(case, 2, nq, nxi)
     mask = evaluation_mask(e4.level, nq, nxi)
     for points in (None, SAMPLE_POINTS):
         for f, g in ((e4, e6), (multiply(e4, e6), e4)):
@@ -513,7 +518,7 @@ def test_evaluation_of_product_is_pointwise_product(case, nq, nxi):
 
 @pytest.mark.parametrize("case,nq,nxi", [("D8", 4, 4), ("E7", 5, 5), ("E7", 3, 1)])
 def test_sampled_evaluation_is_the_first_columns(case, nq, nxi):
-    forms = [g.build(nq, nxi) for g in case_generators(case)[:3]]
+    forms = case_lifts(case, 3, nq, nxi)
     width = evaluation_width(forms[0].level, nq, nxi)
     for f in forms:
         full = evaluate(f, nq, nxi)
