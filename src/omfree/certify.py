@@ -1,7 +1,7 @@
 """Exact linear-algebra certificates for the lifted Eisenstein generators.
 
-Monomials in the generator lifts are compared on a canonical coefficient
-index set.  The certificate first works mod the prime ``linalg.MODULUS`` in
+Monomials in the generator lifts are compared coefficient by coefficient.
+The certificate first works mod the prime ``linalg.MODULUS`` in
 r-evaluation space: each generator lift is evaluated once
 (``lifts.evaluate``), a monomial is a chain of pointwise products
 (``lifts.multiply_values``), and its row is the evaluation restricted to
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,62 +39,15 @@ import numpy as np
 from . import __version__
 from .freealg import dim_upper_bound
 from .lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
-from .linalg import _rank_mod_p, bareiss_rank, left_kernel, solve
+from .linalg import _rank_mod_p, bareiss_rank, left_kernel
 from .weil import JacobiForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
-from .qseries import QSeries
+from .qseries import ExpressResult, QSeries, express_in_basis, shared_support
 
 DEFAULT_SCHEDULE: Tuple[Tuple[int, int], ...] = ((4, 4), (6, 6), (8, 8))
 
 #: Evaluation points of the residue certificate (the first K of W).
 SAMPLE_POINTS = 8
-
-@dataclass(frozen=True)
-class ExpressResult:
-    """Outcome of solving target = sum_i x_i basis_i on all shared coefficients."""
-
-    status: str  # "unique" | "inconsistent" | "underdetermined"
-    coefficients: Optional[List[Fraction]] = None
-    witness: Optional[Tuple[int, int, int]] = None  # coefficient index with no solution
-
-
-def express_in_basis(target: ParamodularForm, basis: Sequence[ParamodularForm]) -> ExpressResult:
-    """Solve the exact overdetermined system over the canonical index set."""
-    for b in basis:
-        if b.level != target.level or b.weight != target.weight:
-            raise ValueError("basis forms must match the target's weight and level")
-    nq = min([target.nq] + [b.nq for b in basis])
-    nxi = min([target.nxi] + [b.nxi for b in basis])
-    index_set = canonical_index_set(target.level, nq, nxi)
-    keys = []
-    matrix = []
-    rhs = []
-    for key in index_set:
-        row = [b.coeffs.get(key, Fraction(0)) for b in basis]
-        t = target.coeffs.get(key, Fraction(0))
-        if any(x != 0 for x in row) or t != 0:
-            keys.append(key)
-            matrix.append(row)
-            rhs.append(t)
-    # Coefficients left out are zero on both sides, so they hold for any solution.
-    if not matrix:
-        return ExpressResult(status="underdetermined") if basis else ExpressResult(status="unique", coefficients=[])
-    sol = solve(matrix, rhs)
-    if sol.status == "inconsistent":
-        return ExpressResult(status="inconsistent", witness=keys[sol.row])
-    return ExpressResult(status=sol.status, coefficients=sol.values)
-
-
-def canonical_index_set(level: int, nq: int, nxi: int) -> List[Tuple[int, int, int]]:
-    """All (n, r, M) with n <= nq, M <= nxi, |r| <= sqrt(4 n M level), lexicographic."""
-    out = []
-    for n in range(nq + 1):
-        rmax_n = isqrt(4 * n * nxi * level)
-        for r in range(-rmax_n, rmax_n + 1):
-            for m in range(nxi + 1):
-                if 4 * n * m * level - r * r >= 0:
-                    out.append((n, r, m))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +275,9 @@ def independence(
 ) -> IndependenceCertificate:
     """Certificate of monomial independence of the rows' lifts along ``vector``, for every weight <= w_max.
 
-    Coefficients are compared on the canonical index set of the lifts' own
-    level.  A weight whose sampled residue rows have full rank mod p is
+    A weight whose sampled residue rows have full rank mod p is
     independent; any other weight is decided by the exact rank of its
-    numerator rows.
+    integer numerator rows on the keys of ``shared_support``.
     Full rank at the first precision is conclusive; deficient ranks
     escalate through the schedule and only then are reported as
     inconclusive, with the kernel vectors as candidate relations.
@@ -350,9 +302,9 @@ def independence(
                 rank = len(monos)
             else:
                 forms = [cache.product(m) for m in monos]
-                index_set = canonical_index_set(forms[0].level, nq, nxi)
+                keys = shared_support(forms)
                 # each row is a form's numerators: its coefficients times its own denominator
-                numerators = [[f.nums.get(key, 0) for key in index_set] for f in forms]
+                numerators = [[f.nums.get(key, 0) for key in keys] for f in forms]
                 rank = bareiss_rank(numerators)
             if rank == len(monos):
                 records[w] = WeightRecord(w, monos, shape, rank, "independent")
@@ -362,12 +314,11 @@ def independence(
                 say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): deficient")
                 still_pending.append(w)
                 if step == len(schedule) - 1:
-                    # relations among the forms, so the kernel needs the rational rows
-                    rational = [[Fraction(x, f.den) for x in row] for f, row in zip(forms, numerators)]
-                    for vec in left_kernel(rational):
-                        relations.append(
-                            {"w": w, "coefficients": [str(x) for x in vec]}
-                        )
+                    # y with sum_i y_i nums_i = 0 is the relation sum_i (y_i den_i) f_i = 0 among the forms
+                    for y in left_kernel(numerators):
+                        rel = [yi * f.den for yi, f in zip(y, forms)]
+                        g = gcd(*rel)
+                        relations.append({"w": w, "coefficients": [str(x // g) for x in rel]})
         pending = still_pending
         if not pending:
             break

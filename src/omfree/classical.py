@@ -16,8 +16,7 @@ from itertools import repeat
 from math import ceil, comb, isqrt, lcm
 from typing import Dict, List, Literal, Tuple
 
-from .linalg import solve
-from .qseries import QSeries, as_fraction
+from .qseries import QSeries, as_fraction, express_in_basis
 
 LevelTag = Literal["SL2", "Gamma0_2", "Gamma0_3_chi", "KohnenPlus4"]
 
@@ -341,7 +340,7 @@ def _level2_weight(f: ScalarForm) -> int:
 
 
 def decompose_level2(f: ScalarForm) -> List[Fraction]:
-    """Coefficients of f in the level-2 Eisenstein basis of ``_eisenstein_bases``, by one exact solve.
+    """Coefficients of f in the level-2 Eisenstein basis of ``_eisenstein_bases``, by ``express_in_basis``.
 
     Every known coefficient enters the solve, and at least 1 + k//4 are
     required: the Sturm bound of Gamma0(2) is k/4, so a form in
@@ -350,14 +349,10 @@ def decompose_level2(f: ScalarForm) -> List[Fraction]:
     exponent, or a form outside the Eisenstein span (such as a cusp form).
     """
     k = _level2_weight(f)
-    prec = f.series.truncation
-    basis = _eisenstein_bases(k, prec)[0]
-    n_coeffs = ceil(prec)
-    matrix = [[b.coefficient(n) for b in basis] for n in range(n_coeffs)]
-    sol = solve(matrix, [f.coefficient(n) for n in range(n_coeffs)])
-    if sol.status != "unique":
+    result = express_in_basis(f.series, _eisenstein_bases(k, f.series.truncation)[0])
+    if result.status != "unique":
         raise DecompositionError(f"form is not in the span of the level-2 Eisenstein basis at weight {k}")
-    return sol.values
+    return result.coefficients
 
 
 def slash_level2(f: ScalarForm) -> Tuple[QSeries, QSeries]:

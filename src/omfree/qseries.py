@@ -11,7 +11,7 @@ silently extended.  There is no floating point anywhere.
 Every exact coefficient table (q-series, Jacobi forms, paramodular forms)
 shares one store, :class:`NumeratorStore`: integer numerators over one
 common denominator, in lowest terms, with a read-only ``Fraction`` view for
-the edges of a layer.
+the edges of a layer, and one exact solve on it, :func:`express_in_basis`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Hashable, Iterator, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+
+from .linalg import solve
 
 RationalLike = Union[int, Fraction]
 
@@ -171,6 +173,43 @@ class NumeratorStore:
             ",".join(map(str, key)): [c.numerator, c.denominator] for key, c in sorted(self.coeffs.items())
         }
         return payload
+
+
+def shared_support(forms: Sequence[NumeratorStore]) -> list:
+    """The sorted keys where some form is nonzero, inside the truncation box that every form keeps."""
+    keys = set().union(*(f.nums for f in forms))
+    return sorted(k for k in keys if all(f._in_box(k) for f in forms))
+
+
+@dataclass(frozen=True)
+class ExpressResult:
+    """Outcome of solving target = sum_i x_i basis_i on all shared coefficients."""
+
+    status: str  # "unique" | "inconsistent" | "underdetermined"
+    coefficients: Optional[List[Fraction]] = None
+    witness: Optional[Hashable] = None  # the first key, in sorted order, where the candidate fails
+
+
+def express_in_basis(target: NumeratorStore, basis: Sequence[NumeratorStore]) -> ExpressResult:
+    """Solve target = sum_i x_i basis_i exactly on the ``shared_support`` of all the forms.
+
+    The solve is on integers: y with sum_i y_i nums_i = nums_target gives
+    x_i = y_i den_i / den_target.  Keys left out are zero on both sides, so
+    they hold for any solution.
+    """
+    head = target._shape()[0]
+    for b in basis:
+        if type(b) is not type(target):
+            raise ValueError(f"basis forms must be {type(target).__name__}s like the target")
+        if b._shape()[0] != head:
+            raise ValueError(f"basis forms must match the target's {' and '.join(target._head)}")
+    keys = shared_support([target, *basis])
+    if not keys:
+        return ExpressResult("underdetermined") if basis else ExpressResult("unique", [])
+    sol = solve([[b.nums.get(k, 0) for b in basis] for k in keys], [target.nums.get(k, 0) for k in keys])
+    if sol.status == "unique":
+        return ExpressResult("unique", [y * b.den / target.den for y, b in zip(sol.values, basis)])
+    return ExpressResult(sol.status, witness=None if sol.row is None else keys[sol.row])
 
 
 @dataclass(frozen=True, init=False)

@@ -20,7 +20,9 @@ and :func:`sl2_dimension` check ``omfree.freealg.weak_jacobi_dim`` by a
 brute-force recursion over the exponent vectors of the weak generators and
 the classical dimension formula for M_k(SL2).  :func:`pairing` is the exact
 pairing of a dual vector with a lattice vector, which the test enumerations
-tally next to the norm.
+tally next to the norm.  :func:`canonical_index_set` lists every in-cone
+index (n, r, M) of a paramodular truncation box: the width of the
+certificate's matrices, which ``omfree.lifts.evaluation_mask`` must match.
 """
 
 from __future__ import annotations
@@ -256,6 +258,18 @@ def pairing(lat: LatticeData, dual_vec: Sequence, v: Sequence) -> int:
     if total.denominator != 1:
         raise ValueError(f"pairing {total} is not integral; vector is not in the dual lattice")
     return int(total)
+
+
+def canonical_index_set(level: int, nq: int, nxi: int) -> List[Tuple[int, int, int]]:
+    """All (n, r, M) with n <= nq, M <= nxi, |r| <= sqrt(4 n M level), lexicographic."""
+    out = []
+    for n in range(nq + 1):
+        rmax_n = isqrt(4 * n * nxi * level)
+        for r in range(-rmax_n, rmax_n + 1):
+            for m in range(nxi + 1):
+                if 4 * n * m * level - r * r >= 0:
+                    out.append((n, r, m))
+    return out
 
 
 def enumerate_coset(lat: LatticeData, coset, qmax) -> List[Tuple[Vector, Fraction]]:

@@ -15,7 +15,6 @@ from omfree.certify import (
     GeneratorRow,
     IndependenceCertificate,
     bareiss_rank,
-    canonical_index_set,
     certify_freeness,
     eisenstein_row,
     express_in_basis,
@@ -30,6 +29,7 @@ from omfree.freealg import dim_upper_bound, orthogonal_weights
 from omfree.lattice import lattice, norm
 from omfree.lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
+from oracles import canonical_index_set
 
 D8_WEIGHTS = [4, 6, 8, 8, 10, 10, 12, 12, 14, 16, 18]
 D8_VEC = CASES["D8"].vector
@@ -144,8 +144,19 @@ def test_express_detects_inconsistency(small_lifts):
     assert res.witness is not None
 
 
+def test_express_reads_out_of_cone_coefficients(small_lifts):
+    # 4 n M level - r^2 = 96 - 400 < 0 at (1, 20, 1): no lift has such a
+    # coefficient, and a solve that only looked inside the cone missed it
+    e8_0, e8_1 = small_lifts[(8, 0)], small_lifts[(8, 1)]
+    assert e8_0.level == 24 and (1, 20, 1) not in e8_0.nums
+    target = e8_0 + ParamodularForm(8, 24, {(1, 20, 1): 1}, e8_0.nq, e8_0.nxi)
+    res = express_in_basis(target, [e8_0, e8_1])
+    assert res.status == "inconsistent"
+    assert res.witness == (1, 20, 1)
+
+
 def test_express_weight_mismatch(small_lifts):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="basis forms must match the target's weight and level"):
         express_in_basis(small_lifts[(4, 0)], [small_lifts[(6, 0)]])
 
 

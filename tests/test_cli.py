@@ -387,3 +387,30 @@ def test_e7_eisenstein_json_is_byte_identical(capsys, case):
     code, out = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: Outputs of the commands whose exact solves, ranks and kernels run on
+#: ``qseries.express_in_basis`` and integer numerator rows: (argv, exit code,
+#: stdout sha256), recorded while those were built from ``Fraction`` rows.
+#: The D8 certificate at (2, 2) is the only output with relations.
+EXACT_SOLVE_PINS = (
+    (
+        ("certify", "D8", "--wmax", "18", "--nq", "2", "--nxi", "2"),
+        2,
+        "bee327b3b860e056148ede385add2b099123d326ccb52f40bdc0ba0a0d7d92a9",
+    ),
+    (("verify-e14", "--nq", "3", "--nxi", "3"), 0, "5b7568d711cb662bc79edb77ef74f0489a96aa3f8c832752f474ac192e0b3e7d"),
+    (("verify-e14", "--nq", "1", "--nxi", "1"), 1, "31ef2408da8b101026191f90ab6b9b2e6cd2a43c72a013663648417860ffad04"),
+)
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", EXACT_SOLVE_PINS, ids=["certify-D8-2", "verify-e14-3", "verify-e14-1"])
+def test_exact_solve_outputs_are_pinned(capsys, argv, exit_code, digest):
+    code, out = run(capsys, *argv, "--json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    payload = json.loads(out)
+    if argv[0] == "certify":
+        assert len(payload["report"]["certificate"]["relations"]) == 5
+    elif exit_code:
+        assert payload["result"]["status"] == "underdetermined"

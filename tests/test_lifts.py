@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omfree.certify import CASES, SAMPLE_POINTS, canonical_index_set
+from omfree.certify import CASES, SAMPLE_POINTS
 from omfree.classical import sigma
 from omfree.lattice import lattice, norm
 from omfree.lifts import (
@@ -23,7 +23,7 @@ from omfree.lifts import (
 )
 from omfree.linalg import MODULUS
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
-from oracles import enumerate_coset, multiply_values_oracle, pairing
+from oracles import canonical_index_set, enumerate_coset, multiply_values_oracle, pairing
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 

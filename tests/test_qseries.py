@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omfree.classical import eisenstein_sl2
 from omfree.qseries import (
     ExponentDenominatorError,
     QSeries,
     TruncationError,
+    express_in_basis,
+    shared_support,
 )
+from omfree.weil import JacobiForm
 from oracles import (
     series_add,
     series_half_twist,
@@ -192,6 +196,45 @@ def test_half_twist_twice_is_quarter_rescale_on_4z_support():
     s = series({0: 2, 1: -5, 3: 9}, 6)
     lifted = s.rescale(4)
     assert lifted.half_twist().half_twist() == s
+
+
+# ---------------------------------------------------------------------------
+# the store-level solve
+
+
+def test_shared_support_is_sorted_and_inside_every_box():
+    a = QSeries({0: 1, Fraction(7, 2): 2}, 4)
+    b = QSeries({Fraction(1, 2): 3, 2: 1}, 3)
+    assert shared_support([a, b]) == [0, Fraction(1, 2), 2]
+    assert shared_support([QSeries.zero(5)]) == []
+
+
+def test_express_qseries_in_basis():
+    prec = 8
+    e8, e4_squared = eisenstein_sl2(8, prec).series, eisenstein_sl2(4, prec).series ** 2
+    res = express_in_basis(e8, [e4_squared])
+    assert res.status == "unique" and res.coefficients == [1]
+    res = express_in_basis(e8 + QSeries.monomial(3, 1, prec), [e4_squared])
+    assert res.status == "inconsistent"
+    assert res.witness == Fraction(3)
+
+
+def test_express_jacobi_forms_in_basis(generator_pullback_forms):
+    phi0, phi1 = generator_pullback_forms[("D8", "E8,0")], generator_pullback_forms[("D8", "E8,1")]
+    target = Fraction(3, 7) * phi0 + 5 * phi1
+    assert target.den != phi0.den
+    res = express_in_basis(target, [phi0, phi1])
+    assert res.status == "unique"
+    assert res.coefficients == [Fraction(3, 7), 5]
+
+
+def test_express_rejects_a_basis_of_another_head_or_type(generator_pullback_forms):
+    phi0 = generator_pullback_forms[("D8", "E8,0")]
+    other_index = JacobiForm(phi0.weight, phi0.index + 1, {(0, 0): 1}, phi0.nq)
+    with pytest.raises(ValueError, match="weight and index"):
+        express_in_basis(phi0, [other_index])
+    with pytest.raises(ValueError, match="JacobiForm"):
+        express_in_basis(phi0, [QSeries.one(phi0.nq + 1)])
 
 
 # ---------------------------------------------------------------------------
