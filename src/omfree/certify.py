@@ -3,21 +3,21 @@
 Monomials in the generator lifts are compared coefficient by coefficient.
 The certificate first works mod the prime ``linalg.MODULUS`` in
 r-evaluation space: each generator lift is evaluated once
-(``lifts.evaluate``), a monomial is a chain of pointwise products
-(``lifts.multiply_values``), and its row is the evaluation restricted to
-``lifts.evaluation_mask``, one column per index.  Each such row is an
-integer multiple of the monomial's exact numerator row, mapped by an
-invertible matrix mod p, so a full rank mod p certifies a full rank over Q.
+(``lifts.evaluate``) at the first ``SAMPLE_POINTS`` = K points x_j, a
+monomial is a chain of pointwise products (``lifts.multiply_values``), and
+its row is that sampled evaluation, flattened as it is.
 
-Only the first ``SAMPLE_POINTS`` = K evaluation points are computed, so the
-residue rows are the mask's columns j < min(K, width(n, M)): a column subset
-of the full residue matrix.  The rank of a column subset is at most the
-full residue rank, which is at most the rank over Q, so a full rank on the
-sample still certifies independence.  Only a weight whose sampled rows are
-deficient builds exact products and takes the exact rank by fraction-free
-elimination.  On every case row (D8 to weight 18, E6 to 24, E7 to 30), the
-sample reached the full residue rank at every weight with K = 4 at (4, 4)
-and (5, 5), and with K = 7 at (2, 2), where D8 at weight 18 needs 7.
+Up to one integer factor per row, a monomial's sampled value of the slice
+(n, M) at x_j is sum_r A(n, r, M) x_j^r mod p, with A its exact
+numerators: a linear image of the slice's coefficients.  So the residue
+matrix is D C E mod p, with C the exact numerator rows and D diagonal.
+Its rank is at most rank(C mod p), which is at most the rank over Q, so a
+full rank on the sample certifies independence.  Only a weight whose
+sampled rows are deficient builds exact products and takes the exact rank
+by fraction-free elimination.  On every case row (D8 to weight 18, E6 to
+24, E7 to 30), the sample reached the full residue rank at every weight
+with K = 4 at (4, 4) and (5, 5), and with K = 7 at (2, 2), where D8 at
+weight 18 needs 7.
 
 Full rank certifies linear independence at that weight (and hence upstream,
 since any relation among the orthogonal series would restrict to a relation
@@ -30,15 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .freealg import dim_upper_bound
-from .lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
+from .lifts import ParamodularForm, evaluate, gritsenko_lift, multiply, multiply_values
 from .linalg import _rank_mod_p, bareiss_rank, left_kernel
 from .weil import JacobiForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
@@ -251,19 +250,9 @@ class _MonomialCache:
         """The monomial's evaluation: an integer multiple of ``product(expo)``'s, mod p."""
         return self._chain(expo, self._values, self.evaluation, multiply_values)
 
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """``lifts.evaluation_mask`` of the box: one entry per canonical index."""
-        return evaluation_mask(self.lift(0).level, self.nq, self.nxi)
-
     def residue_rows(self, monos: Sequence[Tuple[int, ...]]) -> np.ndarray:
-        """One row per monomial: its sampled evaluation, zero-padded to the box, on the mask."""
-        mask = self.mask[:, :, :SAMPLE_POINTS]
-        rows = np.zeros((len(monos),) + mask.shape, dtype=np.int64)
-        for row, expo in zip(rows, monos):
-            v = self.values(expo)
-            row[: v.shape[0], : v.shape[1]] = v
-        return rows[:, mask]
+        """One row per monomial: its sampled evaluation, flattened."""
+        return np.stack([self.values(expo).reshape(-1) for expo in monos])
 
 
 def independence(
@@ -292,12 +281,17 @@ def independence(
     pending = [w for w, monos in by_weight.items() if monos]
     used_precision = schedule[0]
     for step, (nq, nxi) in enumerate(schedule):
+        if not pending:
+            break
         used_precision = (nq, nxi)
         cache = _MonomialCache(rows, vector, nq, nxi)
+        level = cache.lift(0).level
+        # the reported width: the count of indices (n, r, M) in the box with r^2 <= 4 n M level
+        width = sum(2 * isqrt(4 * n * m * level) + 1 for n in range(nq + 1) for m in range(nxi + 1))
         still_pending = []
         for w in pending:
             monos = by_weight[w]
-            shape = (len(monos), int(cache.mask.sum()))
+            shape = (len(monos), width)
             if _rank_mod_p(cache.residue_rows(monos)) == len(monos):
                 rank = len(monos)
             else:
@@ -320,8 +314,6 @@ def independence(
                         g = gcd(*rel)
                         relations.append({"w": w, "coefficients": [str(x // g) for x in rel]})
         pending = still_pending
-        if not pending:
-            break
     return IndependenceCertificate(
         case="custom",
         generators=rows,

@@ -92,7 +92,13 @@ def _cmd_identity_check(args) -> int:
 
 
 def _parse_vector(text: str) -> tuple:
-    return tuple(int(x) for x in text.replace(",", " ").split())
+    """The entries of a vector separated by commas, spaces or both; an empty field is an error."""
+    fields = re.split(r"\s*,\s*|\s+", text.strip())
+    if fields == [""]:
+        return ()
+    if "" in fields:
+        raise ValueError(f"--vector {text!r} has an empty field")
+    return tuple(int(x) for x in fields)
 
 
 _VECTOR_TEXT = re.compile(r"\s*-?\d+(?:[\s,]+-?\d+)*\s*")

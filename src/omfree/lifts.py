@@ -25,13 +25,13 @@ A rank certificate needs products only mod the prime ``linalg.MODULUS``,
 and there they are cheaper in r-evaluation space: :func:`evaluate` reduces
 each (n, M) slice's numerators mod p and evaluates the slice's Laurent
 polynomial in r at the points x = 1..W, which determine every slice of the
-box, or at only the first K of them.  :func:`multiply_values` multiplies
-two such arrays pointwise in the points, with a truncated convolution over
-(n, M) done as one gathered kernel.  For h = ``multiply(f, g)``, the
-evaluation of h times f.den * g.den // h.den is exactly the pointwise
-product of the factors', at any number of points.  A K-point sample keeps
-a subset of the full evaluation's columns, so a rank it shows is a lower
-bound on the full one (see ``certify``).
+box, or at only the first K of them.  Either way each value is a linear
+image of the slice's coefficients, so the rank of the values of a set of
+forms is at most the rank of their numerators (see ``certify``).
+:func:`multiply_values` multiplies two such arrays pointwise in the points,
+with a truncated convolution over (n, M) done as one gathered kernel.  For
+h = ``multiply(f, g)``, the evaluation of h times f.den * g.den // h.den is
+exactly the pointwise product of the factors', at any number of points.
 """
 
 from __future__ import annotations
@@ -358,14 +358,3 @@ def multiply_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     terms = fs[f_index] * gs[g_index] % MODULUS
     return (np.add.reduceat(terms, starts, axis=0) % MODULUS).reshape(a, b, -1)
 
-
-def evaluation_mask(level: int, nq: int, nxi: int) -> np.ndarray:
-    """Boolean (nq + 1, nxi + 1, W) mask of the values j < 2 isqrt(4 n M level) + 1.
-
-    One entry per (n, r, M) of the canonical index set, so restricting an
-    evaluation to the mask maps the index set's coefficients bijectively.
-    """
-    widths = np.array(
-        [[2 * isqrt(4 * n * m * level) + 1 for m in range(nxi + 1)] for n in range(nq + 1)]
-    )
-    return np.arange(evaluation_width(level, nq, nxi)) < widths[:, :, None]

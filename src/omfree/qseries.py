@@ -23,7 +23,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .linalg import solve
+from .linalg import clear_denominators, solve
 
 RationalLike = Union[int, Fraction]
 
@@ -98,10 +98,8 @@ class NumeratorStore:
         """From the head, exact rational (or integer) coefficients by key, and the bounds."""
         at = len(self._head)
         coeffs = args[at]
-        values = [as_fraction(v) for v in coeffs.values()]
-        den = lcm(1, *(v.denominator for v in values))
-        nums = dict(zip(coeffs, (v.numerator * (den // v.denominator) for v in values)))
-        self._set(args[:at], nums, den, args[at + 1:])
+        nums, den = clear_denominators([as_fraction(v) for v in coeffs.values()])
+        self._set(args[:at], dict(zip(coeffs, nums)), den, args[at + 1:])
 
     @classmethod
     def from_numerators(cls, *args):

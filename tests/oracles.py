@@ -21,8 +21,8 @@ brute-force recursion over the exponent vectors of the weak generators and
 the classical dimension formula for M_k(SL2).  :func:`pairing` is the exact
 pairing of a dual vector with a lattice vector, which the test enumerations
 tally next to the norm.  :func:`canonical_index_set` lists every in-cone
-index (n, r, M) of a paramodular truncation box: the width of the
-certificate's matrices, which ``omfree.lifts.evaluation_mask`` must match.
+index (n, r, M) of a paramodular truncation box: the width that
+``omfree.certify`` reports in each record's ``matrix_shape``.
 """
 
 from __future__ import annotations

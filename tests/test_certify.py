@@ -27,7 +27,7 @@ from omfree.certify import (
 from omfree.cli import build_parser
 from omfree.freealg import dim_upper_bound, orthogonal_weights
 from omfree.lattice import lattice, norm
-from omfree.lifts import ParamodularForm, evaluate, evaluation_mask, gritsenko_lift, multiply, multiply_values
+from omfree.lifts import ParamodularForm, evaluate, evaluation_width, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
 from oracles import canonical_index_set
 
@@ -238,13 +238,13 @@ CASE_WMAX = {"D8": 18, "E6": 24, "E7": 30}
 @pytest.mark.parametrize("nq", [4, 5])
 @pytest.mark.parametrize("case", sorted(CASE_WMAX))
 def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
-    # a column subset can only lose rank; on the case rows it must lose none,
-    # or a full-rank weight would pay for the exact Bareiss rank
+    # the sample is a column subset of the full evaluation, so it can only lose
+    # rank; on the case rows it must lose none, or a full-rank weight would pay
+    # for the exact Bareiss rank
     wmax = CASE_WMAX[case]
     gens = case_rows(case, wmax)
     cache = _MonomialCache(gens, CASES[case].vector, nq, nq)
-    mask = evaluation_mask(cache.lift(0).level, nq, nq)
-    assert mask.shape[2] > SAMPLE_POINTS
+    assert evaluation_width(cache.lift(0).level, nq, nq) > SAMPLE_POINTS
     full = {}
 
     def full_values(expo):
@@ -260,8 +260,8 @@ def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
         if not monos:
             continue
         sampled = cache.residue_rows(monos)
-        assert sampled.shape == (len(monos), int(mask[:, :, :SAMPLE_POINTS].sum()))
-        rows = np.array([full_values(m)[mask] for m in monos])
+        assert sampled.shape == (len(monos), (nq + 1) ** 2 * SAMPLE_POINTS)
+        rows = np.array([full_values(m).reshape(-1) for m in monos])
         assert _rank_mod_p(sampled) == _rank_mod_p(rows), (case, nq, w)
 
 
@@ -494,6 +494,32 @@ def test_certificate_along_a_vector_that_is_not_the_case_vector():
     assert all(rec.matrix_shape[1] == width for rec in cert.weights if rec.monomials)
     ranks = {rec.weight: rec.rank for rec in cert.weights if rec.weight >= 1}
     assert ranks == {w: dim_upper_bound("C7", w) for w in range(1, 19)}
+
+
+def test_certificate_with_no_rows_lifts_nothing():
+    # every weight is trivial, so no step reads a lift's level for the width
+    cert = independence([], D8_VEC, 4)
+    assert [(rec.weight, rec.verdict, rec.matrix_shape) for rec in cert.weights] == [
+        (w, "trivial", (0, 0)) for w in range(5)
+    ]
+    assert cert.generators == [] and cert.relations == []
+
+
+def test_level_one_certificate_along_a_root():
+    # along a root the lifts have level 1 and four rows give Igusa's ring, the
+    # A1 bound; at (3, 3) weight 40 has rank 20 against 21, so it escalates,
+    # and each record reports the index count of the box that settled it
+    rows = [row for row in CASES["D8"].generators if row.name in ("E4", "E6", "E10,0", "E12,0")]
+    v = (1, 0, 0, 0, 0, 0, 0, 0)
+    assert norm(lattice("D8"), v) == 1
+    cert = independence(rows, v, 40, schedule=((3, 3), (4, 4)))
+    assert cert.precision == (4, 4)
+    ranks = {rec.weight: rec.rank for rec in cert.weights if rec.weight >= 1}
+    assert ranks == {w: dim_upper_bound("A1", w) for w in range(1, 41)}
+    low, high = len(canonical_index_set(1, 3, 3)), len(canonical_index_set(1, 4, 4))
+    assert (low, high) == (76, 161)
+    widths = {rec.weight: rec.matrix_shape[1] for rec in cert.weights if rec.monomials}
+    assert widths == {w: high if w == 40 else low for w in widths}
 
 
 def test_express_solution_stable_under_precision_increase():

@@ -122,14 +122,35 @@ def test_pullback_vector_with_leading_minus(capsys):
 
 
 @pytest.mark.parametrize("command", ["pullback", "lift"])
-@pytest.mark.parametrize("vector", [("--vector=",), ("--vector", "")])
+@pytest.mark.parametrize(
+    "vector",
+    [
+        ("--vector=",),
+        ("--vector", ""),
+        ("--vector=4,2,3,4,,1,3,2,4",),
+        ("--vector", ",4,2,3,4,1,3,2,4"),
+        ("--vector=4,2,3,4,1,3,2,4,",),
+    ],
+)
 def test_empty_vector_is_usage_error(capsys, command, vector):
-    # an empty --vector is rejected, not read as "take the case vector"
+    # an empty --vector is rejected, not read as "take the case vector", and so
+    # is an empty field, not dropped from the vector
     code = main([command, "D8", "-k", "8", *vector, "--nq", "2"])
     captured = capsys.readouterr()
     assert code == 64
     assert captured.out == ""
-    assert captured.err == "error: --vector is empty; omit it to take the case vector\n"
+    text = vector[-1].removeprefix("--vector=")
+    if text:
+        assert captured.err == f"error: --vector {text!r} has an empty field\n"
+    else:
+        assert captured.err == "error: --vector is empty; omit it to take the case vector\n"
+
+
+@pytest.mark.parametrize("text", ["4,2,3,4,1,3,2,4", "4 2 3 4 1 3 2 4", "4, 2, 3, 4, 1, 3, 2, 4"])
+def test_vector_separators(capsys, text):
+    code, out = run(capsys, "pullback", "D8", "-k", "8", "--vector", text, "--nq", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["config"]["vector"] == [4, 2, 3, 4, 1, 3, 2, 4]
 
 
 def test_lift_along_a_root_is_siegel_e4(capsys):
