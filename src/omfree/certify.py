@@ -224,7 +224,7 @@ class _MonomialCache:
             form, level = self.lift(i), self.lift(0).level
             if form.level != level:
                 raise ValueError(f"level mismatch: {level} vs {form.level}")
-            self._evaluations[i] = evaluate(form, self.nq, self.nxi, SAMPLE_POINTS)
+            self._evaluations[i] = evaluate(form, SAMPLE_POINTS)
         return self._evaluations[i]
 
     def _chain(self, expo: Tuple[int, ...], cache: dict, leaf: Callable, times: Callable):

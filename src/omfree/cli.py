@@ -92,13 +92,19 @@ def _cmd_identity_check(args) -> int:
 
 
 def _parse_vector(text: str) -> tuple:
-    """The entries of a vector separated by commas, spaces or both; an empty field is an error."""
+    """The entries of a vector separated by commas, spaces or both; an empty or non-integer field is an error."""
     fields = re.split(r"\s*,\s*|\s+", text.strip())
     if fields == [""]:
         return ()
     if "" in fields:
         raise ValueError(f"--vector {text!r} has an empty field")
-    return tuple(int(x) for x in fields)
+    vector = []
+    for x in fields:
+        try:
+            vector.append(int(x))
+        except ValueError:
+            raise ValueError(f"--vector {text!r} has a field that is not an integer: {x!r}") from None
+    return tuple(vector)
 
 
 _VECTOR_TEXT = re.compile(r"\s*-?\d+(?:[\s,]+-?\d+)*\s*")

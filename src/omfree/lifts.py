@@ -39,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .classical import bernoulli, divisors, sigma
+from .classical import bernoulli, divisors
 from .linalg import MODULUS
 from .qseries import NumeratorStore
 from .weil import JacobiForm
@@ -105,52 +105,52 @@ class ParamodularForm(NumeratorStore):
 # Index raising
 
 
-def hecke_V(phi: JacobiForm, m: int, nq: Optional[int] = None) -> JacobiForm:
+def _raised(phi: JacobiForm, slices: List[Tuple[int, int]]) -> Dict[Key, int]:
+    """Numerators over phi.den of sum_{d | gcd(n, r, M)} d^(k-1) c(nM/d^2, r/d) at each (n, M) in ``slices``.
+
+    phi's numerators are grouped by n once; each divisor d of gcd(n, M)
+    maps row nM/d^2 to r = d r', and a term with r^2 > 4 n M index is
+    dropped.  gcd(n, 0) = n, so slice M = 0 is sigma_{k-1}(n) c(0, 0).
+    """
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    for (n, r), c in phi.nums.items():
+        rows.setdefault(n, []).append((r, c))
+    out: Dict[Key, int] = {}
+    for n, m in slices:
+        bound = 4 * n * m * phi.index
+        for d in divisors(gcd(n, m)):
+            scale = d ** (phi.weight - 1)
+            for r, c in rows.get(n * m // (d * d), ()):
+                r *= d
+                if r * r <= bound:
+                    out[(n, r, m)] = out.get((n, r, m), 0) + scale * c
+    return out
+
+
+def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
     """Index-raising operator: (phi | V_M)(n, r) = sum_{d | gcd(n,r,M)} d^(k-1) c(nM/d^2, r/d).
 
-    gcd(0, 0, M) is M.  The output index is M times the input index, with
-    truncation ``nq``, by default and at most floor(phi.nq / M); only the
-    rows n <= nq are computed.  Each divisor d of M with d | n maps the
-    stored coefficients c(nM/d^2, r') of phi to r = d r', so the sum runs on
-    phi's numerators and visits only its nonzero entries; the output
-    numerators are taken over ``phi.den`` (then put in lowest terms).
+    gcd(0, 0, M) is M.  The output has index M times phi's and truncation
+    floor(phi.nq / M): :func:`_raised` on the slices (n, M), over ``phi.den``.
     """
     if m < 1:
         raise ValueError("M must be >= 1")
     if phi.index < 1:
         raise ValueError("index-raising needs a positive index")
-    if nq is None:
-        nq = phi.nq // m
-    elif not 0 <= nq <= phi.nq // m:
-        raise ValueError(f"truncation nq={nq} outside 0..{phi.nq // m} = floor({phi.nq} / {m})")
-    k = phi.weight
-    new_index = phi.index * m
-    rows: Dict[int, List[Tuple[int, int]]] = {}
-    for (n, r), c in phi.nums.items():
-        rows.setdefault(n, []).append((r, c))
-    scales = [(d, d ** (k - 1)) for d in divisors(m)]
-    out: Dict[Tuple[int, int], int] = {}
-    for n in range(nq + 1):
-        bound = 4 * n * new_index
-        for d, scale in scales:
-            if n % d:
-                continue
-            for r, c in rows.get(n * m // (d * d), ()):
-                r *= d
-                if r * r <= bound:
-                    out[(n, r)] = out.get((n, r), 0) + scale * c
-    return JacobiForm.from_numerators(k, new_index, out, phi.den, nq)
+    nq = phi.nq // m
+    nums = {(n, r): c for (n, r, _), c in _raised(phi, [(n, m) for n in range(nq + 1)]).items()}
+    return JacobiForm.from_numerators(phi.weight, phi.index * m, nums, phi.den, nq)
 
 
 def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
     """Additive lift of an index-m Jacobi form to level m, with nxi slices.
 
     Requires even weight >= 4, or odd weight with vanishing constant term.
-    The slice at M = 0 is c(0,0) * (-B_k / 2k) * E_k in the normalization
-    with coefficients sigma_{k-1}(n), so A(n, 0, 0) = sigma_{k-1}(n) c(0,0).
-    Every slice is written as numerators over one denominator, the lcm of
-    phi's and the boundary constant's; slice M is ``hecke_V(phi, M)``
-    computed only to the lift's truncation floor(phi.nq / nxi).
+    A(0, 0, 0) is c(0,0) * (-B_k / 2k), the constant of the correctly scaled
+    E_k; every other coefficient of the box n <= floor(phi.nq / nxi),
+    M <= nxi comes from one :func:`_raised` pass, the slice M = 0 giving
+    A(n, 0, 0) = sigma_{k-1}(n) c(0,0).  The numerators are over one
+    denominator, the lcm of phi's and the constant's.
     """
     if nxi < 1:
         raise ValueError("nxi must be >= 1")
@@ -166,16 +166,10 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
     nq_out = phi.nq // nxi
     boundary = -bernoulli(k) / (2 * k) * Fraction(c00, phi.den)
     den = lcm(boundary.denominator, phi.den)
-    nums: Dict[Key, int] = {}
-    if c00 != 0:
-        nums[(0, 0, 0)] = boundary.numerator * (den // boundary.denominator)
-        for n in range(1, nq_out + 1):
-            nums[(n, 0, 0)] = c00 * (den // phi.den) * sigma(n, k - 1)
-    for m in range(1, nxi + 1):
-        sliced = hecke_V(phi, m, nq_out)
-        scale = den // sliced.den
-        for (n, r), c in sliced.nums.items():
-            nums[(n, r, m)] = c * scale
+    nums = _raised(phi, [(n, m) for m in range(nxi + 1) for n in range(nq_out + 1) if n or m])
+    for key in nums:
+        nums[key] *= den // phi.den
+    nums[(0, 0, 0)] = boundary.numerator * (den // boundary.denominator)
     return ParamodularForm.from_numerators(k, phi.index, nums, den, nq_out, nxi)
 
 
@@ -284,29 +278,27 @@ def _powers(width: int, points: int) -> np.ndarray:
     return table
 
 
-def evaluate(f: ParamodularForm, nq: int, nxi: int, points: Optional[int] = None) -> np.ndarray:
+def evaluate(f: ParamodularForm, points: Optional[int] = None) -> np.ndarray:
     """f's numerators mod p, each (n, M) slice's r-polynomial at the points 1..K.
 
-    An int64 array of shape (min(nq, f.nq) + 1, min(nxi, f.nxi) + 1, K),
-    K = min(points, W) with W = ``evaluation_width(f.level, nq, nxi)`` and
-    K = W by default: entry (n, M, j) is sum_r nums[(n, r, M)] (j + 1)^r
-    mod p.  Every coefficient must satisfy r^2 <= 4 n M level, as lifts do,
-    so the first 2 isqrt(4 n M level) + 1 values of a slice determine it (a
+    An int64 array of shape (f.nq + 1, f.nxi + 1, K), K = min(points, W)
+    with W = ``evaluation_width(f.level, f.nq, f.nxi)`` and K = W by
+    default: entry (n, M, j) is sum_r nums[(n, r, M)] (j + 1)^r mod p.
+    Every coefficient must satisfy r^2 <= 4 n M level, as lifts do, so the
+    first 2 isqrt(4 n M level) + 1 values of a slice determine it (a
     Vandermonde matrix times a diagonal one, invertible mod p); with fewer
     points the values are the first columns of that map.  The dot products
     run on the power table split into 16-bit halves, so each term is below
     2^47 and W of them fit int64.
     """
-    width = evaluation_width(f.level, nq, nxi)
+    width = evaluation_width(f.level, f.nq, f.nxi)
     _check_int64("W * 2^47", width << 47)
     rmax = (width - 1) // 2
-    a, b = min(nq, f.nq), min(nxi, f.nxi)
-    coeffs = np.zeros((a + 1, b + 1, width), dtype=np.int64)
+    coeffs = np.zeros((f.nq + 1, f.nxi + 1, width), dtype=np.int64)
     for (n, r, m), c in f.nums.items():
-        if n <= a and m <= b:
-            if r * r > 4 * n * m * f.level:
-                raise ValueError(f"coefficient at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0")
-            coeffs[n, m, r + rmax] = c % MODULUS
+        if r * r > 4 * n * m * f.level:
+            raise ValueError(f"coefficient at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0")
+        coeffs[n, m, r + rmax] = c % MODULUS
     powers = _powers(width, width if points is None else min(points, width))
     high = coeffs @ (powers >> 16) % MODULUS
     low = coeffs @ (powers & 0xFFFF) % MODULUS

@@ -205,7 +205,7 @@ def test_independence_falls_back_on_a_residue_deficit(small_lifts, e4_input):
     # the residue rows vanish, so only the exact rank can certify it
     scaled = MODULUS * small_lifts[(4, 0)]
     assert scaled.den % MODULUS and all(c % MODULUS == 0 for c in scaled.nums.values())
-    assert not evaluate(scaled, 2, 2).any()
+    assert not evaluate(scaled).any()
     row = fixed_row("pE4", MODULUS * e4_input)
     assert row.lift(D8_VEC, 2, 2) == scaled
     cert = independence([row], D8_VEC, 8, schedule=((2, 2),))
@@ -250,7 +250,7 @@ def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
     def full_values(expo):
         if expo not in full:
             i = next(j for j, e in enumerate(expo) if e)
-            leaf = evaluate(cache.lift(i), nq, nq)
+            leaf = evaluate(cache.lift(i))
             reduced = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
             full[expo] = multiply_values(full_values(reduced), leaf) if sum(reduced) else leaf
         return full[expo]

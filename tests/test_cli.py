@@ -146,6 +146,17 @@ def test_empty_vector_is_usage_error(capsys, command, vector):
         assert captured.err == "error: --vector is empty; omit it to take the case vector\n"
 
 
+@pytest.mark.parametrize("command", ["pullback", "lift"])
+@pytest.mark.parametrize("field", ["x", "3.5"])
+def test_non_integer_vector_field_is_usage_error(capsys, command, field):
+    text = f"4,2,{field},4,1,3,2,4"
+    code = main([command, "D8", "-k", "8", f"--vector={text}", "--nq", "2"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == f"error: --vector {text!r} has a field that is not an integer: {field!r}\n"
+
+
 @pytest.mark.parametrize("text", ["4,2,3,4,1,3,2,4", "4 2 3 4 1 3 2 4", "4, 2, 3, 4, 1, 3, 2, 4"])
 def test_vector_separators(capsys, text):
     code, out = run(capsys, "pullback", "D8", "-k", "8", "--vector", text, "--nq", "2", "--json")

@@ -243,22 +243,25 @@ def test_hecke_and_lift_match_their_formulas():
 
 
 @pytest.mark.parametrize("k", [4, 5, 10, 11])
-def test_truncated_hecke_V_is_the_low_rows_of_the_full_one(k):
+def test_lift_slices_are_the_low_rows_of_hecke_V(k):
+    # slice M of the lift is phi | V_M cut to the lift's rows n <= floor(nq / nxi);
+    # an off-cone c(0, +-1) meets the bound r^2 <= 0 in every slice and changes nothing
     rng = random.Random(k)
     index, nq = 2, 10
     table = random_cone_table(rng, index, nq)
     if k % 2:
         table.pop((0, 0), None)
     phi = JacobiForm(k, index, table, nq)
+    off_cone = JacobiForm(k, index, {**table, (0, 1): Fraction(3, 7), (0, -1): (-1) ** k * Fraction(3, 7)}, nq)
+    for nxi in range(1, 6):
+        lift = gritsenko_lift(phi, nxi)
+        assert lift.nq == nq // nxi
+        for m in range(1, nxi + 1):
+            low = {(n, r): c for (n, r), c in hecke_V(phi, m).coeffs.items() if n <= lift.nq}
+            assert fj_slice(lift, m).coeffs == low
+        assert gritsenko_lift(off_cone, nxi) == lift
     for m in range(1, 6):
-        full = hecke_V(phi, m)
-        assert full.nq == nq // m
-        for cut in range(full.nq + 1):
-            low = hecke_V(phi, m, cut)
-            assert (low.weight, low.index, low.nq) == (k, m * index, cut)
-            assert low.coeffs == {key: c for key, c in full.coeffs.items() if key[0] <= cut}
-        with pytest.raises(ValueError, match="truncation"):
-            hecke_V(phi, m, full.nq + 1)
+        assert hecke_V(off_cone, m) == hecke_V(phi, m)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +512,8 @@ def test_evaluation_of_product_is_pointwise_product(case, nq, nxi):
         for f, g in ((e4, e6), (multiply(e4, e6), e4)):
             h = multiply(f, g)
             scale = f.den * g.den // h.den % MODULUS
-            fast = multiply_values(evaluate(f, nq, nxi, points), evaluate(g, nq, nxi, points))
-            assert (fast == evaluate(h, nq, nxi, points) * scale % MODULUS).all()
+            fast = multiply_values(evaluate(f, points), evaluate(g, points))
+            assert (fast == evaluate(h, points) * scale % MODULUS).all()
             assert fast.shape == (nq + 1, nxi + 1, points or width)
 
 
@@ -519,10 +522,10 @@ def test_sampled_evaluation_is_the_first_columns(case, nq, nxi):
     forms = case_lifts(case, 3, nq, nxi)
     width = evaluation_width(forms[0].level, nq, nxi)
     for f in forms:
-        full = evaluate(f, nq, nxi)
+        full = evaluate(f)
         assert full.shape[2] == width
         for points in (1, SAMPLE_POINTS, width - 1, width, width + 5):
-            assert (evaluate(f, nq, nxi, points) == full[:, :, :points]).all()
+            assert (evaluate(f, points) == full[:, :, :points]).all()
 
 
 # boxes (f, g): equal, a != b, f's box smaller than g's on both axes or one
@@ -554,4 +557,4 @@ def test_multiply_values_rejects_unequal_widths():
 def test_evaluation_rejects_coefficients_outside_the_support():
     form = ParamodularForm(4, 1, {(0, 0, 0): 1, (1, 3, 1): 2}, 1, 1)
     with pytest.raises(ValueError, match="violates"):
-        evaluate(form, 1, 1)
+        evaluate(form)

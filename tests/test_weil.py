@@ -368,6 +368,15 @@ def test_pullback_matches_the_pair_loop_oracle(case, monkeypatch):
         pullback(form, vec, nq=4)
 
 
+def test_pullback_along_a_long_vector_matches_the_pair_loop_oracle():
+    # the dense count table has one column per distinct pairing, not 2 max |r| + 1
+    # (about 4 * 10^9 here), so a long vector costs no more memory than a short one
+    form = jacobi_eisenstein("D8", 8, 0, prec=3)
+    vec = (10**9, 2, 3, 4, 1, 3, 2, 4)
+    want = pullback_oracle(form, vec, 2)
+    assert pullback(form, vec, nq=2) == want and len(want.nums) == 119
+
+
 def test_pullback_support_bound(generator_pullback_forms):
     for (case, name), phi in generator_pullback_forms.items():
         for (n, r) in phi.coeffs:
