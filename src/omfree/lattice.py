@@ -15,8 +15,11 @@ and a coset of L is the disjoint union of [L:M] translates of M.  The theta
 series of an orthogonal sum is the product of its summands' (Conway and
 Sloane, *Sphere Packings, Lattices and Groups*, ch. 4), so
 :func:`pairing_counts` multiplies n rank-1 theta factors per translate, as
-sparse exact-integer tables truncated at the norm bound.  No vector is
-enumerated.
+sparse exact-integer tables truncated at the norm bound.  The translates'
+residue tuples form a coset of a code, and the products run on its minimal
+trellis (Forney, *Coset codes II*, 1988): translates whose prefixes are
+followed by the same set of suffixes share one state, whose table is the
+sum of theirs.  No vector is enumerated.
 """
 
 from __future__ import annotations
@@ -335,8 +338,12 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
     [L:M] translates of den*M in which u_i = <b_i, g> + den*c_i mod den*N_i
     for a shift c of L/M.  So the (s, r) tally of one translate is the
     product of n rank-1 factors {(u^2/N_i, u p_i/(den N_i)) : u = u0_i mod
-    den*N_i}, and translates with equal leading u0 share their partial
-    products.
+    den*N_i}.  The products run on the minimal trellis of the residue
+    tuples u0: after i factors, the prefixes followed by the same set of
+    suffixes form one state, and their tables are summed into one.  The sum
+    is exact, because every suffix multiplies each of them alike and
+    truncation at the norm bound is linear; one state is left after the
+    last factor, and it holds at most [L:M] translates' counts.
 
     Every quantity is an exact integer: a partial term is packed as the key
     (S*s)*W + R*r with S = lcm N_i and R the least multiple of every
@@ -348,12 +355,16 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
     sort and integer sums, the result is checked to lie on the integer
     (s, r) grid, and the key range (S*smax + 1)*W and the largest possible
     count are bounded before anything is allocated: a qmax beyond int64
-    raises ``ValueError``.
+    raises ``ValueError``, and so does a direction entry that is not an
+    integer.
     """
     qmax = as_fraction(qmax)
     n = lat.rank
     if len(direction) != n:
         raise ValueError(f"direction has length {len(direction)}, lattice rank is {n}")
+    for x in direction:
+        if x != int(x):
+            raise ValueError(f"direction must be a lattice vector, got entry {x}")
     den = coset.denominator
     g = [int(x * den) for x in coset.rep]
     smax = floor(2 * den * den * qmax)  # s is an integer, so s <= smax is exactly Q <= qmax
@@ -397,18 +408,27 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
         rows = np.arange(int(cut.sum()), dtype=np.int64) - np.repeat(np.cumsum(cut) - cut, cut)
         return _merge(np.repeat(keys_f, cut) + keys[rows], counts[rows])
 
-    # the residues u0_i mod den*N_i of the [L:M] translates
-    starts = [
-        tuple((_dot(d, g) + den * c) % (den * nb) for d, c, nb in zip(frame.duals, shift, norms))
-        for shift in frame.shifts
-    ]
-    tables = {(): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
-    for i in range(n):
-        prefixes = {u0s[: i + 1] for u0s in starts}
-        tables = {pre: times(tables[pre[:-1]], factor(i, pre[-1])) for pre in prefixes}
-    keys, counts = _merge(
-        np.concatenate([k for k, _ in tables.values()]), np.concatenate([c for _, c in tables.values()])
+    def summed(tables: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+        if len(tables) == 1:
+            return tables[0]
+        return _merge(np.concatenate([k for k, _ in tables]), np.concatenate([c for _, c in tables]))
+
+    # the residues u0_i = <b_i, g> + den*c_i mod den*N_i of the [L:M] translates, walked on
+    # their minimal trellis: a state is the set of suffixes still to come, and it holds the
+    # summed tables of the prefixes that share it
+    u_g = [_dot(d, g) for d in frame.duals]
+    starts = frozenset(
+        tuple((u + den * c) % (den * nb) for u, c, nb in zip(u_g, shift, norms)) for shift in frame.shifts
     )
+    states = {starts: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
+    for i in range(n):
+        edges: Dict[frozenset, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for future, table in states.items():
+            for u0 in {suffix[0] for suffix in future}:
+                after = frozenset(suffix[1:] for suffix in future if suffix[0] == u0)
+                edges.setdefault(after, []).append(times(table, factor(i, u0)))
+        states = {after: summed(tables) for after, tables in edges.items()}
+    ((keys, counts),) = states.values()
 
     s_packed, r_packed = np.divmod(keys + half, width)
     r_packed -= half

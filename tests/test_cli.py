@@ -380,6 +380,16 @@ GOLDEN_JSON_SHA256 = {
         ("pullback", "D8", "-k", "8", "--vector=-2,1,3,3,3,-3,-1,-3", "--nq", "14"),
         "500c37a32b840a16d28aaf0bcbb8a312c118177e9bbf0072407193d8b3b298ac",
     ),
+    # recorded before the dual-coset counts moved from the translates' prefix tree to their
+    # minimal trellis: E6 pullback coefficients, and a D8 orbit-1 pullback
+    "pullback-E6-k10-nq6": (
+        ("pullback", "E6", "-k", "10", "--nq", "6"),
+        "81c3d5cf419b2bf7a937e3d73b74fd4990a3c4f784aedac15450e94b6c857cd5",
+    ),
+    "pullback-D8-k10-orbit1-nq10": (
+        ("pullback", "D8", "-k", "10", "--orbit", "1", "--nq", "10"),
+        "c636f915261a4223b28ea488b778457ece1036d0ec2be3b275cc296f0bea16e1",
+    ),
     # recorded before generator rows became (v, nq) -> JacobiForm recipes and the weak
     # Jacobi dimensions became sums over generator monomials of one index
     **{

@@ -19,6 +19,7 @@ from omfree.lattice import (
     norm,
     pairing_counts,
 )
+import omfree.lattice as lattice_module
 from omfree.linalg import det
 import oracles
 from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset, pairing, rational_cosets
@@ -28,6 +29,7 @@ D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 D8_SWEEP_VEC = (-2, 1, 3, 3, 3, -3, -1, -3)
 E6_VEC = (3, 2, 0, 1, 1, 1)
 E7_VEC = (3, 2, 0, 1, 1, 1, 1)
+A6_VEC = (1, 0, 2, 0, -1, 1)
 A7_VEC = (2, 1, 0, 0, 0, 1, 0)
 #: [L:M] of the greedy frame, for the lattices the counts run on most.
 FRAME_INDEX = {"D8": 8, "E7": 8, "E6": 16, "D4": 2, "A7": 48, "A1": 1, "2A1": 1, "3A1": 1, "4A1": 1}
@@ -295,12 +297,43 @@ def test_pairing_counts_property(name, data):
     ("D8", CASES["D8"].vector, 25),
     ("E7", CASES["E7"].vector, 25),
     ("E6", CASES["E6"].vector, 20),
+    # [L:M] = 48 on both: the most prefixes share a trellis state here
+    ("A6", A6_VEC, 5),
+    ("A7", A7_VEC, 5),
 ])
 def test_pairing_counts_match_descent_at_production_precision(name, vec, qmax):
     # equal dicts in equal order: pullback accumulates in this order
     lat = lattice(name)
     for c in lat.cosets:
         assert list(pairing_counts(lat, c, vec, qmax).items()) == list(descent_counts(lat, c, vec, qmax).items())
+
+
+@pytest.mark.parametrize("name,vec,merges", [
+    # 8 translates: 44 prefix tables, 24 trellis edges into 19 states, 5 of them reached twice or more
+    ("D8", D8_SWEEP_VEC, 24 + 5),
+    # 48 translates: 134 prefix tables, 68 edges into 37 states, 15 of them reached twice or more
+    ("A7", A7_VEC, 68 + 15),
+])
+def test_pairing_counts_merges_on_the_trellis(monkeypatch, name, vec, merges):
+    # one merge per edge's product, and one more per state that sums several edges
+    calls = []
+    merge = lattice_module._merge
+
+    def counted(keys, counts):
+        calls.append(len(keys))
+        return merge(keys, counts)
+
+    monkeypatch.setattr(lattice_module, "_merge", counted)
+    lat = lattice(name)
+    pairing_counts(lat, lat.cosets[1], vec, 2)
+    assert len(calls) == merges
+
+
+def test_pairing_counts_rejects_fractional_direction():
+    lat = lattice("A1")
+    with pytest.raises(ValueError, match="got entry 3/2"):
+        pairing_counts(lat, lat.cosets[0], (Fraction(3, 2),), 2)
+    assert pairing_counts(lat, lat.cosets[0], (Fraction(2, 1),), 2) == pairing_counts(lat, lat.cosets[0], (2,), 2)
 
 
 def test_pairing_counts_sparse_tally_large_box():
