@@ -2,22 +2,25 @@
 
 Monomials in the generator lifts are compared coefficient by coefficient.
 The certificate first works mod the prime ``linalg.MODULUS`` in
-r-evaluation space: each generator lift is evaluated once
-(``lifts.evaluate``) at the first ``SAMPLE_POINTS`` = K points x_j, a
+r-evaluation space: each generator's Jacobi input is pulled back once and
+its lift's residues are taken straight from it (``lifts.lift_values``), at
+the first ``SAMPLE_POINTS`` = K points x_j, without building the lift; a
 monomial is a chain of pointwise products (``lifts.multiply_values``), and
 its row is that sampled evaluation, flattened as it is.
 
-Up to one integer factor per row, a monomial's sampled value of the slice
-(n, M) at x_j is sum_r A(n, r, M) x_j^r mod p, with A its exact
-numerators: a linear image of the slice's coefficients.  So the residue
-matrix is D C E mod p, with C the exact numerator rows and D diagonal.
-Its rank is at most rank(C mod p), which is at most the rank over Q, so a
-full rank on the sample certifies independence.  Only a weight whose
-sampled rows are deficient builds exact products and takes the exact rank
-by fraction-free elimination.  On every case row (D8 to weight 18, E6 to
-24, E7 to 30), the sample reached the full residue rank at every weight
-with K = 4 at (4, 4) and (5, 5), and with K = 7 at (2, 2), where D8 at
-weight 18 needs 7.
+Up to one integer factor per row (for a generator, the lcm of its input's
+denominator and A(0, 0, 0)'s over the lift's denominator), a monomial's
+sampled value of the slice (n, M) at x_j is sum_r A(n, r, M) x_j^r mod p,
+with A its exact numerators: a linear image of the slice's coefficients.
+So the residue matrix is D C E mod p, with C the exact numerator rows and
+D diagonal.  Its rank is at most rank(C mod p), which is at most the rank
+over Q, so a full rank on the sample certifies independence; a factor
+divisible by p only zeroes its row.  Only a weight whose sampled rows are
+deficient builds exact lifts, from the same pulled-back inputs, and their
+products, and takes the exact rank by fraction-free elimination.  On
+every case row (D8 to weight 18, E6 to 24, E7 to 30), the sample reached
+the full residue rank at every weight with K = 4 at (4, 4) and (5, 5),
+and with K = 7 at (2, 2), where D8 at weight 18 needs 7.
 
 Full rank certifies linear independence at that weight (and hence upstream,
 since any relation among the orthogonal series would restrict to a relation
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .freealg import dim_upper_bound
-from .lifts import ParamodularForm, evaluate, gritsenko_lift, multiply, multiply_values
+from .lifts import ParamodularForm, gritsenko_lift, lift_values, multiply, multiply_values
 from .linalg import _rank_mod_p, bareiss_rank, left_kernel
 from .weil import JacobiForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
@@ -197,11 +200,14 @@ class IndependenceCertificate:
 class _MonomialCache:
     """Monomials in the generator lifts, as residue evaluations and as exact products.
 
-    Both are built incrementally and reused: a monomial is its first
-    generator times the monomial with that exponent lowered by one.
-    Evaluations, at the first ``SAMPLE_POINTS`` points, serve the
-    certificate mod p; exact products are built only when a weight falls
-    back to the exact rank.
+    Each row's Jacobi input is pulled back once, at truncation nq nxi, and
+    kept.  A generator's evaluation at the first ``SAMPLE_POINTS`` points
+    comes from its input by ``lift_values``, with the level read from the
+    first input's index; its exact lift is built from the same input, and
+    exact products from the lifts, only when a weight falls back to the
+    exact rank.  Both kinds of monomial are built incrementally and reused:
+    a monomial is its first generator times the monomial with that exponent
+    lowered by one.
     """
 
     def __init__(self, rows: Sequence[GeneratorRow], vector: Sequence[int], nq: int, nxi: int):
@@ -209,22 +215,29 @@ class _MonomialCache:
         self.vector = vector
         self.nq = nq
         self.nxi = nxi
+        self._inputs: Dict[int, JacobiForm] = {}
         self._lifts: Dict[int, ParamodularForm] = {}
         self._products: Dict[Tuple[int, ...], ParamodularForm] = {}
         self._evaluations: Dict[int, np.ndarray] = {}
         self._values: Dict[Tuple[int, ...], np.ndarray] = {}
 
+    def jacobi(self, i: int) -> JacobiForm:
+        """Row i's Jacobi input along the vector: the form ``rows[i].lift`` lifts."""
+        if i not in self._inputs:
+            self._inputs[i] = self.rows[i].jacobi(self.vector, self.nq * self.nxi)
+        return self._inputs[i]
+
     def lift(self, i: int) -> ParamodularForm:
         if i not in self._lifts:
-            self._lifts[i] = self.rows[i].lift(self.vector, self.nq, self.nxi)
+            self._lifts[i] = gritsenko_lift(self.jacobi(i), self.nxi)
         return self._lifts[i]
 
     def evaluation(self, i: int) -> np.ndarray:
         if i not in self._evaluations:
-            form, level = self.lift(i), self.lift(0).level
-            if form.level != level:
-                raise ValueError(f"level mismatch: {level} vs {form.level}")
-            self._evaluations[i] = evaluate(form, SAMPLE_POINTS)
+            phi, level = self.jacobi(i), self.jacobi(0).index
+            if phi.index != level:
+                raise ValueError(f"level mismatch: {level} vs {phi.index}")
+            self._evaluations[i] = lift_values(phi, self.nxi, SAMPLE_POINTS)
         return self._evaluations[i]
 
     def _chain(self, expo: Tuple[int, ...], cache: dict, leaf: Callable, times: Callable):
@@ -285,7 +298,7 @@ def independence(
             break
         used_precision = (nq, nxi)
         cache = _MonomialCache(rows, vector, nq, nxi)
-        level = cache.lift(0).level
+        level = cache.jacobi(0).index
         # the reported width: the count of indices (n, r, M) in the box with r^2 <= 4 n M level
         width = sum(2 * isqrt(4 * n * m * level) + 1 for n in range(nq + 1) for m in range(nxi + 1))
         still_pending = []

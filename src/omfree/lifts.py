@@ -22,15 +22,19 @@ base-2^B digits.  B comes from a bound on the output numerators,
 sum |f| * max |g| over the factors' numerators, so no digit can overflow.
 
 A rank certificate needs products only mod the prime ``linalg.MODULUS``,
-and there they are cheaper in r-evaluation space: :func:`evaluate` reduces
-each (n, M) slice's numerators mod p and evaluates the slice's Laurent
-polynomial in r at the points x = 1..W, which determine every slice of the
-box, or at only the first K of them.  Either way each value is a linear
-image of the slice's coefficients, so the rank of the values of a set of
-forms is at most the rank of their numerators (see ``certify``).
-:func:`multiply_values` multiplies two such arrays pointwise in the points,
-with a truncated convolution over (n, M) done as one gathered kernel.  For
-h = ``multiply(f, g)``, the evaluation of h times f.den * g.den // h.den is
+and there they are cheaper in r-evaluation space: each (n, M) slice's
+numerators are reduced mod p and the slice's Laurent polynomial in r is
+evaluated at the points x = 1..W, which determine every slice of the box,
+or at only the first K of them.  Either way each value is a linear image
+of the slice's coefficients, so the rank of the values of a set of forms
+is at most the rank of their numerators (see ``certify``).
+:func:`lift_values` gives these values for a lift straight from its Jacobi
+input, without building the lift: slice (n, M) at x is
+sum_{d | gcd(n, M)} d^(k-1) Phi_(nM/d^2)(x^d), with Phi_N(y) the row N of
+the input as a Laurent polynomial in y.  :func:`multiply_values`
+multiplies two such arrays pointwise in the points, with a truncated
+convolution over (n, M) done as one gathered kernel.  For
+h = ``multiply(f, g)``, the values of h times f.den * g.den // h.den are
 exactly the pointwise product of the factors', at any number of points.
 """
 
@@ -39,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -142,16 +147,8 @@ def hecke_V(phi: JacobiForm, m: int) -> JacobiForm:
     return JacobiForm.from_numerators(phi.weight, phi.index * m, nums, phi.den, nq)
 
 
-def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
-    """Additive lift of an index-m Jacobi form to level m, with nxi slices.
-
-    Requires even weight >= 4, or odd weight with vanishing constant term.
-    A(0, 0, 0) is c(0,0) * (-B_k / 2k), the constant of the correctly scaled
-    E_k; every other coefficient of the box n <= floor(phi.nq / nxi),
-    M <= nxi comes from one :func:`_raised` pass, the slice M = 0 giving
-    A(n, 0, 0) = sigma_{k-1}(n) c(0,0).  The numerators are over one
-    denominator, the lcm of phi's and the constant's.
-    """
+def _lift_constant(phi: JacobiForm, nxi: int) -> Fraction:
+    """A(0, 0, 0) = c(0,0) (-B_k / 2k) of phi's lift, once phi and nxi pass the lift's checks."""
     if nxi < 1:
         raise ValueError("nxi must be >= 1")
     if phi.index < 1:
@@ -163,14 +160,27 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
             raise ValueError("odd-weight lifts need vanishing constant term")
     elif k < 4:
         raise ValueError(f"even lift weights start at 4, got {k}")
+    return -bernoulli(k) / (2 * k) * Fraction(c00, phi.den)
+
+
+def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
+    """Additive lift of an index-m Jacobi form to level m, with nxi slices.
+
+    Requires even weight >= 4, or odd weight with vanishing constant term.
+    A(0, 0, 0) is c(0,0) * (-B_k / 2k), the constant of the correctly scaled
+    E_k; every other coefficient of the box n <= floor(phi.nq / nxi),
+    M <= nxi comes from one :func:`_raised` pass, the slice M = 0 giving
+    A(n, 0, 0) = sigma_{k-1}(n) c(0,0).  The numerators are over one
+    denominator, the lcm of phi's and the constant's.
+    """
+    boundary = _lift_constant(phi, nxi)
     nq_out = phi.nq // nxi
-    boundary = -bernoulli(k) / (2 * k) * Fraction(c00, phi.den)
     den = lcm(boundary.denominator, phi.den)
     nums = _raised(phi, [(n, m) for m in range(nxi + 1) for n in range(nq_out + 1) if n or m])
     for key in nums:
         nums[key] *= den // phi.den
     nums[(0, 0, 0)] = boundary.numerator * (den // boundary.denominator)
-    return ParamodularForm.from_numerators(k, phi.index, nums, den, nq_out, nxi)
+    return ParamodularForm.from_numerators(phi.weight, phi.index, nums, den, nq_out, nxi)
 
 
 # ---------------------------------------------------------------------------
@@ -278,31 +288,71 @@ def _powers(width: int, points: int) -> np.ndarray:
     return table
 
 
-def evaluate(f: ParamodularForm, points: Optional[int] = None) -> np.ndarray:
-    """f's numerators mod p, each (n, M) slice's r-polynomial at the points 1..K.
+#: Divisor slot tables kept, one per (nq, nxi) box; the least recently used goes first.
+_DIVISOR_SLOTS_LIMIT = 32
 
-    An int64 array of shape (f.nq + 1, f.nxi + 1, K), K = min(points, W)
-    with W = ``evaluation_width(f.level, f.nq, f.nxi)`` and K = W by
-    default: entry (n, M, j) is sum_r nums[(n, r, M)] (j + 1)^r mod p.
-    Every coefficient must satisfy r^2 <= 4 n M level, as lifts do, so the
-    first 2 isqrt(4 n M level) + 1 values of a slice determine it (a
-    Vandermonde matrix times a diagonal one, invertible mod p); with fewer
-    points the values are the first columns of that map.  The dot products
-    run on the power table split into 16-bit halves, so each term is below
-    2^47 and W of them fit int64.
+
+@lru_cache(maxsize=_DIVISOR_SLOTS_LIMIT)
+def _divisor_slots(nq: int, nxi: int) -> Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(d, n, M, nM/d^2) per divisor d: the slots (n, M) != (0, 0) of the box with d | gcd(n, M)."""
+    out = []
+    for d in range(1, max(nq, nxi) + 1):
+        slots = [(n, m) for n in range(nq + 1) for m in range(nxi + 1) if (n or m) and gcd(n, m) % d == 0]
+        ns, ms = (np.array(x, dtype=np.intp) for x in zip(*slots))
+        arrays = (ns, ms, ns * ms // (d * d))
+        for x in arrays:
+            x.flags.writeable = False  # shared by every caller through the cache
+        out.append((d, *arrays))
+    return tuple(out)
+
+
+def lift_values(phi: JacobiForm, nxi: int, points: int) -> np.ndarray:
+    """The residues of phi's lift, each (n, M) slice's r-polynomial at the points 1..K, without the lift.
+
+    An int64 array of shape (nq + 1, nxi + 1, K), nq = floor(phi.nq / nxi),
+    K = min(points, W) and W = ``evaluation_width(phi.index, nq, nxi)``:
+    entry (n, M, j) is sum_r D A(n, r, M) (j + 1)^r mod p, with A the
+    coefficients of ``gritsenko_lift(phi, nxi)`` and D = lcm(phi.den, the
+    denominator of A(0, 0, 0)), so the lift's numerators times the integer
+    D / lift.den.  Slice (n, M) at x is D A(0, 0, 0) for n = M = 0 and
+    otherwise (D / phi.den) sum_{d | gcd(n, M)} d^(k-1) Phi_(nM/d^2)(x^d),
+    with Phi_N(y) = sum c(N, r') y^r' over the cone r'^2 <= 4 N index, the
+    terms :func:`_raised` keeps, so |d r'| <= (W - 1) / 2.  Each divisor d
+    is one dot product of the rows Phi_N, N <= nq nxi / d^2, against the
+    rows d r' of the power table split into 16-bit halves, so each term is
+    below 2^47 and W of them fit int64.  Raises the lift's ``ValueError``
+    on the same inputs.
     """
-    width = evaluation_width(f.level, f.nq, f.nxi)
+    boundary = _lift_constant(phi, nxi)
+    nq, index, k = phi.nq // nxi, phi.index, phi.weight
+    width = evaluation_width(index, nq, nxi)
     _check_int64("W * 2^47", width << 47)
     rmax = (width - 1) // 2
-    coeffs = np.zeros((f.nq + 1, f.nxi + 1, width), dtype=np.int64)
-    for (n, r, m), c in f.nums.items():
-        if r * r > 4 * n * m * f.level:
-            raise ValueError(f"coefficient at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0")
-        coeffs[n, m, r + rmax] = c % MODULUS
-    powers = _powers(width, width if points is None else min(points, width))
-    high = coeffs @ (powers >> 16) % MODULUS
-    low = coeffs @ (powers & 0xFFFF) % MODULUS
-    return ((high << 16) + low) % MODULUS
+    powers = _powers(width, min(points, width))
+    high, low = powers >> 16, powers & 0xFFFF
+    top = nq * nxi
+    # row N, column r' + R: c(N, r') mod p on the cone r'^2 <= 4 N index
+    terms = len(phi.nums)
+    keys = np.fromiter(chain.from_iterable(phi.nums), dtype=np.int64, count=2 * terms).reshape(-1, 2)
+    residues = np.fromiter((c % MODULUS for c in phi.nums.values()), dtype=np.int64, count=terms)
+    n, r = keys[:, 0], keys[:, 1]
+    cone = (n <= top) & (r * r <= 4 * n * index)
+    rows = np.zeros((top + 1, width), dtype=np.int64)
+    rows[n[cone], r[cone] + rmax] = residues[cone]
+    den = lcm(boundary.denominator, phi.den)
+    scale = den // phi.den % MODULUS
+    out = np.zeros((nq + 1, nxi + 1, powers.shape[1]), dtype=np.int64)
+    for d, ns, ms, targets in _divisor_slots(nq, nxi):
+        reach = rmax // d
+        block = rows[: top // (d * d) + 1, rmax - reach : rmax + reach + 1]
+        taps = slice(rmax - d * reach, rmax + d * reach + 1, d)
+        upper = block @ high[taps] % MODULUS
+        lower = block @ low[taps] % MODULUS
+        values = ((upper << 16) + lower) % MODULUS
+        factor = pow(d, k - 1, MODULUS) * scale % MODULUS
+        out[ns, ms] = (out[ns, ms] + values[targets] * factor) % MODULUS
+    out[0, 0] = boundary.numerator * (den // boundary.denominator) % MODULUS
+    return out
 
 
 #: Convolution index triples kept, one per (a, b) box; the least recently used goes first.

@@ -8,7 +8,8 @@ three big lattices: D8 from a pair of level-1 and level-2 forms, E6 and E7
 from one plus-space form split by coset norm (a term q^n goes to every coset
 gamma with -Q(gamma) = n/N mod 1).  Restriction along a lattice vector
 produces scalar-index Jacobi forms ready for lifting; its per-coset counts
-are memoised per (lattice, direction, qmax), at most 32 of them.
+are memoised per (lattice, direction, qmax), at most 32 of them, as the
+dense tables the Toeplitz product reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -359,11 +360,47 @@ _LIMB_LIMIT = 1 << 62
 _COUNTS_CACHE_LIMIT = 32
 
 
+class CosetCounts(NamedTuple):
+    """One lattice's per-coset (scaled norm, pairing) counts in the dense layout ``pullback`` reads.
+
+    ``pairings`` is the sorted union of the pairings of every coset's
+    vectors.  The scaled norms s = 2 den^2 Q(l) of coset i lie in one class
+    ``offsets[i]`` mod 2 den^2, den the coset's denominator, and
+    ``tables[i][t, c]`` counts the coset vectors with s = offsets[i] +
+    2 den^2 t and pairing ``pairings[c]``: an (qmax + 1) x len(pairings)
+    int64 table, read only.
+    """
+
+    pairings: np.ndarray
+    offsets: Tuple[int, ...]
+    tables: Tuple[np.ndarray, ...]
+
+
 @lru_cache(maxsize=_COUNTS_CACHE_LIMIT)
-def _coset_counts(lattice_name: str, v: Tuple[int, ...], qmax: int) -> Tuple[Dict[Tuple[int, int], int], ...]:
-    """Per-coset (scaled norm, pairing) counts up to Q <= qmax; every caller shares the tables, read only."""
+def _coset_counts(lattice_name: str, v: Tuple[int, ...], qmax: int) -> CosetCounts:
+    """The cosets' counts up to Q <= qmax, made dense once; every caller shares the arrays, read only."""
     lat = lattice(lattice_name)
-    return tuple(pairing_counts(lat, coset, v, qmax) for coset in lat.cosets)
+    counts = [pairing_counts(lat, coset, v, qmax) for coset in lat.cosets]
+    # a set, not np.unique or np.sort: on first use they load numpy.ma or the SIMD sort, 0.4-1.7 MB of RSS
+    pairings = np.array(sorted(set().union(*((r for _, r in table) for table in counts))), dtype=np.int64)
+    offsets, tables = [], []
+    for coset, table in zip(lat.cosets, counts):
+        dense = np.zeros((qmax + 1, len(pairings)), dtype=np.int64)
+        offset = 0
+        if table:
+            scale = 2 * coset.denominator**2
+            keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * len(table)).reshape(-1, 2)
+            offset = int(keys[0, 0]) % scale
+            steps, rest = np.divmod(keys[:, 0] - offset, scale)
+            if rest.any():
+                raise AssertionError("coset norms fall in more than one class mod 1")
+            values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+            dense[steps, np.searchsorted(pairings, keys[:, 1])] = values
+        dense.flags.writeable = False  # shared by every caller through the cache
+        offsets.append(offset)
+        tables.append(dense)
+    pairings.flags.writeable = False
+    return CosetCounts(pairings, tuple(offsets), tuple(tables))
 
 
 def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
@@ -385,12 +422,13 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     split into signed limbs of L bits, sign(a) times the L-bit digits of
     |a|, and one ``T @ N`` per coset multiplies every limb row of the
     Toeplitz matrix T against the dense count table N, with one column per
-    distinct pairing r of the cosets' tables.  An entry of the limb accumulation,
-    summed over the cosets, is at most (2^L - 1) times the total count, so
-    L is the largest width with (2^L - 1) * total < 2^62; that bound is
-    checked before the dense arrays are allocated, and a total that leaves
-    no width (L < 1) raises ``ValueError``.  The limbs are recombined into
-    Python ints once per nonzero (n, r).
+    distinct pairing r of the lattice's cosets; the memo ``_coset_counts``
+    holds N, built once per (lattice, direction, qmax).  An entry of the
+    limb accumulation, summed over the cosets, is at most (2^L - 1) times
+    the total count, so L is the largest width with (2^L - 1) * total <
+    2^62; that bound is checked before the limb arrays are allocated, and
+    a total that leaves no width (L < 1) raises ``ValueError``.  The limbs
+    are recombined into Python ints once per nonzero (n, r).
     """
     lat = form.lattice
     for x in v:
@@ -408,7 +446,7 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     trunc = form.truncation()
     if nq >= trunc:
         raise ValueError(f"requested nq={nq} exceeds component truncation O(q^{trunc})")
-    tables = _coset_counts(lat.name, v, nq)
+    counts = _coset_counts(lat.name, v, nq)
 
     if form.weight.denominator != 1:
         raise ValueError("pullbacks of half-integral Jacobi weights are not supported")
@@ -419,19 +457,14 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     den = lcm(1, *(comp.den for comp in form.components))
     parts = []
     total = bits = 0
-    for coset, comp, table in zip(lat.cosets, form.components, tables):
-        if not table:
+    for coset, comp, offset, table in zip(lat.cosets, form.components, counts.offsets, counts.tables):
+        vectors = int(table.sum())
+        if not vectors:
             continue
-        # the scaled norms s = scale Q(l) of a coset lie in one class s0 mod
-        # scale, so s = s0 + t scale, and the term at exponent e meets s at
-        # n = t + j with e scale = j scale - s0
+        # the scaled norms s = scale Q(l) of a coset lie in one class offset
+        # mod scale, so s = offset + t scale, and the term at exponent e
+        # meets s at n = t + j with e scale = j scale - offset
         scale = 2 * coset.denominator**2
-        keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * len(table)).reshape(-1, 2)
-        counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-        offset = int(keys[0, 0]) % scale
-        steps, rest = np.divmod(keys[:, 0] - offset, scale)
-        if rest.any():
-            raise AssertionError("coset norms fall in more than one class mod 1")
         numerators: Dict[int, int] = {}
         lift = den // comp.den
         for e, c in comp.nums.items():
@@ -443,9 +476,9 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
                 numerators[j] = c * lift
         if not numerators:
             continue
-        total += int(counts.sum())
+        total += vectors
         bits = max(bits, *(abs(a).bit_length() for a in numerators.values()))
-        parts.append((numerators, steps, keys[:, 1], counts))
+        parts.append((numerators, table))
     if not parts:
         return JacobiForm.from_numerators(weight, index, {}, den, nq)
 
@@ -454,12 +487,9 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
         raise ValueError(f"pullback: {total} coset vectors leave no limb width within the int64 bound 2^62")
     limbs = -(-bits // limb_bits)
     mask = (1 << limb_bits) - 1
-    # a set, not np.unique or np.sort: on first use they load numpy.ma or the SIMD sort, 0.4-1.7 MB of RSS
-    pairings = np.array(sorted(set().union(*(part[2].tolist() for part in parts))), dtype=np.int64)
+    pairings = counts.pairings
     acc = np.zeros((limbs, nq + 1, len(pairings)), dtype=np.int64)
-    for numerators, steps, r, counts in parts:
-        table = np.zeros_like(acc[0])
-        table[steps, np.searchsorted(pairings, r)] = counts
+    for numerators, table in parts:
         # limb i of a_j sits at column nq - j; the columns past nq stand for j < 0
         digits = np.zeros((limbs, 2 * nq + 1), dtype=np.int64)
         for j, a in numerators.items():
@@ -473,8 +503,8 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     # recombine from the top limb down, one limb plane at a time
     flat = acc.reshape(limbs, -1)
     found = np.flatnonzero(flat.any(axis=0))
-    values = [0] * len(found)
-    for plane in flat[::-1]:
+    values = flat[-1, found].tolist()
+    for plane in flat[-2::-1]:
         values = [(x << limb_bits) + d for x, d in zip(values, plane[found].tolist())]
     n, col = np.divmod(found, len(pairings))
     coords = zip(n.tolist(), pairings[col].tolist())

@@ -10,7 +10,9 @@ Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 ``omfree.lattice.lattice`` from the rational inverse Gram matrix, which
 :func:`descent_counts` also uses, so neither depends on the orthogonal frame.
 :func:`multiply_values_oracle` checks the gathered product kernel
-``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice.
+``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice, and
+:func:`evaluate`, a scatter of a paramodular form's numerators against a
+power table of plain ``pow`` residues, checks ``omfree.lifts.lift_values``.
 :func:`bernoulli_recursive` checks the tangent-number Bernoulli numbers of
 ``omfree.classical.bernoulli`` by the defining recursion in ``Fraction``.
 The ``series_*`` functions check the ``omfree.qseries.QSeries`` operations
@@ -37,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from omfree.classical import eisenstein_sl2
+from omfree.lifts import ParamodularForm, evaluation_width
 from omfree.lattice import Coset, LatticeData, Vector, _form, norm, pairing_counts
 from omfree.linalg import MODULUS, clear_denominators, solve
 from omfree.qseries import QSeries, as_fraction
@@ -199,6 +202,35 @@ def multiply_values_oracle(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out % MODULUS
 
 
+def evaluate(f: ParamodularForm, points: Optional[int] = None) -> np.ndarray:
+    """f's numerators mod p, each (n, M) slice's r-polynomial at the points 1..K.
+
+    An int64 array of shape (f.nq + 1, f.nxi + 1, K), K = min(points, W)
+    with W = ``evaluation_width(f.level, f.nq, f.nxi)`` and K = W by
+    default: entry (n, M, j) is sum_r nums[(n, r, M)] (j + 1)^r mod p.
+    Every coefficient must satisfy r^2 <= 4 n M level, as lifts do, so the
+    first 2 isqrt(4 n M level) + 1 values of a slice determine it (a
+    Vandermonde matrix times a diagonal one, invertible mod p); with fewer
+    points the values are the first columns of that map.  The dot products
+    run on the power table split into 16-bit halves, so each term is below
+    2^47 and W of them fit int64.
+    """
+    width = evaluation_width(f.level, f.nq, f.nxi)
+    rmax = (width - 1) // 2
+    points = width if points is None else min(points, width)
+    coeffs = np.zeros((f.nq + 1, f.nxi + 1, width), dtype=np.int64)
+    for (n, r, m), c in f.nums.items():
+        if r * r > 4 * n * m * f.level:
+            raise ValueError(f"coefficient at (n={n}, r={r}, M={m}) violates 4nMm - r^2 >= 0")
+        coeffs[n, m, r + rmax] = c % MODULUS
+    powers = np.array(
+        [[pow(x, r, MODULUS) for x in range(1, points + 1)] for r in range(-rmax, rmax + 1)], dtype=np.int64
+    ).reshape(width, points)
+    high = coeffs @ (powers >> 16) % MODULUS
+    low = coeffs @ (powers & 0xFFFF) % MODULUS
+    return ((high << 16) + low) % MODULUS
+
+
 def rational_inverse(gram) -> List[List[Fraction]]:
     """Inverse of a nonsingular integer matrix, one exact solve per column."""
     n = len(gram)
@@ -289,14 +321,16 @@ def enumerate_coset(lat: LatticeData, coset, qmax) -> List[Tuple[Vector, Fractio
         rep = tuple(as_fraction(x) for x in coset)
     n = lat.rank
     d, u = _ldl(lat.gram)
-    out: List[Tuple[Vector, Fraction]] = []
+    out: List[Tuple[Tuple[int, ...], Tuple[Vector, Fraction]]] = []
     coords: List[Fraction] = [Fraction(0)] * n
+    # coords[i] = rep[i] + steps[i]: the integer steps order the vectors as their coordinates do
+    steps: List[int] = [0] * n
     smax = 2 * qmax
 
     def recurse(i: int, remaining: Fraction):
         if i < 0:
             # the recursion has already accumulated y^T A y = smax - remaining
-            out.append((tuple(coords), (smax - remaining) / 2))
+            out.append((tuple(steps), (tuple(coords), (smax - remaining) / 2)))
             return
         center = -sum(u[i][j] * coords[j] for j in range(i + 1, n))
         # d_i (y_i + c)^2 <= remaining with y_i in rep[i] + Z
@@ -304,14 +338,14 @@ def enumerate_coset(lat: LatticeData, coset, qmax) -> List[Tuple[Vector, Fractio
         lo, hi = _fraction_sqrt_range(center, bound, rep[i])
         for t in range(lo, hi + 1):
             y = rep[i] + t
-            coords[i] = y
+            coords[i], steps[i] = y, t
             used = d[i] * (y - center) * (y - center)
             if used <= remaining:
                 recurse(i - 1, remaining - used)
         coords[i] = Fraction(0)
 
     recurse(n - 1, smax)
-    return sorted(out)
+    return [entry for _, entry in sorted(out)]
 
 
 def _fraction_sqrt_range(center: Fraction, bound: Fraction, offset: Fraction) -> Tuple[int, int]:

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from omfree import certify
+from omfree import certify, lifts, weil
 from omfree.certify import (
     CASES,
     SAMPLE_POINTS,
@@ -27,9 +28,10 @@ from omfree.certify import (
 from omfree.cli import build_parser
 from omfree.freealg import dim_upper_bound, orthogonal_weights
 from omfree.lattice import lattice, norm
-from omfree.lifts import ParamodularForm, evaluate, evaluation_width, gritsenko_lift, multiply, multiply_values
+from omfree.lifts import ParamodularForm, evaluation_width, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
-from oracles import canonical_index_set
+from omfree.weil import JacobiForm
+from oracles import canonical_index_set, evaluate
 
 D8_WEIGHTS = [4, 6, 8, 8, 10, 10, 12, 12, 14, 16, 18]
 D8_VEC = CASES["D8"].vector
@@ -212,6 +214,48 @@ def test_independence_falls_back_on_a_residue_deficit(small_lifts, e4_input):
     ranks = {rec.weight: (rec.rank, rec.verdict) for rec in cert.weights}
     assert ranks[4] == ranks[8] == (1, "independent")
     assert cert.relations == []
+
+
+def test_full_rank_certificate_builds_no_exact_lift(monkeypatch):
+    # E7 to weight 30 at (5, 5) is full rank on the sample at every weight:
+    # each generator is pulled back once, one count table serves all ten
+    # pullbacks, and nothing exact is lifted, multiplied or ranked
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (certify, "gritsenko_lift"),
+        (certify, "multiply"),
+        (lifts, "multiply"),
+        (certify, "bareiss_rank"),
+        (certify, "pullback"),
+        (weil, "pairing_counts"),
+    ]:
+        count(module, name)
+    weil._coset_counts.cache_clear()
+    try:
+        report = certify_freeness("E7", 30, ((5, 5),))
+    finally:
+        weil._coset_counts.cache_clear()
+    assert report.consistent()
+    assert dict(calls) == {"pullback": 10, "pairing_counts": 2}
+
+
+def test_independence_rejects_rows_of_different_index():
+    rows = [
+        fixed_row("E4", JacobiForm(4, 1, {(0, 0): Fraction(1)}, 8)),
+        fixed_row("E6", JacobiForm(6, 2, {(0, 0): Fraction(1)}, 8)),
+    ]
+    with pytest.raises(ValueError, match="^level mismatch: 1 vs 2$"):
+        independence(rows, D8_VEC, 6, schedule=((2, 2),))
 
 
 @pytest.mark.parametrize("case", ["D8", "E6", "E7"])

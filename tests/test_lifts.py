@@ -1,8 +1,10 @@
 """Index raising, additive lifts, paramodular products and slices."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -10,19 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from omfree.certify import CASES, SAMPLE_POINTS
 from omfree.classical import sigma
-from omfree.lattice import lattice, norm
 from omfree.lifts import (
     ParamodularForm,
-    evaluate,
     evaluation_width,
     gritsenko_lift,
     hecke_V,
+    lift_values,
     multiply,
     multiply_values,
 )
 from omfree.linalg import MODULUS
 from omfree.weil import JacobiForm, jacobi_eisenstein, pullback
-from oracles import enumerate_coset, multiply_values_oracle, pairing
+from oracles import bernoulli_recursive, enumerate_coset, evaluate, multiply_values_oracle
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 
@@ -425,54 +426,60 @@ def lattice_v_then_restrict(component_form, v, m, nq):
 
     The index-M coefficient at (n, l) is
       sum_{d | gcd(n, M), l/d dual} d^(k-1) c_F(n M / d^2, l / d),
-    and restriction sums over <l, v> = r.  Membership of l/d in the dual is
-    decided by integrality of gram . (l/d).
+    and restriction sums over <l, v> = r.  Each coset vector is held in
+    integer coordinates y = den l, den the common denominator of the coset
+    representatives.  Membership of l/d in the dual is decided by
+    integrality of gram . (l/d), that is gram . y = 0 mod den d; then y/d is
+    integral and y/d mod den names the coset of l/d.  Vectors with the same
+    pairing and the same (d, norm, coset) scalings are tallied once.
     """
     lat = component_form.lattice
     k = int(component_form.weight)
-    gram = lat.gram
-    rank = lat.rank
-    by_coset = {c.rep: c.index for c in lat.cosets}
+    gram = np.array(lat.gram, dtype=np.int64)
+    den = lcm(*(x.denominator for c in lat.cosets for x in c.rep))
+    by_coset = {tuple(x.numerator * (den // x.denominator) % den for x in c.rep): c.index for c in lat.cosets}
 
-    def coset_of(vec):
-        return by_coset[tuple(x % 1 for x in vec)]
-
-    def c_f(n, vec, q, idx):
+    def c_f(n, q, idx):
         e = n - q
         if e < 0:
             return Fraction(0)
         return component_form.component(idx).coefficient(e)
 
-    def is_dual(vec):
-        return all(
-            sum(Fraction(gram[i][j]) * vec[j] for j in range(rank)).denominator == 1
-            for i in range(rank)
-        )
-
-    # one pass of per-vector data: pairing, norm, coset, and scalings by d
-    vectors = []
+    # one pass of per-vector data: pairing, and norm and coset of each dual scaling l/d
+    tally = Counter()
     for c in lat.cosets:
-        for vec, q in enumerate_coset(lat, c, nq * m):
-            r = pairing(lat, vec, v)
-            scalings = {1: (vec, q, coset_of(vec))}
-            for d in range(2, m + 1):
-                scaled = tuple(x / d for x in vec)
-                if is_dual(scaled):
-                    scalings[d] = (scaled, norm(lat, scaled), coset_of(scaled))
-            vectors.append((r, scalings))
+        vectors = enumerate_coset(lat, c, nq * m)
+        y = np.array([[x.numerator * (den // x.denominator) for x in vec] for vec, _ in vectors], dtype=np.int64)
+        gy = y @ gram
+        pairings, rest = np.divmod(gy @ np.array(v, dtype=np.int64), den)
+        assert not rest.any(), "a coset vector pairs to a non-integer with v"
+        scaled_norms = (y * gy).sum(axis=1)  # y^T gram y = 2 den^2 Q(l)
+        dual = {d: (gy % (den * d) == 0).all(axis=1) for d in range(1, m + 1)}
+        assert dual[1].all(), "a coset vector is not in the dual lattice"
+        for i, (_, q) in enumerate(vectors):
+            s = int(scaled_norms[i])
+            assert q.numerator * (2 * den * den // q.denominator) == s
+            scalings = []
+            for d in range(1, m + 1):
+                if dual[d][i]:
+                    scaled = y[i] // d
+                    assert (scaled * d == y[i]).all()
+                    scalings.append((d, s, by_coset[tuple((scaled % den).tolist())]))
+            tally[(int(pairings[i]), tuple(scalings))] += 1
 
     out = {}
     for n in range(nq + 1):
         g = gcd(n, m)
-        for r, scalings in vectors:
+        for (r, scalings), count in tally.items():
             total = Fraction(0)
-            for d, (scaled, q, idx) in scalings.items():
+            for d, s, idx in scalings:
                 if g % d:
                     continue
-                total += Fraction(d ** (k - 1)) * c_f(n * m // (d * d), scaled, q, idx)
+                # Q(l/d) = s / (2 den^2 d^2)
+                total += Fraction(d ** (k - 1)) * c_f(n * m // (d * d), Fraction(s, 2 * den * den * d * d), idx)
             if total:
                 key = (n, r)
-                out[key] = out.get(key, Fraction(0)) + total
+                out[key] = out.get(key, Fraction(0)) + count * total
     return out
 
 
@@ -526,6 +533,75 @@ def test_sampled_evaluation_is_the_first_columns(case, nq, nxi):
         assert full.shape[2] == width
         for points in (1, SAMPLE_POINTS, width - 1, width, width + 5):
             assert (evaluate(f, points) == full[:, :, :points]).all()
+
+
+def scaled_lift_evaluation(phi, nxi, points):
+    """(D / lift.den) evaluate(gritsenko_lift(phi, nxi), points) mod p, D = lcm(phi.den, den of A(0, 0, 0)).
+
+    The reference for ``lift_values``: the exact lift, evaluated.
+    """
+    lift = gritsenko_lift(phi, nxi)
+    k = phi.weight
+    constant = phi.coefficient(0, 0) * -bernoulli_recursive(k) / (2 * k)
+    scale = lcm(phi.den, constant.denominator) // lift.den % MODULUS
+    return scale * evaluate(lift, points) % MODULUS
+
+
+@pytest.mark.parametrize("case,nq,nxi", [("D8", 2, 2), ("E6", 2, 2), ("E7", 2, 2), ("E7", 5, 5)])
+def test_lift_values_match_the_evaluated_lift_on_case_rows(case, nq, nxi):
+    c = CASES[case]
+    for row in c.generators:
+        phi = row.jacobi(c.vector, nq * nxi)
+        width = evaluation_width(phi.index, nq, nxi)
+        for points in (SAMPLE_POINTS, width):
+            got = lift_values(phi, nxi, points)
+            assert got.dtype == np.int64 and got.shape == (nq + 1, nxi + 1, points)
+            assert np.array_equal(got, scaled_lift_evaluation(phi, nxi, points)), (row.name, points)
+
+
+#: Numerators of both sizes, and multiples of the prime.
+NUMERATORS = st.one_of(st.integers(-BIG, BIG), st.integers(-5, 5).map(lambda x: x * MODULUS))
+
+
+@st.composite
+def lift_inputs(draw):
+    """A Jacobi input with some terms off the cone r^2 <= 4 n index, its nxi and a point count."""
+    index = draw(st.sampled_from([1, 2, 12, 24]))
+    weight = draw(st.sampled_from([4, 5, 6, 7, 10, 11, 12]))
+    nq, nxi = draw(st.integers(0, 9)), draw(st.integers(1, 4))
+    keys = [(n, r) for n in range(nq + 1) for r in range(-isqrt(4 * n * index) - 2, isqrt(4 * n * index) + 3)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=24, unique=True))
+    if weight % 2:  # odd weights lift only with c(0, 0) = 0
+        chosen = [key for key in chosen if key != (0, 0)]
+    values = draw(st.lists(NUMERATORS, min_size=len(chosen), max_size=len(chosen)))
+    den = draw(st.sampled_from([1, 2, 3, 7, 12, MODULUS, 2**64 + 13]))
+    phi = JacobiForm.from_numerators(weight, index, dict(zip(chosen, values)), den, nq)
+    width = evaluation_width(index, nq // nxi, nxi)
+    return phi, nxi, draw(st.sampled_from([1, SAMPLE_POINTS, width, width + 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_inputs())
+def test_lift_values_match_the_evaluated_lift(drawn):
+    phi, nxi, points = drawn
+    got = lift_values(phi, nxi, points)
+    want = scaled_lift_evaluation(phi, nxi, points)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "phi,nxi,message",
+    [
+        (JacobiForm(4, 1, {(0, 0): Fraction(1)}, 4), 0, "nxi must be >= 1"),
+        (JacobiForm(4, 0, {(0, 0): Fraction(1)}, 4), 2, "lift input must have positive index"),
+        (JacobiForm(7, 1, {(0, 0): Fraction(1)}, 4), 2, "odd-weight lifts need vanishing constant term"),
+        (JacobiForm(2, 1, {(0, 0): Fraction(1)}, 4), 2, "even lift weights start at 4, got 2"),
+    ],
+)
+def test_lift_values_raise_the_lift_errors(phi, nxi, message):
+    for build in (gritsenko_lift, lambda phi, nxi: lift_values(phi, nxi, SAMPLE_POINTS)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(phi, nxi)
 
 
 # boxes (f, g): equal, a != b, f's box smaller than g's on both axes or one
