@@ -27,10 +27,44 @@ from .weil import InvarianceError, jacobi_eisenstein
 _MATH_ERRORS = (DecompositionError, ExponentDenominatorError, InvarianceError, PlusSpaceError, TruncationError)
 
 
+#: The element types of a list that ``_json_text`` writes with one join: not bool, which json writes as true / false.
+_INT_ONLY = {int}
+#: What ``json.dumps`` does with a str under its default ``ensure_ascii``.
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` the standard library encodes in pure Python, one
+    generator step per token; here a list of ints is one ``join``, and
+    every other scalar goes through ``json.dumps``.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json sorts the items, and writes a key that is not a str as its JSON text, quoted
+        body = (",\n" + inner).join([
+            _quoted(k if isinstance(k, str) else json.dumps(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())
+        ])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _INT_ONLY:
+            body = (",\n" + inner).join(map(str, value))
+        else:
+            body = (",\n" + inner).join([_json_text(x, inner) for x in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _emit(args, payload: dict, plain: Callable[[], str]) -> None:
     """Write ``payload`` as JSON, or the plain text that ``plain()`` renders only when it is printed."""
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _json_text(payload)
     else:
         # plain stdout stays terse; the resolved configuration is logged aside
         print("config: " + json.dumps(payload.get("config", {}), sort_keys=True), file=sys.stderr)

@@ -11,15 +11,21 @@ a sublattice M of finite index.  With N_i = b_i^T A b_i and S = lcm N_i,
 S*A^-1 = sum_i (S/N_i) b_i b_i^T is an integer matrix, so the discriminant
 cosets are closed on integer tuples mod S.  In frame coordinates the norm
 and the pairing with a fixed vector split into n independent rank-1 terms,
-and a coset of L is the disjoint union of [L:M] translates of M.  The theta
-series of an orthogonal sum is the product of its summands' (Conway and
-Sloane, *Sphere Packings, Lattices and Groups*, ch. 4), so
-:func:`pairing_counts` multiplies n rank-1 theta factors per translate, as
-sparse exact-integer tables truncated at the norm bound.  The translates'
-residue tuples form a coset of a code, and the products run on its minimal
-trellis (Forney, *Coset codes II*, 1988): translates whose prefixes are
-followed by the same set of suffixes share one state, whose table is the
-sum of theirs.  No vector is enumerated.
+and L' is the disjoint union of [L':M] translates of M, [L:M] in each coset
+of L.  The theta series of an orthogonal sum is the product of its
+summands' (Conway and Sloane, *Sphere Packings, Lattices and Groups*,
+ch. 4), so :func:`pairing_counts` multiplies n rank-1 theta factors per
+translate, as sparse exact-integer tables truncated at the norm bound.  All
+cosets are counted in one walk, scaled by D, the lcm of the coset
+denominators, so that every translate has integer residues mod D*N_i.  Each
+translate's residue tuple, with its coset's index as a last symbol, is a
+word of a code, and the products run on the code's minimal trellis (Forney,
+*Coset codes II*, 1988): translates whose prefixes are followed by the same
+set of suffixes share one state, whose table is the sum of theirs, also
+when they lie in different cosets; the last symbol parts the cosets after
+the last factor.  No vector is enumerated.  The walk's per-coset arrays
+stay in a one-entry memo, because callers ask for the cosets of one
+direction one at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ class LatticeData:
     rank: int
     gram: Tuple[Tuple[int, ...], ...]
     cosets: Tuple[Coset, ...]
+
+    def __hash__(self) -> int:
+        # the name alone: hashing every coset's Fraction coordinates would cost a memo lookup 30-50 us
+        return hash(self.name)
 
     def coset(self, index: int) -> Coset:
         return self.cosets[index]
@@ -177,15 +187,21 @@ def _roots(gram) -> List[Tuple[int, ...]]:
 
     Every basis vector of a registered lattice is a simple root (Gram diagonal
     2), the reflection in e_j is y -> y - (A y)_j e_j, and the Weyl group
-    moves some simple root onto every root.
+    moves some simple root onto every root.  Each round reflects the whole
+    frontier Y in every e_j at once: s_j(Y) = Y - (Y A)_j e_j.
     """
-    n = len(gram)
-
-    def reflection(j: int):
-        return lambda y: y[:j] + (y[j] - _dot(gram[j], y),) + y[j + 1 :]
-
-    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return sorted(_closure(simple, [reflection(j) for j in range(n)]))
+    a = np.array(gram, dtype=np.int64)
+    n = len(a)
+    diagonal = np.arange(n)
+    seen: set = set()
+    frontier = np.eye(n, dtype=np.int64)
+    while len(frontier):
+        seen.update(map(tuple, frontier.tolist()))
+        images = np.repeat(frontier[None], n, axis=0)
+        images[diagonal, :, diagonal] -= (frontier @ a).T
+        fresh = set(map(tuple, images.reshape(-1, n).tolist())) - seen
+        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, n)
+    return sorted(seen)
 
 
 @dataclass(frozen=True)
@@ -221,9 +237,15 @@ def _frame(gram: Tuple[Tuple[int, ...], ...]) -> _Frame:
         basis.append(b)
         duals.append(tuple(_dot(row, b) for row in gram))
 
-    for root in _roots(gram):
-        if all(_dot(d, root) == 0 for d in duals):
-            add(root)
+    # greedy in sorted order: take the first root orthogonal to every root taken so far
+    roots = _roots(gram)
+    vectors = np.array(roots, dtype=np.int64)
+    orthogonal = vectors @ np.array(gram, dtype=np.int64) @ vectors.T == 0
+    free = np.ones(len(roots), dtype=bool)
+    while free.any():
+        i = int(free.argmax())
+        add(roots[i])
+        free &= orthogonal[i]
     for j in range(n):
         if len(basis) == n:
             break
@@ -318,10 +340,106 @@ def _merge(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     """Sorted distinct keys with the integer sums of their counts."""
     if len(keys) == 0:
         return keys, counts
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    starts = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
     return keys[starts], np.add.reduceat(counts[order], starts)
+
+
+#: One coset's counts as int64 arrays: scaled norms s, pairings r and counts, in increasing (s, r).
+_Tally = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=1)
+def _dual_counts(lat: LatticeData, v: Tuple[int, ...], qmax: Fraction) -> Tuple[_Tally, ...]:
+    """The (s, r) tallies of every coset of L'/L from one trellis walk; see :func:`pairing_counts`.
+
+    One entry is kept: ``weil`` asks for the cosets of one (lattice,
+    direction, qmax) one after another, and the first call counts them all.
+    """
+    n = lat.rank
+    den = lcm(*(c.denominator for c in lat.cosets))  # D
+    smax = floor(2 * den * den * qmax)  # y^T A y is an integer, so <= smax is exactly Q <= qmax
+    frame = _frame(lat.gram)
+    norms = frame.norms
+    p = [_dot(d, v) for d in frame.duals]
+    vav = _form(lat.gram, v, v)
+    s_scale = lcm(*norms)
+    r_scale = lcm(*(nb * den // gcd(nb * den, pb) for nb, pb in zip(norms, p)))
+    half = isqrt(r_scale * r_scale * smax * vav) // den
+    width = 2 * half + 1
+    top = s_scale * smax
+    # u_i^2 <= smax N_i; a rank-1 factor has at most 2 t_i / (D N_i) + 1 terms
+    roots_of = [isqrt(smax * nb) for nb in norms]
+    _check_int64("packed (s, r) key range (S*smax + 1)*W", (top + 1) * width, qmax)
+    _check_int64(
+        "count bound [L':M] * prod of factor sizes",
+        len(lat.cosets) * len(frame.shifts) * prod(2 * t // (den * nb) + 1 for t, nb in zip(roots_of, norms)),
+        qmax,
+    )
+
+    factors: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+    def factor(i: int, u0: int) -> Tuple[np.ndarray, np.ndarray]:
+        # keys of u = u0 + m k with u^2 <= t^2 (u^2 <= smax N_i), m = D N_i, and for each
+        # the largest key a partial product may hold to stay within S*smax
+        if (i, u0) not in factors:
+            m, t = den * norms[i], roots_of[i]
+            u = u0 + m * np.arange(-((t + u0) // m), (t - u0) // m + 1, dtype=np.int64)
+            keys_f = (s_scale // norms[i]) * u * u * width + (r_scale * p[i] // m) * u
+            factors[i, u0] = keys_f, (top - (keys_f + half) // width) * width + half
+        return factors[i, u0]
+
+    def times(table: Tuple[np.ndarray, np.ndarray], terms: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, ...]:
+        # every (row, term) pair with S*s_row + S*s_term <= S*smax; rows are sorted by key, hence by s
+        keys, counts = table
+        keys_f, bounds = terms
+        cut = keys.searchsorted(bounds, side="right")
+        rows = np.arange(int(cut.sum()), dtype=np.int64) - (cut.cumsum() - cut).repeat(cut)
+        return _merge(keys_f.repeat(cut) + keys[rows], counts[rows])
+
+    def summed(tables: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+        if len(tables) == 1:
+            return tables[0]
+        return _merge(np.concatenate([k for k, _ in tables]), np.concatenate([c for _, c in tables]))
+
+    # every translate of D*M in D*L': residues u0_i = <b_i, D rep> + D c_i mod D N_i for a coset
+    # rep and a shift c of L/M, then the coset's index as the last symbol.  Walked on their
+    # minimal trellis, a state is the set of suffixes still to come, and it holds the summed
+    # tables of the prefixes that share it, across cosets too; the last symbol keeps the
+    # cosets apart after the n-th factor
+    shifts = den * np.array(frame.shifts, dtype=np.int64)
+    moduli = den * np.array(norms, dtype=np.int64)
+    starts = set()
+    for coset in lat.cosets:
+        y = [x.numerator * (den // x.denominator) for x in coset.rep]
+        u_g = np.array([_dot(d, y) for d in frame.duals], dtype=np.int64)
+        starts.update(tuple(row + [coset.index]) for row in ((u_g + shifts) % moduli).tolist())
+    states = {frozenset(starts): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
+    for i in range(n):
+        edges: Dict[frozenset, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for future, table in states.items():
+            branches: Dict[int, List[tuple]] = {}
+            for suffix in future:
+                branches.setdefault(suffix[0], []).append(suffix[1:])
+            for u0, rest in branches.items():
+                edges.setdefault(frozenset(rest), []).append(times(table, factor(i, u0)))
+        states = {after: summed(tables) for after, tables in edges.items()}
+
+    tallies: List[_Tally] = [None] * len(lat.cosets)
+    for future, (keys, counts) in states.items():
+        ((index,),) = future
+        s_packed, r_packed = np.divmod(keys + half, width)
+        r_packed -= half
+        # y^T A y is (D/d)^2 times the coset's own s = 2 d^2 Q(l), d its denominator
+        step = s_scale * (den // lat.cosets[index].denominator) ** 2
+        if np.any(s_packed % step) or np.any(r_packed % r_scale):
+            raise AssertionError("a counted vector is off the integer (s, r) grid")
+        tally = (s_packed // step, r_packed // r_scale, counts)
+        for a in tally:
+            a.flags.writeable = False  # shared by every call through the memo
+        tallies[index] = tally
+    return tuple(tallies)
 
 
 def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qmax) -> Dict[Tuple[int, int], int]:
@@ -331,32 +449,42 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
     integer; ``den`` is the coset denominator) and ``r = <l, direction>``,
     over all ``l`` in the coset with ``Q(l) <= qmax``, in increasing (s, r).
 
-    The count runs on y = den*l, which ranges over g + den*L with
-    g = den*rep, and has y^T A y = s <= smax = floor(2*den^2*qmax).  In the
-    frame of :func:`_frame`, u_i = <b_i, y> gives s = sum_i u_i^2 / N_i and
-    den*r = sum_i u_i p_i / N_i with p_i = <b_i, v>, and y runs over the
-    [L:M] translates of den*M in which u_i = <b_i, g> + den*c_i mod den*N_i
-    for a shift c of L/M.  So the (s, r) tally of one translate is the
-    product of n rank-1 factors {(u^2/N_i, u p_i/(den N_i)) : u = u0_i mod
-    den*N_i}.  The products run on the minimal trellis of the residue
-    tuples u0: after i factors, the prefixes followed by the same set of
-    suffixes form one state, and their tables are summed into one.  The sum
-    is exact, because every suffix multiplies each of them alike and
-    truncation at the norm bound is linear; one state is left after the
-    last factor, and it holds at most [L:M] translates' counts.
+    Every coset is counted at once, on y = D*l with D = lcm of the coset
+    denominators: y ranges over the [L':M] translates of D*M in D*L', and
+    y^T A y = 2 D^2 Q(l) <= smax = floor(2*D^2*qmax).  In the frame of
+    :func:`_frame`, u_i = <b_i, y> gives y^T A y = sum_i u_i^2 / N_i and
+    D*r = sum_i u_i p_i / N_i with p_i = <b_i, v>, and a translate is the
+    set of y with u_i = <b_i, D*rep> + D*c_i mod D*N_i for a coset rep and
+    a shift c of L/M.  So the tally of one translate is the product of n
+    rank-1 factors {(u^2/N_i, u p_i/(D N_i)) : u = u0_i mod D*N_i}.  The
+    products run on the minimal trellis of the residue tuples u0, each
+    with its coset's index appended as a last symbol: after i factors, the
+    prefixes followed by the same set of suffixes form one state, across
+    cosets too, and their tables are summed into one.  The sum is exact,
+    because every suffix multiplies each of them alike and truncation at
+    the norm bound is linear.  After the last factor a state's only suffix
+    is one coset's index, so each coset ends in a state of its own, whose
+    norms y^T A y are (D/den)^2 times the coset's s.
 
     Every quantity is an exact integer: a partial term is packed as the key
     (S*s)*W + R*r with S = lcm N_i and R the least multiple of every
-    den*N_i / gcd(den*N_i, p_i).  A partial product is the sum of the
+    D*N_i / gcd(D*N_i, p_i).  A partial product is the sum of the
     orthogonal projections of y onto some b_i, so its norm never exceeds
     the full norm, and truncating every product at S*smax loses nothing;
     by Cauchy-Schwarz its pairing has |R*r| <= H = floor(R*sqrt(smax v^T A
-    v)/den), so W = 2H + 1 separates the fields.  Equal keys merge by a
-    sort and integer sums, the result is checked to lie on the integer
-    (s, r) grid, and the key range (S*smax + 1)*W and the largest possible
-    count are bounded before anything is allocated: a qmax beyond int64
-    raises ``ValueError``, and so does a direction entry that is not an
-    integer.
+    v)/D), so W = 2H + 1 separates the fields.  Equal keys merge by a
+    sort and integer sums, the result is checked to lie on each coset's
+    integer (s, r) grid, and the key range (S*smax + 1)*W and the largest
+    possible count, [L':M] times the product of the factor sizes (a state
+    may sum translates of several cosets), are bounded before anything is
+    allocated: a qmax beyond int64 raises ``ValueError``, and so do a
+    direction entry that is not an integer and a coset that is not one of
+    ``lat``'s.
+
+    The walk's per-coset int64 arrays sit in a one-entry memo,
+    :func:`_dual_counts`: ``weil`` asks for the cosets of one direction
+    one call each, so the first call walks and the others read its arrays.
+    Each call builds a new dict.
     """
     qmax = as_fraction(qmax)
     n = lat.rank
@@ -365,76 +493,9 @@ def pairing_counts(lat: LatticeData, coset: Coset, direction: Sequence[int], qma
     for x in direction:
         if x != int(x):
             raise ValueError(f"direction must be a lattice vector, got entry {x}")
-    den = coset.denominator
-    g = [int(x * den) for x in coset.rep]
-    smax = floor(2 * den * den * qmax)  # s is an integer, so s <= smax is exactly Q <= qmax
-    if smax < 0:
+    if not 0 <= coset.index < len(lat.cosets) or lat.cosets[coset.index] != coset:
+        raise ValueError(f"coset {coset.index} with rep {coset.rep} is not a coset of {lat.name}")
+    if qmax < 0:
         return {}
-
-    frame = _frame(lat.gram)
-    norms = frame.norms
-    v = [int(x) for x in direction]
-    p = [_dot(d, v) for d in frame.duals]
-    vav = _form(lat.gram, v, v)
-    s_scale = lcm(*norms)
-    r_scale = lcm(*(nb * den // gcd(nb * den, pb) for nb, pb in zip(norms, p)))
-    half = isqrt(r_scale * r_scale * smax * vav) // den
-    width = 2 * half + 1
-    top = s_scale * smax
-    # u_i^2 <= smax N_i; a rank-1 factor has at most 2 t_i / (den N_i) + 1 terms
-    roots_of = [isqrt(smax * nb) for nb in norms]
-    _check_int64("packed (s, r) key range (S*smax + 1)*W", (top + 1) * width, qmax)
-    _check_int64(
-        "count bound [L:M] * prod of factor sizes",
-        len(frame.shifts) * prod(2 * t // (den * nb) + 1 for t, nb in zip(roots_of, norms)),
-        qmax,
-    )
-
-    factors: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def factor(i: int, u0: int) -> np.ndarray:
-        # keys of u = u0 + m k with u^2 <= t^2 (u^2 <= smax N_i), m = den N_i
-        if (i, u0) not in factors:
-            m, t = den * norms[i], roots_of[i]
-            u = u0 + m * np.arange(-((t + u0) // m), (t - u0) // m + 1, dtype=np.int64)
-            factors[i, u0] = (s_scale // norms[i]) * u * u * width + (r_scale * p[i] // (den * norms[i])) * u
-        return factors[i, u0]
-
-    def times(table: Tuple[np.ndarray, np.ndarray], keys_f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # every (row, term) pair with S*s_row + S*s_term <= S*smax; rows are sorted by key, hence by s
-        keys, counts = table
-        s_f = (keys_f + half) // width
-        cut = np.searchsorted(keys, (top - s_f) * width + half, side="right")
-        rows = np.arange(int(cut.sum()), dtype=np.int64) - np.repeat(np.cumsum(cut) - cut, cut)
-        return _merge(np.repeat(keys_f, cut) + keys[rows], counts[rows])
-
-    def summed(tables: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
-        if len(tables) == 1:
-            return tables[0]
-        return _merge(np.concatenate([k for k, _ in tables]), np.concatenate([c for _, c in tables]))
-
-    # the residues u0_i = <b_i, g> + den*c_i mod den*N_i of the [L:M] translates, walked on
-    # their minimal trellis: a state is the set of suffixes still to come, and it holds the
-    # summed tables of the prefixes that share it
-    u_g = [_dot(d, g) for d in frame.duals]
-    starts = frozenset(
-        tuple((u + den * c) % (den * nb) for u, c, nb in zip(u_g, shift, norms)) for shift in frame.shifts
-    )
-    states = {starts: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
-    for i in range(n):
-        edges: Dict[frozenset, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        for future, table in states.items():
-            for u0 in {suffix[0] for suffix in future}:
-                after = frozenset(suffix[1:] for suffix in future if suffix[0] == u0)
-                edges.setdefault(after, []).append(times(table, factor(i, u0)))
-        states = {after: summed(tables) for after, tables in edges.items()}
-    ((keys, counts),) = states.values()
-
-    s_packed, r_packed = np.divmod(keys + half, width)
-    r_packed -= half
-    if np.any(s_packed % s_scale) or np.any(r_packed % r_scale):
-        raise AssertionError("a counted vector is off the integer (s, r) grid")
-    return {
-        (s, r): c
-        for s, r, c in zip((s_packed // s_scale).tolist(), (r_packed // r_scale).tolist(), counts.tolist())
-    }
+    s, r, counts = _dual_counts(lat, tuple(int(x) for x in direction), qmax)[coset.index]
+    return dict(zip(zip(s.tolist(), r.tolist()), counts.tolist()))

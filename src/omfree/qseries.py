@@ -166,10 +166,15 @@ class NumeratorStore:
         return self.from_numerators(*head, nums, c.denominator * self.den, *bounds)
 
     def to_json(self) -> dict:
+        """The head, the bounds and each coefficient in lowest terms, ``"k1,k2,...": [num, den]``, by sorted key."""
         payload = {name: getattr(self, name) for name in self._head + self._bounds}
-        payload["coefficients"] = {
-            ",".join(map(str, key)): [c.numerator, c.denominator] for key, c in sorted(self.coeffs.items())
-        }
+        nums, den = self.nums, self.den
+        coefficients = {}
+        for key in sorted(nums):
+            num = nums[key]
+            g = gcd(num, den)
+            coefficients[",".join(map(str, key))] = [num // g, den // g]
+        payload["coefficients"] = coefficients
         return payload
 
 

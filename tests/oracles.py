@@ -8,7 +8,9 @@ tally (qmax up to production scale).  :func:`pullback_oracle` checks
 ``omfree.weil.pullback`` by a dict loop over (norm, pairing) pairs in
 Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 ``omfree.lattice.lattice`` from the rational inverse Gram matrix, which
-:func:`descent_counts` also uses, so neither depends on the orthogonal frame.
+:func:`descent_counts` also uses, so neither depends on the orthogonal frame;
+:func:`roots_oracle` checks the vectorised reflection closure
+``omfree.lattice._roots`` one tuple at a time.
 :func:`multiply_values_oracle` checks the gathered product kernel
 ``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice, and
 :func:`evaluate`, a scatter of a paramodular form's numerators against a
@@ -236,6 +238,21 @@ def rational_inverse(gram) -> List[List[Fraction]]:
     n = len(gram)
     cols = [solve(gram, [int(i == j) for i in range(n)]).values for j in range(n)]
     return [list(row) for row in zip(*cols)]
+
+
+def roots_oracle(gram) -> List[Tuple[int, ...]]:
+    """Every norm-2 vector, sorted: the closure of the simple roots e_j under the reflections
+    y -> y - (A y)_j e_j, one tuple at a time."""
+    n = len(gram)
+
+    def reflect(y, j):
+        return y[:j] + (y[j] - sum(a * b for a, b in zip(gram[j], y)),) + y[j + 1:]
+
+    seen = frontier = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    while frontier:
+        frontier = {reflect(y, j) for y in frontier for j in range(n)} - seen
+        seen = seen | frontier
+    return sorted(seen)
 
 
 def rational_cosets(gram) -> Tuple[Coset, ...]:

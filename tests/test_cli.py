@@ -5,8 +5,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omfree import weil
+from omfree import cli, weil
 from omfree.classical import ScalarForm
 from omfree.cli import main
 from omfree.qseries import QSeries
@@ -423,8 +424,22 @@ GOLDEN_JSON_SHA256 = {
 }
 
 
+@pytest.fixture
+def json_writer_checked(monkeypatch):
+    """Check every payload the CLI writes against ``json.dumps`` itself, before its text is hashed."""
+    writer = cli._json_text
+
+    def checked(value, pad=""):
+        text = writer(value, pad)
+        if not pad:  # the whole payload, not one of the writer's own recursive calls
+            assert text == json.dumps(value, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+
+
 @pytest.mark.parametrize("case", list(GOLDEN_JSON_SHA256))
-def test_e7_eisenstein_json_is_byte_identical(capsys, case):
+def test_e7_eisenstein_json_is_byte_identical(capsys, json_writer_checked, case):
     argv, digest = GOLDEN_JSON_SHA256[case]
     code, out = run(capsys, *argv, "--json")
     assert code == 0
@@ -447,7 +462,7 @@ EXACT_SOLVE_PINS = (
 
 
 @pytest.mark.parametrize("argv, exit_code, digest", EXACT_SOLVE_PINS, ids=["certify-D8-2", "verify-e14-3", "verify-e14-1"])
-def test_exact_solve_outputs_are_pinned(capsys, argv, exit_code, digest):
+def test_exact_solve_outputs_are_pinned(capsys, json_writer_checked, argv, exit_code, digest):
     code, out = run(capsys, *argv, "--json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -456,3 +471,36 @@ def test_exact_solve_outputs_are_pinned(capsys, argv, exit_code, digest):
         assert len(payload["report"]["certificate"]["relations"]) == 5
     elif exit_code:
         assert payload["result"]["status"] == "underdetermined"
+
+
+_JSON_TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t", "é€𝄞"])
+_JSON_SCALARS = (
+    st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(max_value=-(2**64))
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [[], ()]}, [True, 1, False], {"k": (1, -2, 2**70)}, {1: "a", 10: [2.5, None], 2: ()},
+])
+def test_json_writer_matches_json_dumps_on_empty_and_mixed_containers(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)

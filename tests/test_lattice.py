@@ -22,7 +22,7 @@ from omfree.lattice import (
 import omfree.lattice as lattice_module
 from omfree.linalg import det
 import oracles
-from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset, pairing, rational_cosets
+from oracles import LATTICES, _isqrt_floor, descent_counts, enumerate_coset, pairing, rational_cosets, roots_oracle
 
 D8_VEC = (4, 2, 3, 4, 1, 3, 2, 4)
 #: The first direction of the seeded D8 pullback sweep.
@@ -309,13 +309,16 @@ def test_pairing_counts_match_descent_at_production_precision(name, vec, qmax):
 
 
 @pytest.mark.parametrize("name,vec,merges", [
-    # 8 translates: 44 prefix tables, 24 trellis edges into 19 states, 5 of them reached twice or more
-    ("D8", D8_SWEEP_VEC, 24 + 5),
-    # 48 translates: 134 prefix tables, 68 edges into 37 states, 15 of them reached twice or more
-    ("A7", A7_VEC, 68 + 15),
+    # 4 cosets x 8 translates, one walk: 54 trellis edges into 42 states, 12 of them reached
+    # twice or more (the 4 cosets walked one by one take 96 edges)
+    ("D8", D8_SWEEP_VEC, 54 + 12),
+    # 8 cosets x 48 translates: 158 edges into 66 states, 36 of them reached twice or more
+    # (544 edges coset by coset)
+    ("A7", A7_VEC, 158 + 36),
 ])
 def test_pairing_counts_merges_on_the_trellis(monkeypatch, name, vec, merges):
-    # one merge per edge's product, and one more per state that sums several edges
+    # one merge per edge's product, and one more per state that sums several edges; the first
+    # call walks every coset at once, and the others read the memo
     calls = []
     merge = lattice_module._merge
 
@@ -324,9 +327,44 @@ def test_pairing_counts_merges_on_the_trellis(monkeypatch, name, vec, merges):
         return merge(keys, counts)
 
     monkeypatch.setattr(lattice_module, "_merge", counted)
+    lattice_module._dual_counts.cache_clear()
     lat = lattice(name)
-    pairing_counts(lat, lat.cosets[1], vec, 2)
+    for c in lat.cosets:
+        pairing_counts(lat, c, vec, 2)
     assert len(calls) == merges
+
+
+def test_dual_counts_memo_holds_one_entry():
+    assert lattice_module._dual_counts.cache_info().maxsize == 1
+
+
+def test_pairing_counts_returns_a_new_dict_per_call():
+    lat = lattice("E6")
+    first = pairing_counts(lat, lat.cosets[1], E6_VEC, 3)
+    second = pairing_counts(lat, lat.cosets[1], E6_VEC, 3)
+    assert first == second and first is not second
+    first[0, 0] = -1
+    first.clear()
+    assert pairing_counts(lat, lat.cosets[1], E6_VEC, 3) == second and second
+
+
+@pytest.mark.parametrize("name,vec_a,vec_b", [
+    ("D8", D8_SWEEP_VEC, D8_VEC),
+    ("E6", E6_VEC, (1, 0, -2, 1, 0, 3)),
+    ("A7", A7_VEC, (0, 1, 1, -1, 0, 0, 2)),
+])
+def test_pairing_counts_interleaved_directions_match_cold_counts(name, vec_a, vec_b):
+    # (a, 3) -> (b, 5) -> (a, 3), coset by coset: each switch replaces the one memo entry
+    lat = lattice(name)
+    cold = {}
+    for vec, qmax in ((vec_a, 3), (vec_b, 5)):
+        for c in lat.cosets:
+            lattice_module._dual_counts.cache_clear()
+            cold[vec, qmax, c.index] = pairing_counts(lat, c, vec, qmax)
+    lattice_module._dual_counts.cache_clear()
+    for vec, qmax in ((vec_a, 3), (vec_b, 5), (vec_a, 3)):
+        for c in lat.cosets:
+            assert list(pairing_counts(lat, c, vec, qmax).items()) == list(cold[vec, qmax, c.index].items())
 
 
 def test_pairing_counts_rejects_fractional_direction():
@@ -412,6 +450,15 @@ def test_pairing_counts_negated_coset_mirrors_r(name, vec, qmax):
     assert checked == {"E6": 2, "A7": 6}[name]
 
 
+def test_pairing_counts_rejects_a_coset_of_another_lattice():
+    # the counts are read by coset index, so a foreign coset must not pass for one of lat's
+    lat = lattice("E6")
+    with pytest.raises(ValueError, match="not a coset of E6"):
+        pairing_counts(lat, lattice("A2").cosets[1], E6_VEC, 2)
+    with pytest.raises(ValueError, match="not a coset of E6"):
+        pairing_counts(lat, lattice("E7").cosets[1], E6_VEC, 2)
+
+
 def test_pairing_counts_negative_qmax_is_empty():
     lat = lattice("E6")
     assert pairing_counts(lat, lat.cosets[0], (3, 2, 0, 1, 1, 1), -1) == {}
@@ -425,6 +472,20 @@ def test_root_counts():
     for name, roots in [("D8", 112), ("E7", 126), ("E6", 72)]:
         assert len(enumerate_coset(lattice(name), 0, 1)) - 1 == roots
         assert len(_roots(gram_matrix(name))) == roots
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_roots_and_frame_roots_match_the_tuple_closure(name):
+    gram = gram_matrix(name)
+    roots = roots_oracle(gram)
+    assert _roots(gram) == roots
+    # the frame's roots come first: the greedy pick, in sorted order, of roots orthogonal to every earlier pick
+    picked = []
+    for root in roots:
+        if all(sum(x * gram[i][j] * y for i, x in enumerate(root) for j, y in enumerate(b)) == 0 for b in picked):
+            picked.append(root)
+    assert list(_frame(gram).basis[: len(picked)]) == picked
+    assert all(nb != 2 for nb in _frame(gram).norms[len(picked):])
 
 
 @pytest.mark.parametrize("name", LATTICES)
