@@ -44,7 +44,7 @@ from .lifts import ParamodularForm, gritsenko_lift, lift_values, multiply, multi
 from .linalg import _rank_mod_p, bareiss_rank, left_kernel
 from .weil import JacobiForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
-from .qseries import ExpressResult, QSeries, express_in_basis, shared_support
+from .qseries import QSeries, express_in_basis, shared_support
 
 DEFAULT_SCHEDULE: Tuple[Tuple[int, int], ...] = ((4, 4), (6, 6), (8, 8))
 
@@ -198,70 +198,47 @@ class IndependenceCertificate:
 
 
 class _MonomialCache:
-    """Monomials in the generator lifts, as residue evaluations and as exact products.
+    """One table of monomials in the generator lifts, at one precision (nq, nxi).
 
-    Each row's Jacobi input is pulled back once, at truncation nq nxi, and
-    kept.  A generator's evaluation at the first ``SAMPLE_POINTS`` points
-    comes from its input by ``lift_values``, with the level read from the
-    first input's index; its exact lift is built from the same input, and
-    exact products from the lifts, only when a weight falls back to the
-    exact rank.  Both kinds of monomial are built incrementally and reused:
-    a monomial is its first generator times the monomial with that exponent
-    lowered by one.
+    The constructor pulls every row's Jacobi input back once, in row order,
+    at truncation nq nxi, and reads the level from their common index.  A
+    monomial comes in two kinds, each kept under its exponent: its sampled
+    evaluation at the first ``SAMPLE_POINTS`` points (``lift_values``, then
+    ``multiply_values``), and, only when a weight falls back to the exact
+    rank, its exact product (``gritsenko_lift``, then ``multiply``).
     """
 
     def __init__(self, rows: Sequence[GeneratorRow], vector: Sequence[int], nq: int, nxi: int):
-        self.rows = rows
-        self.vector = vector
-        self.nq = nq
         self.nxi = nxi
-        self._inputs: Dict[int, JacobiForm] = {}
-        self._lifts: Dict[int, ParamodularForm] = {}
+        self.inputs = [row.jacobi(vector, nq * nxi) for row in rows]
+        self.level = self.inputs[0].index
+        for phi in self.inputs:
+            if phi.index != self.level:
+                raise ValueError(f"level mismatch: {self.level} vs {phi.index}")
         self._products: Dict[Tuple[int, ...], ParamodularForm] = {}
-        self._evaluations: Dict[int, np.ndarray] = {}
         self._values: Dict[Tuple[int, ...], np.ndarray] = {}
 
-    def jacobi(self, i: int) -> JacobiForm:
-        """Row i's Jacobi input along the vector: the form ``rows[i].lift`` lifts."""
-        if i not in self._inputs:
-            self._inputs[i] = self.rows[i].jacobi(self.vector, self.nq * self.nxi)
-        return self._inputs[i]
-
-    def lift(self, i: int) -> ParamodularForm:
-        if i not in self._lifts:
-            self._lifts[i] = gritsenko_lift(self.jacobi(i), self.nxi)
-        return self._lifts[i]
-
-    def evaluation(self, i: int) -> np.ndarray:
-        if i not in self._evaluations:
-            phi, level = self.jacobi(i), self.jacobi(0).index
-            if phi.index != level:
-                raise ValueError(f"level mismatch: {level} vs {phi.index}")
-            self._evaluations[i] = lift_values(phi, self.nxi, SAMPLE_POINTS)
-        return self._evaluations[i]
-
     def _chain(self, expo: Tuple[int, ...], cache: dict, leaf: Callable, times: Callable):
-        if expo in cache:
-            return cache[expo]
-        total = sum(expo)
-        if total == 0:
-            raise ValueError("empty monomial has no paramodular representative here")
-        i = next(j for j, e in enumerate(expo) if e)
-        if total == 1:
-            result = leaf(i)
-        else:
-            reduced = list(expo)
-            reduced[i] -= 1
-            result = times(self._chain(tuple(reduced), cache, leaf, times), leaf(i))
-        cache[expo] = result
-        return result
+        """The monomial of one kind: ``leaf`` of its generator's input in degree one, else
+        ``times(lowered, unit)``, with the first nonzero exponent lowered by one."""
+        if expo not in cache:
+            if not any(expo):
+                raise ValueError("empty monomial has no paramodular representative here")
+            i = next(j for j, e in enumerate(expo) if e)
+            unit = tuple(int(j == i) for j in range(len(expo)))
+            if expo == unit:
+                cache[expo] = leaf(self.inputs[i])
+            else:
+                lowered = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+                cache[expo] = times(self._chain(lowered, cache, leaf, times), self._chain(unit, cache, leaf, times))
+        return cache[expo]
 
     def product(self, expo: Tuple[int, ...]) -> ParamodularForm:
-        return self._chain(expo, self._products, self.lift, multiply)
+        return self._chain(expo, self._products, lambda phi: gritsenko_lift(phi, self.nxi), multiply)
 
     def values(self, expo: Tuple[int, ...]) -> np.ndarray:
         """The monomial's evaluation: an integer multiple of ``product(expo)``'s, mod p."""
-        return self._chain(expo, self._values, self.evaluation, multiply_values)
+        return self._chain(expo, self._values, lambda phi: lift_values(phi, self.nxi, SAMPLE_POINTS), multiply_values)
 
     def residue_rows(self, monos: Sequence[Tuple[int, ...]]) -> np.ndarray:
         """One row per monomial: its sampled evaluation, flattened."""
@@ -284,6 +261,8 @@ def independence(
     escalate through the schedule and only then are reported as
     inconclusive, with the kernel vectors as candidate relations.
     """
+    if not schedule:
+        raise ValueError("the precision schedule is empty")
     rows = list(rows)
     weights_list = [row.weight for row in rows]
     say = progress or (lambda msg: None)
@@ -298,13 +277,11 @@ def independence(
             break
         used_precision = (nq, nxi)
         cache = _MonomialCache(rows, vector, nq, nxi)
-        level = cache.jacobi(0).index
         # the reported width: the count of indices (n, r, M) in the box with r^2 <= 4 n M level
-        width = sum(2 * isqrt(4 * n * m * level) + 1 for n in range(nq + 1) for m in range(nxi + 1))
+        width = sum(2 * isqrt(4 * n * m * cache.level) + 1 for n in range(nq + 1) for m in range(nxi + 1))
         still_pending = []
         for w in pending:
             monos = by_weight[w]
-            shape = (len(monos), width)
             if _rank_mod_p(cache.residue_rows(monos)) == len(monos):
                 rank = len(monos)
             else:
@@ -313,12 +290,10 @@ def independence(
                 # each row is a form's numerators: its coefficients times its own denominator
                 numerators = [[f.nums.get(key, 0) for key in keys] for f in forms]
                 rank = bareiss_rank(numerators)
-            if rank == len(monos):
-                records[w] = WeightRecord(w, monos, shape, rank, "independent")
-                say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): independent")
-            else:
-                records[w] = WeightRecord(w, monos, shape, rank, "inconclusive")
-                say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): deficient")
+            full = rank == len(monos)
+            records[w] = WeightRecord(w, monos, (len(monos), width), rank, "independent" if full else "inconclusive")
+            say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): {'independent' if full else 'deficient'}")
+            if not full:
                 still_pending.append(w)
                 if step == len(schedule) - 1:
                     # y with sum_i y_i nums_i = 0 is the relation sum_i (y_i den_i) f_i = 0 among the forms

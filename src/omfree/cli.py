@@ -279,8 +279,16 @@ def _cmd_hurwitz_check(args) -> int:
     return 0 if not mismatches else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 64, like every other rejected input, not 2 as an inconclusive certificate."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omfree",
         description="Exact computations in free algebras of orthogonal modular forms",
     )

@@ -249,6 +249,56 @@ def test_full_rank_certificate_builds_no_exact_lift(monkeypatch):
     assert dict(calls) == {"pullback": 10, "pairing_counts": 2}
 
 
+@pytest.mark.parametrize(
+    "schedule,want",
+    [
+        (
+            ((2, 2), (4, 4)),
+            dict(pullback=22, lift_values=22, multiply_values=70, gritsenko_lift=11, multiply=35, bareiss_rank=2),
+        ),
+        (
+            ((2, 2),),
+            dict(pullback=11, lift_values=11, multiply_values=35, gritsenko_lift=11, multiply=35, bareiss_rank=2, left_kernel=2),
+        ),
+    ],
+    ids=["escalated", "final"],
+)
+def test_exact_fallback_builds_each_lift_and_product_once(monkeypatch, schedule, want):
+    # D8 to weight 18 is deficient on the sample at (2, 2): each schedule step
+    # pulls every row back once, and the exact fallback lifts each generator
+    # and multiplies each monomial once, however many weights read them
+    calls = Counter()
+
+    def count(name):
+        real = getattr(certify, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, name, counted)
+
+    for name in ("pullback", "lift_values", "multiply_values", "gritsenko_lift", "multiply", "bareiss_rank", "left_kernel"):
+        count(name)
+    cert = independence(case_rows("D8", 18), D8_VEC, 18, schedule)
+    assert dict(calls) == want
+    assert cert.precision == schedule[-1]
+    assert len(cert.relations) == (5 if len(schedule) == 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: independence(case_rows("D8", 8), D8_VEC, 8, schedule=()), lambda: certify_freeness("D8", 8, ())],
+    ids=["independence", "certify_freeness"],
+)
+def test_empty_schedule_is_a_value_error(monkeypatch, run):
+    pulled = []
+    monkeypatch.setattr(certify, "pullback", lambda *args, **kwargs: pulled.append(args))
+    with pytest.raises(ValueError, match="schedule is empty"):
+        run()
+    assert pulled == []
+
+
 def test_independence_rejects_rows_of_different_index():
     rows = [
         fixed_row("E4", JacobiForm(4, 1, {(0, 0): Fraction(1)}, 8)),
@@ -288,13 +338,13 @@ def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
     wmax = CASE_WMAX[case]
     gens = case_rows(case, wmax)
     cache = _MonomialCache(gens, CASES[case].vector, nq, nq)
-    assert evaluation_width(cache.lift(0).level, nq, nq) > SAMPLE_POINTS
+    assert evaluation_width(cache.level, nq, nq) > SAMPLE_POINTS
     full = {}
 
     def full_values(expo):
         if expo not in full:
             i = next(j for j, e in enumerate(expo) if e)
-            leaf = evaluate(cache.lift(i))
+            leaf = evaluate(gritsenko_lift(cache.inputs[i], nq))
             reduced = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
             full[expo] = multiply_values(full_values(reduced), leaf) if sum(reduced) else leaf
         return full[expo]

@@ -212,17 +212,17 @@ def test_certify_small(capsys):
 def test_certify_precision_flags_come_in_pairs(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "D8", "--wmax", "4", flag, "2"])
-    assert exc.value.code == 2
+    assert exc.value.code == 64
     other = "--nxi" if flag == "--nq" else "--nq"
     assert f"{flag} requires {other}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nq,nxi,flag", [("0", "0", "--nq"), ("2", "0", "--nxi"), ("-1", "2", "--nq")])
 def test_certify_precision_below_one_is_usage_error(capsys, nq, nxi, flag):
-    # certify also exits 2 on an inconclusive result, so the message tells the two apart
+    # a usage error exits 64; certify exits 2 only on an inconclusive result
     with pytest.raises(SystemExit) as exc:
         main(["certify", "D8", "--wmax", "4", "--nq", nq, "--nxi", nxi, "--json"])
-    assert exc.value.code == 2
+    assert exc.value.code == 64
     captured = capsys.readouterr()
     assert f"{flag} must be at least 1" in captured.err
     assert "usage:" in captured.err
@@ -249,7 +249,7 @@ def test_certify_precision_below_one_is_usage_error(capsys, nq, nxi, flag):
 def test_precision_below_one_is_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 64
     captured = capsys.readouterr()
     assert f"{flag} must be at least 1" in captured.err
     assert "usage:" in captured.err
@@ -267,11 +267,38 @@ def test_precision_below_one_is_usage_error(capsys, argv, flag):
 def test_negative_order_or_wmax_is_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 64
     captured = capsys.readouterr()
     assert f"{flag} must be at least 0" in captured.err
     assert "usage:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["certify", "A1"], "invalid choice: 'A1'"),
+        (["certify", "D8", "--wmax", "x"], "invalid int value: 'x'"),
+        (["weights", "E6", "--colour"], "unrecognized arguments: --colour"),
+    ],
+)
+def test_argparse_errors_exit_64(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["certify", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_output_file(tmp_path, capsys, monkeypatch):
@@ -439,7 +466,7 @@ def json_writer_checked(monkeypatch):
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_JSON_SHA256))
-def test_e7_eisenstein_json_is_byte_identical(capsys, json_writer_checked, case):
+def test_golden_json_is_byte_identical(capsys, json_writer_checked, case):
     argv, digest = GOLDEN_JSON_SHA256[case]
     code, out = run(capsys, *argv, "--json")
     assert code == 0
