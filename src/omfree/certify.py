@@ -256,10 +256,11 @@ def independence(
 
     A weight whose sampled residue rows have full rank mod p is
     independent; any other weight is decided by the exact rank of its
-    integer numerator rows on the keys of ``shared_support``.
-    Full rank at the first precision is conclusive; deficient ranks
-    escalate through the schedule and only then are reported as
-    inconclusive, with the kernel vectors as candidate relations.
+    integer numerator rows on the keys of ``shared_support``.  Full rank
+    at the first precision is conclusive; deficient ranks escalate through
+    the schedule, and at the last step one elimination gives the rank and
+    the left kernel, whose vectors an inconclusive weight reports as
+    candidate relations.
     """
     if not schedule:
         raise ValueError("the precision schedule is empty")
@@ -289,18 +290,22 @@ def independence(
                 keys = shared_support(forms)
                 # each row is a form's numerators: its coefficients times its own denominator
                 numerators = [[f.nums.get(key, 0) for key in keys] for f in forms]
-                rank = bareiss_rank(numerators)
+                if step < len(schedule) - 1:
+                    rank = bareiss_rank(numerators)
+                else:
+                    # the last step's one elimination gives the rank and the kernel: y with
+                    # sum_i y_i nums_i = 0 is the relation sum_i (y_i den_i) f_i = 0 among the forms
+                    kernel = left_kernel(numerators)
+                    rank = len(monos) - len(kernel)
+                    for y in kernel:
+                        rel = [yi * f.den for yi, f in zip(y, forms)]
+                        g = gcd(*rel)
+                        relations.append({"w": w, "coefficients": [str(x // g) for x in rel]})
             full = rank == len(monos)
             records[w] = WeightRecord(w, monos, (len(monos), width), rank, "independent" if full else "inconclusive")
             say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): {'independent' if full else 'deficient'}")
             if not full:
                 still_pending.append(w)
-                if step == len(schedule) - 1:
-                    # y with sum_i y_i nums_i = 0 is the relation sum_i (y_i den_i) f_i = 0 among the forms
-                    for y in left_kernel(numerators):
-                        rel = [yi * f.den for yi, f in zip(y, forms)]
-                        g = gcd(*rel)
-                        relations.append({"w": w, "coefficients": [str(x // g) for x in rel]})
         pending = still_pending
     return IndependenceCertificate(
         case="custom",

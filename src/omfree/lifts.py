@@ -14,12 +14,8 @@ sums, scalings and products run on integers, and ``Fraction`` values are
 built only at the boundary: the rational constructor, ``coeffs``,
 ``coefficient`` and the JSON form.
 
-Products are exact integer convolutions by Kronecker substitution: each
-(n, M) slice's numerator r-polynomial is packed into one Python int with
-B-bit digits, one big-integer multiply per compatible slice pair does the
-convolution in r, and each output slice is decoded once in balanced
-base-2^B digits.  B comes from a bound on the output numerators,
-sum |f| * max |g| over the factors' numerators, so no digit can overflow.
+Products are the Kronecker substitution every coefficient store shares,
+``qseries.kronecker_product``, with slices (n, M).
 
 A rank certificate needs products only mod the prime ``linalg.MODULUS``,
 and there they are cheaper in r-evaluation space: each (n, M) slice's
@@ -51,7 +47,7 @@ import numpy as np
 
 from .classical import bernoulli, divisors
 from .linalg import MODULUS
-from .qseries import NumeratorStore
+from .qseries import NumeratorStore, kronecker_product
 from .weil import JacobiForm
 
 Key = Tuple[int, int, int]
@@ -190,69 +186,15 @@ def gritsenko_lift(phi: JacobiForm, nxi: int) -> ParamodularForm:
 def multiply(f: ParamodularForm, g: ParamodularForm) -> ParamodularForm:
     """Coefficient convolution; weight adds, truncation is the componentwise min.
 
-    Kronecker substitution per (n, M) slice, on the factors' integer
-    numerators; the product's denominator is the product of theirs.  Each
-    slice's r-polynomial is packed into one int sum_r c_r 2^(B (r - r0)),
-    with r0 the slice's lowest r, so narrow slices pack into short ints.  A
-    slice pair is multiplied only when n1 + n2 <= nq and M1 + M2 <= nxi, and
-    the products, aligned on their r0 sums, are added into the target
-    slice's int, which is decoded once in balanced base-2^B digits through
-    one ``int.to_bytes``.
-
-    The digit width is exact: for a fixed output (n, r, M) each f-term meets
-    at most one g-term, so the output numerator is at most
-    sum |f| * max |g| < 2^(B-1) in absolute value, over the numerators in
-    the box, when B >= bitlen(sum |f|) + bitlen(max |g|) + 1, and no digit
-    overflows into its neighbour.  B is rounded up to whole bytes for the
-    decode.
+    ``qseries.kronecker_product`` on the factors' integer numerators, with
+    slices (n, M): a slice pair is kept when n1 + n2 <= nq and
+    M1 + M2 <= nxi.  The product's denominator is the product of theirs.
     """
     if f.level != g.level:
         raise ValueError(f"level mismatch: {f.level} vs {g.level}")
     nq, nxi = min(f.nq, g.nq), min(f.nxi, g.nxi)
-    tables = [
-        [(k, v) for k, v in form.nums.items() if k[0] <= nq and k[2] <= nxi] for form in (f, g)
-    ]
-    fi, gi = tables
-    if not fi or not gi:
-        return ParamodularForm.from_numerators(f.weight + g.weight, f.level, {}, 1, nq, nxi)
-    bits = sum(abs(c) for _, c in fi).bit_length() + max(abs(c) for _, c in gi).bit_length() + 1
-    width = -(-bits // 8)
-    shift = 8 * width
-    packed = []
-    for terms in tables:
-        groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for (n, r, m), c in terms:
-            groups.setdefault((n, m), []).append((r, c))
-        slices = {}
-        for key, group in groups.items():
-            low = min(r for r, _ in group)
-            slices[key] = (low, sum(c << (shift * (r - low)) for r, c in group))
-        packed.append(slices)
-    fs, gs = packed
-    base = min(low for low, _ in fs.values()) + min(low for low, _ in gs.values())
-    acc: Dict[Tuple[int, int], int] = {}
-    for (n1, m1), (low1, a) in fs.items():
-        for (n2, m2), (low2, b) in gs.items():
-            if n1 + n2 <= nq and m1 + m2 <= nxi:
-                key = (n1 + n2, m1 + m2)
-                acc[key] = acc.get(key, 0) + (a * b << (shift * (low1 + low2 - base)))
-    half, full = 1 << (shift - 1), 1 << shift
-    nums: Dict[Key, int] = {}
-    for (n, m), x in acc.items():
-        if not x:
-            continue
-        # only the digits from the lowest set bit to the length of |x| can be nonzero
-        lo = ((x & -x).bit_length() - 1) // shift
-        count = abs(x).bit_length() // shift + 1 - lo
-        data = (x >> (shift * lo)).to_bytes(count * width, "little", signed=True)
-        borrow = 0
-        for i in range(count):
-            d = int.from_bytes(data[i * width : (i + 1) * width], "little") + borrow
-            borrow = d >= half
-            if borrow:
-                d -= full
-            if d:
-                nums[(n, base + lo + i, m)] = d
+    fs, gs = ((((n, m), r, c) for (n, r, m), c in form.nums.items()) for form in (f, g))
+    nums = {(n, r, m): c for (n, m), r0, cs in kronecker_product(fs, gs, (nq, nxi)) for r, c in enumerate(cs, r0) if c}
     return ParamodularForm.from_numerators(f.weight + g.weight, f.level, nums, f.den * g.den, nq, nxi)
 
 

@@ -11,7 +11,8 @@ silently extended.  There is no floating point anywhere.
 Every exact coefficient table (q-series, Jacobi forms, paramodular forms)
 shares one store, :class:`NumeratorStore`: integer numerators over one
 common denominator, in lowest terms, with a read-only ``Fraction`` view for
-the edges of a layer, and one exact solve on it, :func:`express_in_basis`.
+the edges of a layer, one exact product on it, :func:`kronecker_product`,
+and one exact solve, :func:`express_in_basis`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import add, le, sub
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .linalg import clear_denominators, solve
 
@@ -178,6 +181,64 @@ class NumeratorStore:
         return payload
 
 
+def kronecker_product(f: Iterable[tuple], g: Iterable[tuple], bound: tuple) -> Iterator[Tuple[tuple, int, List[int]]]:
+    """The truncated product of two integer coefficient tables, by Kronecker substitution per slice.
+
+    A term (slice, r, c) is an int numerator c at a key split into its
+    position r and its slice, the rest of the key: a tuple of nonnegative
+    ints.  The product sums c1 c2 at (slice1 + slice2, r1 + r2) over the
+    term pairs whose slice sum is at most ``bound`` componentwise, and
+    yields each nonzero product slice once, as (slice, r0, numerators at
+    r0, r0 + 1, ...), zeros included.  Each slice's r-polynomial is packed
+    into one int sum_r c_r 2^(B (r - r0)), r0 its lowest r; for each
+    f-slice s1 the g-slices in the box [0, bound - s1] are looked up, each
+    pair's ints are multiplied once, and the products, aligned on their r0
+    sums, are added into the target slice's int, decoded once through one
+    ``int.to_bytes``.
+
+    The digit width is exact: for a fixed output (slice, r) each f-term
+    meets at most one g-term, so the output numerator is at most
+    sum |f| * max |g| < 2^(B-1) in absolute value, over the terms within
+    the bound, when B >= bitlen(sum |f|) + bitlen(max |g|) + 1.  A digit d
+    then has 0 < d + 2^(B-1) < 2^B, so adding 2^(B-1) to every digit makes
+    them plain unsigned B-bit fields.  B is rounded up to whole bytes.
+    """
+    groups = []
+    for terms in (f, g):
+        slices: Dict[tuple, list] = {}
+        for s, r, c in terms:
+            slices.setdefault(s, []).append((r, c))
+        groups.append({s: t for s, t in slices.items() if all(map(le, s, bound))})
+    fs, gs = groups
+    if not fs or not gs:
+        return
+    total = sum(abs(c) for t in fs.values() for _, c in t)
+    bits = total.bit_length() + max(abs(c) for t in gs.values() for _, c in t).bit_length() + 1
+    width = -(-bits // 8)
+    shift = 8 * width
+    for slices in groups:
+        for s, t in slices.items():
+            low = min(t)[0]
+            slices[s] = (low, sum(c << (shift * (r - low)) for r, c in t))
+    base = min(low for low, _ in fs.values()) + min(low for low, _ in gs.values())
+    acc: Dict[tuple, int] = {}
+    for s1, (low1, a) in fs.items():
+        for s2 in product(*(range(room + 1) for room in map(sub, bound, s1))):
+            hit = gs.get(s2)
+            if hit is not None:
+                s = tuple(map(add, s1, s2))
+                acc[s] = acc.get(s, 0) + (a * hit[1] << (shift * (low1 + hit[0] - base)))
+    half = 1 << (shift - 1)
+    halves = half.to_bytes(width, "little")
+    for s, x in acc.items():
+        if x:
+            # only the digits from the lowest set bit to the length of |x| can be nonzero
+            lo = ((x & -x).bit_length() - 1) // shift
+            size = (abs(x).bit_length() // shift + 1 - lo) * width
+            data = ((x >> (shift * lo)) + int.from_bytes(halves * (size // width), "little")).to_bytes(size, "little")
+            yield s, base + lo, [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
+
+
 def shared_support(forms: Sequence[NumeratorStore]) -> list:
     """The sorted keys where some form is nonzero, inside the truncation box that every form keeps."""
     keys = set().union(*(f.nums for f in forms))
@@ -290,13 +351,13 @@ class QSeries(NumeratorStore):
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return self.__rmul__(other)
+        # one empty slice on the grid q^(1/d); only the exponents below the truncation are kept
         trunc = min(self.truncation, other.truncation)
-        nums: Dict[Fraction, int] = {}
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                e = e1 + e2
-                if e < trunc:
-                    nums[e] = nums.get(e, 0) + c1 * c2
+        d = lcm(*(e.denominator for e in chain(self.nums, other.nums)))
+        limit = -(-trunc.numerator * d // trunc.denominator)
+        f, g = ([((), r, c) for e, c in s.nums.items() if (r := e.numerator * d // e.denominator) < limit]
+                for s in (self, other))
+        nums = {Fraction(r, d): c for _, r0, cs in kronecker_product(f, g, ()) for r, c in enumerate(cs, r0) if c and r < limit}
         return QSeries.from_numerators(nums, self.den * other.den, trunc)
 
     def __truediv__(self, other) -> "QSeries":

@@ -34,7 +34,7 @@ from .classical import (
     trace_to_sl2,
 )
 from .lattice import LatticeData, lattice, norm as lattice_norm, pairing_counts
-from .qseries import NumeratorStore, QSeries, as_fraction
+from .qseries import NumeratorStore, QSeries, as_fraction, kronecker_product
 
 
 class InvarianceError(ValueError):
@@ -140,12 +140,8 @@ class JacobiForm(NumeratorStore):
     def __mul__(self, other):
         if isinstance(other, JacobiForm):
             nq = min(self.nq, other.nq)
-            nums: Dict[Tuple[int, int], int] = {}
-            for (n1, r1), c1 in self.nums.items():
-                for (n2, r2), c2 in other.nums.items():
-                    if n1 + n2 <= nq:
-                        key = (n1 + n2, r1 + r2)
-                        nums[key] = nums.get(key, 0) + c1 * c2
+            f, g = ((((n,), r, c) for (n, r), c in form.nums.items()) for form in (self, other))
+            nums = {(n, r): c for (n,), r0, cs in kronecker_product(f, g, (nq,)) for r, c in enumerate(cs, r0) if c}
             weight, index = self.weight + other.weight, self.index + other.index
             return JacobiForm.from_numerators(weight, index, nums, self.den * other.den, nq)
         return self.__rmul__(other)
@@ -364,15 +360,14 @@ class CosetCounts(NamedTuple):
     """One lattice's per-coset (scaled norm, pairing) counts in the dense layout ``pullback`` reads.
 
     ``pairings`` is the sorted union of the pairings of every coset's
-    vectors.  The scaled norms s = 2 den^2 Q(l) of coset i lie in one class
-    ``offsets[i]`` mod 2 den^2, den the coset's denominator, and
-    ``tables[i][t, c]`` counts the coset vectors with s = offsets[i] +
-    2 den^2 t and pairing ``pairings[c]``: an (qmax + 1) x len(pairings)
-    int64 table, read only.
+    vectors.  The scaled norms s = 2 den^2 Q(l) of coset i lie in the class
+    s0 = 2 den^2 ``norm_mod1`` mod 2 den^2 that ``lattice`` records, den
+    the coset's denominator, and ``tables[i][t, c]`` counts the coset
+    vectors with s = s0 + 2 den^2 t and pairing ``pairings[c]``: an
+    (qmax + 1) x len(pairings) int64 table, read only.
     """
 
     pairings: np.ndarray
-    offsets: Tuple[int, ...]
     tables: Tuple[np.ndarray, ...]
 
 
@@ -383,24 +378,21 @@ def _coset_counts(lattice_name: str, v: Tuple[int, ...], qmax: int) -> CosetCoun
     counts = [pairing_counts(lat, coset, v, qmax) for coset in lat.cosets]
     # a set, not np.unique or np.sort: on first use they load numpy.ma or the SIMD sort, 0.4-1.7 MB of RSS
     pairings = np.array(sorted(set().union(*((r for _, r in table) for table in counts))), dtype=np.int64)
-    offsets, tables = [], []
+    tables = []
     for coset, table in zip(lat.cosets, counts):
         dense = np.zeros((qmax + 1, len(pairings)), dtype=np.int64)
-        offset = 0
-        if table:
-            scale = 2 * coset.denominator**2
-            keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * len(table)).reshape(-1, 2)
-            offset = int(keys[0, 0]) % scale
-            steps, rest = np.divmod(keys[:, 0] - offset, scale)
-            if rest.any():
-                raise AssertionError("coset norms fall in more than one class mod 1")
-            values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-            dense[steps, np.searchsorted(pairings, keys[:, 1])] = values
+        scale = 2 * coset.denominator**2
+        offset = int(scale * coset.norm_mod1)
+        keys = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * len(table)).reshape(-1, 2)
+        steps, rest = np.divmod(keys[:, 0] - offset, scale)
+        if rest.any():
+            raise AssertionError(f"a norm of coset {coset.index} is not {coset.norm_mod1} mod 1")
+        values = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+        dense[steps, np.searchsorted(pairings, keys[:, 1])] = values
         dense.flags.writeable = False  # shared by every caller through the cache
-        offsets.append(offset)
         tables.append(dense)
     pairings.flags.writeable = False
-    return CosetCounts(pairings, tuple(offsets), tuple(tables))
+    return CosetCounts(pairings, tuple(tables))
 
 
 def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
@@ -439,6 +431,8 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
         raise ValueError(f"vector has length {len(v)}, lattice rank is {lat.rank}")
     if all(x == 0 for x in v):
         raise ValueError("pullback direction must be nonzero")
+    if form.weight.denominator != 1:
+        raise ValueError("pullbacks of half-integral Jacobi weights are not supported")
     index = lattice_norm(lat, v)
     if index.denominator != 1:
         raise AssertionError("norm of an even-lattice vector must be an integer")
@@ -447,9 +441,6 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     if nq >= trunc:
         raise ValueError(f"requested nq={nq} exceeds component truncation O(q^{trunc})")
     counts = _coset_counts(lat.name, v, nq)
-
-    if form.weight.denominator != 1:
-        raise ValueError("pullbacks of half-integral Jacobi weights are not supported")
     weight = int(form.weight)
 
     # Bring all components to one denominator and accumulate plain ints:
@@ -457,14 +448,15 @@ def pullback(form: ComponentForm, v: Sequence[int], nq: int) -> JacobiForm:
     den = lcm(1, *(comp.den for comp in form.components))
     parts = []
     total = bits = 0
-    for coset, comp, offset, table in zip(lat.cosets, form.components, counts.offsets, counts.tables):
+    for coset, comp, table in zip(lat.cosets, form.components, counts.tables):
         vectors = int(table.sum())
         if not vectors:
             continue
-        # the scaled norms s = scale Q(l) of a coset lie in one class offset
-        # mod scale, so s = offset + t scale, and the term at exponent e
-        # meets s at n = t + j with e scale = j scale - offset
+        # the scaled norms s = scale Q(l) of a coset lie in the class offset
+        # = scale norm_mod1 mod scale, so s = offset + t scale, and the term
+        # at exponent e meets s at n = t + j with e scale = j scale - offset
         scale = 2 * coset.denominator**2
+        offset = int(scale * coset.norm_mod1)
         numerators: Dict[int, int] = {}
         lift = den // comp.den
         for e, c in comp.nums.items():

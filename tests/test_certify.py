@@ -258,7 +258,7 @@ def test_full_rank_certificate_builds_no_exact_lift(monkeypatch):
         ),
         (
             ((2, 2),),
-            dict(pullback=11, lift_values=11, multiply_values=35, gritsenko_lift=11, multiply=35, bareiss_rank=2, left_kernel=2),
+            dict(pullback=11, lift_values=11, multiply_values=35, gritsenko_lift=11, multiply=35, left_kernel=2),
         ),
     ],
     ids=["escalated", "final"],
@@ -361,14 +361,19 @@ def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
 
 def test_sample_deficits_fall_back_to_bareiss(monkeypatch):
     # with one point nearly every weight is deficient on the sample; the exact
-    # rank must then give the same certificate byte for byte
+    # rank must then give the same certificate byte for byte.  The schedule
+    # has one step, whose exact rank comes from the left kernel's elimination
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return bareiss_rank(rows)
+    def counting(real):
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
 
-    monkeypatch.setattr(certify, "bareiss_rank", counted)
+        return counted
+
+    for name in ("bareiss_rank", "left_kernel"):
+        monkeypatch.setattr(certify, name, counting(getattr(certify, name)))
     cases = ("E7", "E6", "D8")
     want = {case: certify_freeness(case, 16, schedule=((2, 2),)).to_json() for case in cases}
     default_calls = len(calls)

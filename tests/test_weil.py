@@ -1,6 +1,7 @@
 """Component correspondences, Eisenstein assembly, and pullbacks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
@@ -314,9 +315,17 @@ def test_counts_cache_evicts_oldest_direction(pairing_calls):
     assert pullback(form, dirs[0], nq=2) == first
     assert (memo.cache_info().misses, len(pairing_calls)) == (34, 34 * cosets)
     again = memo("E6", dirs[0], 2)
-    assert again is not first_tables and again.offsets == first_tables.offsets
+    assert again is not first_tables
     assert np.array_equal(again.pairings, first_tables.pairings)
     assert all(map(np.array_equal, again.tables, first_tables.tables))
+
+
+def test_half_integral_weight_is_rejected_before_counting(pairing_calls):
+    form = replace(jacobi_eisenstein("E7", 4, 0, prec=4), weight=Fraction(9, 2))
+    with pytest.raises(ValueError, match="half-integral"):
+        pullback(form, E7_VEC, nq=2)
+    assert pairing_calls == []
+    assert weil_module._coset_counts.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("case", ["D8", "E6", "E7"])
@@ -445,3 +454,11 @@ def test_jacobi_arithmetic_matches_a_fraction_pair_loop():
         product = a * c
         assert (product.weight, product.index, product.nq) == (10, 5, nq)
         assert product.coeffs == pair_loop(ta, tc, nq)
+        # an index-0 factor is a scalar form on r = 0; the zero form has no terms
+        ts = random_jacobi_table(rng, 0, nq_a)
+        scaled = JacobiForm(4, 0, ts, nq_a) * c
+        assert (scaled.weight, scaled.index, scaled.nq) == (8, 3, nq)
+        assert scaled.coeffs == pair_loop(ts, tc, nq)
+        zero = JacobiForm(4, 3, {}, nq_b)
+        assert (a * zero).coeffs == pair_loop(ta, {}, nq) == {}
+        assert (zero * a).nq == nq
