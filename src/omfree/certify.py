@@ -56,22 +56,28 @@ SAMPLE_POINTS = 8
 # Monomials
 
 
-def monomials(weights: Sequence[int], w: int) -> List[Tuple[int, ...]]:
-    """All exponent vectors e >= 0 with sum e_i weights_i = w, in deterministic order."""
+def monomial_table(weights: Sequence[int], w_max: int) -> List[List[Tuple[int, ...]]]:
+    """For w = 0, ..., w_max: all exponent vectors e >= 0 with sum e_i weights_i = w, each in lexicographic order.
+
+    Built from the last generator back: the vectors of generators i, i+1,
+    ... are listed by remaining weight, and those of i - 1 on prepend each
+    exponent of generator i - 1 to the lists of the weights left over.
+    """
     if any(x <= 0 for x in weights):
         raise ValueError("weights must be positive")
-    out: List[Tuple[int, ...]] = []
+    # past the last generator only the empty vector is left, at weight 0
+    table: List[List[Tuple[int, ...]]] = [[()] if w == 0 else [] for w in range(w_max + 1)]
+    for weight in reversed(weights):
+        table = [
+            [(e,) + rest for e in range(w // weight + 1) for rest in table[w - e * weight]] for w in range(w_max + 1)
+        ]
+    return table
 
-    def recurse(i: int, remaining: int, expo: List[int]):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(tuple(expo))
-            return
-        for e in range(remaining // weights[i] + 1):
-            recurse(i + 1, remaining - e * weights[i], expo + [e])
 
-    recurse(0, w, [])
-    return out
+def monomials(weights: Sequence[int], w: int) -> List[Tuple[int, ...]]:
+    """All exponent vectors e >= 0 with sum e_i weights_i = w, in lexicographic order (``monomial_table``)."""
+    table = monomial_table(weights, w)
+    return table[w] if w >= 0 else []
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +274,8 @@ def independence(
     weights_list = [row.weight for row in rows]
     say = progress or (lambda msg: None)
     relations: List[dict] = []
-    # each weight's monomials, enumerated once for every schedule step
-    by_weight = {w: [m for m in monomials(weights_list, w) if sum(m) > 0] for w in range(w_max + 1)}
+    # each weight's monomials, enumerated once in one table for every schedule step
+    by_weight = {w: [m for m in monos if sum(m) > 0] for w, monos in enumerate(monomial_table(weights_list, w_max))}
     records = {w: WeightRecord(w, [], (0, 0), 0, "trivial") for w, monos in by_weight.items() if not monos}
     pending = [w for w, monos in by_weight.items() if monos]
     used_precision = schedule[0]

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from math import ceil, comb, isqrt, lcm
-from typing import Dict, List, Literal, Tuple
+from itertools import compress, repeat
+from math import ceil, comb, gcd, isqrt, lcm
+from operator import mul
+from typing import Dict, List, Literal, Sequence, Tuple
 
 from .qseries import QSeries, as_fraction, express_in_basis
 
@@ -156,35 +157,91 @@ def kronecker_symbol(a: int, b: int) -> int:
     return k if b == 1 else 0
 
 
-#: Character tables kept, one per fundamental discriminant D: the a <= |D|
-#: with chi_D(a) = 1, those with chi_D(a) = -1, and the power sums read off
-#: them; the oldest insertion goes first.
+#: Character tables kept, one per fundamental discriminant D: the masks
+#: chi_D(a) = 1 and chi_D(a) = -1 over a = 1, ..., |D|, one byte per a, and
+#: the power sums read off them; the oldest insertion goes first.
 _POWER_SUMS_LIMIT = 128
-_POWER_SUMS: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = {}
+_POWER_SUMS: Dict[int, Tuple[bytes, bytes, Tuple[int, ...]]] = {}
 
 
-def _character_power_sums(disc: int, n: int) -> Tuple[int, ...]:
-    """(S_0, ..., S_e) with S_e = sum_{a=1}^{|D|} chi_D(a) a^e and e >= n, cached per discriminant.
+def _least_prime_factors(top: int) -> List[int]:
+    """[0, 1, p(2), ..., p(top)] with p(a) the least prime factor of a, by one sieve."""
+    least = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if least[p] == p:
+            for k in range(p * p, top + 1, p):
+                if least[k] == k:
+                    least[k] = p
+    return least
 
-    chi_D is listed once per discriminant, as the a with chi_D(a) = 1 and
-    those with chi_D(a) = -1.  A call with a larger n than the cached tuple
-    holds extends it by one pair of ``sum(map(pow, ...))`` per new exponent.
+
+def _character_masks(disc: int, least: Sequence[int]) -> Tuple[bytes, bytes]:
+    """The masks chi_D(a) = 1 and chi_D(a) = -1 over a = 1, ..., |D|, from least prime factors up to |D|/2.
+
+    chi_D is completely multiplicative: one Kronecker symbol at each prime
+    a <= |D|/2 and a product at the other a.  Past |D|/2,
+    chi_D(|D| - a) = chi_D(-1) chi_D(a), with chi_D(-1) the sign of D.
     """
-    plus, minus, sums = _POWER_SUMS.get(disc, (None, None, ()))
-    if len(sums) > n:
-        return sums
-    if plus is None:
-        chars = [(a, kronecker_symbol(disc, a)) for a in range(1, abs(disc) + 1)]
-        plus = tuple(a for a, ch in chars if ch == 1)
-        minus = tuple(a for a, ch in chars if ch == -1)
-    sums += tuple(
-        sum(map(pow, plus, repeat(e))) - sum(map(pow, minus, repeat(e))) for e in range(len(sums), n + 1)
-    )
-    _POWER_SUMS.pop(disc, None)
-    _POWER_SUMS[disc] = (plus, minus, sums)
-    if len(_POWER_SUMS) > _POWER_SUMS_LIMIT:
-        del _POWER_SUMS[next(iter(_POWER_SUMS))]
-    return sums
+    m = abs(disc)
+    chars = [0] * (m + 1)
+    chars[1] = 1
+    for a in range(2, m // 2 + 1):
+        p = least[a]
+        chars[a] = kronecker_symbol(disc, a) if p == a else chars[p] * chars[a // p]
+    for a in range(max(2, m // 2 + 1), m + 1):
+        chars[a] = chars[m - a] if disc > 0 else -chars[m - a]
+    return bytes(ch == 1 for ch in chars[1:]), bytes(ch == -1 for ch in chars[1:])
+
+
+def _character_power_sums(discs: Sequence[int], n: int) -> List[Tuple[int, ...]]:
+    """For each D in discs, (S_0, ..., S_e) with S_e = sum_{a=1}^{|D|} chi_D(a) a^e and e >= n, cached per discriminant.
+
+    chi_D is listed once per discriminant, as two masks over a <= |D|
+    (``_character_masks``).  The sums no cached tuple holds are made in one
+    batch, which walks one shared row of powers a^e for a <= max |D|, one
+    multiplication per a per exponent.  At an exponent e with
+    (-1)^e = chi_D(-1) (= sign D), S_e is the masked sum over the row's
+    first |D| entries.  At the other parity, a -> |D| - a gives
+        2 S_e = chi_D(-1) sum_{i<e} C(e, i) |D|^(e-i) (-1)^i S_i,
+    since chi_D(|D|) = 0.  That fails for D = 1, where S_e = 1 for every e,
+    so D = 1 is kept apart.
+    """
+    found = {disc: _POWER_SUMS.get(disc, (None, None, ())) for disc in discs}
+    todo = {disc: entry for disc, entry in found.items() if len(entry[2]) <= n}
+    if todo:
+        top = max(map(abs, todo))
+        least = _least_prime_factors(top // 2)
+        # every discriminant of the batch restarts at the shortest cached tuple
+        start = min(len(sums) for _, _, sums in todo.values())
+        for disc, (plus, minus, sums) in todo.items():
+            todo[disc] = (*(_character_masks(disc, least) if plus is None else (plus, minus)), list(sums[:start]))
+        bases = range(1, top + 1)
+        row = list(map(pow, bases, repeat(start)))
+        # (|D|, masks, sums) of the discriminants with chi_D(-1) = 1, and of those with chi_D(-1) = -1
+        signs = {
+            sign: [(abs(disc), *entry) for disc, entry in todo.items() if (disc > 0) == sign] for sign in (True, False)
+        }
+        for e in range(start, n + 1):
+            for _, plus, minus, sums in signs[e % 2 == 0]:
+                sums.append(sum(compress(row, plus)) - sum(compress(row, minus)))
+            others = signs[e % 2 == 1]
+            # sum_{i<e} C(e, i) |D|^(e-i) (-1)^i S_i, by Horner in |D| for all of them at once
+            acc = [0] * len(others)
+            for i in range(e):
+                c = (-1) ** i * comb(e, i)
+                acc = [x * m + c * sums[i] for x, (m, _, _, sums) in zip(acc, others)]
+            # D = 1 is among them at odd e only, with S_e = 1
+            for x, (m, _, _, sums) in zip(acc, others):
+                sums.append(1 if m == 1 else (1 if e % 2 else -1) * x * m // 2)
+            if e < n:
+                row = list(map(mul, row, bases))
+        for disc, (plus, minus, sums) in todo.items():
+            found[disc] = (plus, minus, tuple(sums))
+            _POWER_SUMS.pop(disc, None)
+            _POWER_SUMS[disc] = found[disc]
+            if len(_POWER_SUMS) > _POWER_SUMS_LIMIT:
+                del _POWER_SUMS[next(iter(_POWER_SUMS))]
+    return [found[disc][2] for disc in discs]
 
 
 #: Rows of ``_binomial_bernoulli`` kept, one per n; the least recently used goes first.
@@ -199,30 +256,36 @@ def _binomial_bernoulli(n: int) -> Tuple[int, Tuple[int, ...]]:
     return den, tuple(comb(n, j) * b.numerator * (den // b.denominator) for j, b in enumerate(values))
 
 
+def _bernoulli_numerators(n: int, discs: Sequence[int]) -> Tuple[int, List[int]]:
+    """(den, [t_D for D in discs]) with B_{n,chi_D} = t_D / (den |D|), from one batch of power sums.
+
+    With m = |D|, t_D = sum_j C(n,j) B_j den m^j S_{n-j}: den is the lcm of
+    the denominators of B_0, ..., B_n, and the integers C(n,j) B_j den are
+    read from one row per n (``_binomial_bernoulli``).
+    """
+    den, row = _binomial_bernoulli(n)
+    table = list(zip(map(abs, discs), _character_power_sums(discs, n)))
+    # Horner in |D| over j = n, ..., 0, for all discriminants at once
+    totals = [0] * len(table)
+    for j in range(n, -1, -1):
+        c = row[j]
+        totals = [t * m + c * sums[n - j] for t, (m, sums) in zip(totals, table)]
+    return den, totals
+
+
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n,chi} for the Kronecker character of a fundamental discriminant.
 
     With m = |D| and the integer power sums S_e = sum_{a=1}^{m} chi(a) a^e,
     B_{n,chi} = m^(n-1) sum_a chi(a) B_n(a/m) = sum_j C(n,j) B_j m^(j-1) S_{n-j},
     with B_1 = -1/2.  For disc = 1 this gives the convention with B_1 = +1/2.
-    The power sums are computed once per discriminant
-    (``_character_power_sums``) and the sum over j runs on integers over
-    one common denominator, the lcm of the denominators of B_0, ..., B_n,
-    with the integers C(n,j) B_j times it read from one row per n
-    (``_binomial_bernoulli``).
+    The sum runs on integers over one common denominator, in the batch
+    helper ``_bernoulli_numerators`` with this one discriminant.
     """
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
-    m = abs(disc)
-    sums = _character_power_sums(disc, n)
-    den, row = _binomial_bernoulli(n)
-    total = 0
-    m_power = 1
-    for j, c in enumerate(row):
-        if c:
-            total += c * m_power * sums[n - j]
-        m_power *= m
-    return Fraction(total, den * m)
+    den, (total,) = _bernoulli_numerators(n, [disc])
+    return Fraction(total, den * abs(disc))
 
 
 def dirichlet_l_negative(r: int, disc: int) -> Fraction:
@@ -460,9 +523,25 @@ def _class_number_row(m: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
     return d, tuple(rows)
 
 
-def _divisor_sum(r: int, rows: Tuple[Tuple[int, int, int], ...]) -> int:
-    """sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), one ``sigma`` per row of ``_class_number_row``."""
-    return sum(c * dd ** (r - 1) * sigma(e, 2 * r - 1) for dd, c, e in rows)
+def _odd_sigmas(r: int, size: int) -> List[int]:
+    """[0, sigma_{2r-1}(1), ..., sigma_{2r-1}(size)] from one sieve: d^(2r-1) goes to every multiple of d."""
+    sig = [0] * (size + 1)
+    for d in range(1, size + 1):
+        power = d ** (2 * r - 1)
+        for k in range(d, size + 1, d):
+            sig[k] += power
+    return sig
+
+
+def _divisor_sum(r: int, rows: Tuple[Tuple[int, int, int], ...], sig: Sequence[int]) -> int:
+    """sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d) over the rows of ``_class_number_row``.
+
+    ``sig`` is ``_odd_sigmas(r, size)`` for some size >= f.
+    """
+    if len(rows) == 1:
+        # the row of d = 1 alone, as for every f = 1
+        return sig[rows[0][2]]
+    return sum(c * dd ** (r - 1) * sig[e] for dd, c, e in rows)
 
 
 def cohen_class_number(r: int, n: int) -> Fraction:
@@ -483,7 +562,8 @@ def cohen_class_number(r: int, n: int) -> Fraction:
     if m % 4 not in (0, 1):
         return Fraction(0)
     d, rows = _class_number_row(m)
-    return dirichlet_l_negative(r, d) * _divisor_sum(r, rows)
+    # the first row is d = 1, with f/d = f
+    return dirichlet_l_negative(r, d) * _divisor_sum(r, rows, _odd_sigmas(r, rows[0][2]))
 
 
 def hurwitz_class_number(n: int) -> Fraction:
@@ -529,11 +609,13 @@ def cohen_eisenstein(r: int, prec) -> ScalarForm:
 
     r = 0 returns theta.  For even r >= 2 the coefficients are
     H(r, N)/H(r, 0), read from the class-number row of N
-    (``_class_number_row``, shared with ``cohen_class_number``): one
-    ``sigma`` per divisor row, and one L-value per fundamental discriminant
-    D, kept as L(1-r, chi_D)/H(r, 0).  Odd r is rejected: those series are
-    not members of the plus space used here; the raw values remain
-    available through cohen_class_number.
+    (``_class_number_row``, shared with ``cohen_class_number``).  Every
+    fundamental discriminant D < prec goes into one batch of L-values
+    (``_bernoulli_numerators``), and each L(1-r, chi_D)/H(r, 0) is an
+    integer numerator over one shared denominator.  sigma_{2r-1} comes from
+    one sieve up to isqrt(prec), since f^2 <= N.  Odd r is rejected: those
+    series are not members of the plus space used here; the raw values
+    remain available through cohen_class_number.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -544,21 +626,22 @@ def cohen_eisenstein(r: int, prec) -> ScalarForm:
             f"odd parameter {r} is outside the plus-space tower; use cohen_class_number for raw values"
         )
     prec = as_fraction(prec)
-    h0 = cohen_class_number(r, 0)
-    ratios: Dict[int, Fraction] = {}
-    sums = []
-    for n in range(1, ceil(prec)):
-        if n % 4 in (2, 3):
-            continue
-        d, rows = _class_number_row(n)
-        if d not in ratios:
-            ratios[d] = dirichlet_l_negative(r, d) / h0
-        sums.append((n, d, _divisor_sum(r, rows)))
-    # every ratio over one denominator, so each coefficient is one integer product
-    den = lcm(1, *(x.denominator for x in ratios.values()))
-    scaled = {d: x.numerator * (den // x.denominator) for d, x in ratios.items()}
-    nums = {Fraction(0): den}
-    for n, d, s in sums:
-        nums[Fraction(n)] = scaled[d] * s
-    series = QSeries.from_numerators(nums, den, prec)
+    top = ceil(prec) - 1
+    rows = {n: _class_number_row(n) for n in range(1, top + 1) if n % 4 in (0, 1)}
+    discs = list(dict.fromkeys(d for d, _ in rows.values()))
+    den, totals = _bernoulli_numerators(r, discs)
+    # B_{r,chi_D} = t_D / (den D) with D > 0, so with b = B_2r,
+    # L(1-r, chi_D) / H(r, 0) = (-B_{r,chi_D} / r) / (-b / 2r) = 2 t_D b.den / (den D b.num):
+    # every ratio is an integer over den b.num lcm(D), and each coefficient is one integer product
+    b = bernoulli(2 * r)
+    disc_lcm = lcm(1, *discs)
+    scaled = {d: 2 * t * b.denominator * (disc_lcm // d) for d, t in zip(discs, totals)}
+    sig = _odd_sigmas(r, isqrt(max(top, 0)))
+    common = den * b.numerator * disc_lcm
+    values = [scaled[d] * _divisor_sum(r, row, sig) for d, row in rows.values()]
+    # reduced here, so the store keeps the one dict built below
+    g = gcd(common, *values) * (1 if common > 0 else -1)
+    nums = {Fraction(0): common // g}
+    nums.update(zip(map(Fraction, rows), (v // g for v in values)))
+    series = QSeries.from_numerators(nums, common // g, prec)
     return ScalarForm(Fraction(2 * r + 1, 2), "KohnenPlus4", series)

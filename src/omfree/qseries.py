@@ -368,13 +368,19 @@ class QSeries(NumeratorStore):
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"power must be a nonnegative integer, got {n}")
-        result = QSeries.one(self.truncation)
+        if n == 0:
+            return QSeries.one(self.truncation)
+        # square up to the lowest set bit, which starts the result, then one product per further set bit
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n > 1:
+            n >>= 1
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     # -- substitutions -----------------------------------------------------

@@ -27,6 +27,9 @@ pairing of a dual vector with a lattice vector, which the test enumerations
 tally next to the norm.  :func:`canonical_index_set` lists every in-cone
 index (n, r, M) of a paramodular truncation box: the width that
 ``omfree.certify`` reports in each record's ``matrix_shape``.
+:func:`monomials_recursive` checks the suffix table of
+``omfree.certify.monomial_table`` by a depth-first recursion over the
+exponent of each generator in turn.
 """
 
 from __future__ import annotations
@@ -139,6 +142,22 @@ def sl2_dimension(k: int) -> int:
     if k < 0 or k % 2:
         return 0
     return k // 12 + (0 if k % 12 == 2 else 1)
+
+
+def monomials_recursive(weights: Sequence[int], w: int) -> List[Tuple[int, ...]]:
+    """All exponent vectors e >= 0 with sum e_i weights_i = w, by recursion over e_0, e_1, ... in increasing order."""
+    out: List[Tuple[int, ...]] = []
+
+    def recurse(i: int, remaining: int, expo: List[int]) -> None:
+        if i == len(weights):
+            if remaining == 0:
+                out.append(tuple(expo))
+            return
+        for e in range(remaining // weights[i] + 1):
+            recurse(i + 1, remaining - e * weights[i], expo + [e])
+
+    recurse(0, w, [])
+    return out
 
 
 def weak_monomial_weights(generators: Sequence[Tuple[int, int]], t: int, least: Optional[int] = None) -> Counter:

@@ -21,6 +21,7 @@ from omfree.certify import (
     express_in_basis,
     independence,
     left_kernel,
+    monomial_table,
     monomials,
     verify_weight14,
     _MonomialCache,
@@ -31,7 +32,7 @@ from omfree.lattice import lattice, norm
 from omfree.lifts import ParamodularForm, evaluation_width, gritsenko_lift, multiply, multiply_values
 from omfree.linalg import MODULUS, _rank_mod_p
 from omfree.weil import JacobiForm
-from oracles import canonical_index_set, evaluate
+from oracles import canonical_index_set, evaluate, monomials_recursive
 
 D8_WEIGHTS = [4, 6, 8, 8, 10, 10, 12, 12, 14, 16, 18]
 D8_VEC = CASES["D8"].vector
@@ -67,6 +68,25 @@ def test_monomials_weight_1_empty():
 def test_monomials_deterministic_order():
     assert monomials([4, 6], 12) == monomials([4, 6], 12)
     assert monomials([4, 6], 12) == [(0, 2), (3, 0)]
+
+
+@pytest.mark.parametrize("case", ["D8", "E6", "E7"])
+def test_monomial_table_matches_the_recursion(case):
+    # the suffix table lists every weight <= 60 in the order of the depth-first recursion
+    weights = [row.weight for row in CASES[case].generators]
+    table = monomial_table(weights, 60)
+    assert len(table) == 61
+    for w, monos in enumerate(table):
+        assert monos == monomials_recursive(weights, w), (case, w)
+        assert monomials(weights, w) == monos
+
+
+def test_monomials_edge_weights():
+    assert monomials([4, 6], -1) == [] and monomial_table([4, 6], -1) == []
+    assert monomials([], 0) == [()] and monomials([], 3) == []
+    assert monomials([4, 6], 0) == [(0, 0)]
+    with pytest.raises(ValueError):
+        monomials([4, 0], 8)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +582,18 @@ def test_certificates_replay_bit_for_bit():
 
 
 def test_monomials_are_enumerated_once_per_weight(monkeypatch):
-    # weights 16 and 18 are deficient at (2, 2) and escalate to (4, 4)
+    # weights 16 and 18 are deficient at (2, 2) and escalate to (4, 4); every weight
+    # comes from one table, built once for both steps
     calls = []
 
-    def counted(weights, w):
-        calls.append(w)
-        return monomials(weights, w)
+    def counted(weights, w_max):
+        calls.append(w_max)
+        return monomial_table(weights, w_max)
 
-    monkeypatch.setattr(certify, "monomials", counted)
+    monkeypatch.setattr(certify, "monomial_table", counted)
     cert = independence(case_rows("D8", 18), D8_VEC, 18, schedule=((2, 2), (4, 4)))
     assert cert.precision == (4, 4)
-    assert sorted(calls) == list(range(19))
+    assert calls == [18]
     # sha256 of the certificate, recorded when each step enumerated its weights again
     payload = json.dumps(cert.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == (

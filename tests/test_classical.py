@@ -17,6 +17,7 @@ from omfree.classical import (
     cohen_class_number,
     cohen_eisenstein,
     decompose_level2,
+    divisors,
     eisenstein_sl2,
     eta_pow,
     fundamental_decomposition,
@@ -52,6 +53,10 @@ def delta_cusp_form(prec):
 
 def brute_sigma(n, k):
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+def squarefree(n):
+    return n != 0 and all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
 
 
 def naive_euler_product_pow(m, prec):
@@ -431,6 +436,14 @@ def test_cohen_eisenstein_rejects_odd_parameter():
         cohen_eisenstein(3, 10)
 
 
+def test_cohen_eisenstein_short_truncations():
+    assert cohen_eisenstein(2, Fraction(1, 2)).series.nums == {0: 1}
+    want = QSeries({0: 1, 1: -10, 4: -70}, Fraction(9, 2))
+    assert cohen_eisenstein(2, Fraction(9, 2)) == ScalarForm(Fraction(5, 2), "KohnenPlus4", want)
+    with pytest.raises(ValueError, match="truncation must be positive"):
+        cohen_eisenstein(2, 0)
+
+
 def test_hurwitz_oracle_values():
     assert hurwitz_oracle(3) == Fraction(1, 3)
     assert hurwitz_oracle(4) == Fraction(1, 2)
@@ -477,9 +490,6 @@ def test_fundamental_decomposition_is_fundamental():
 
 def test_fundamental_discriminants_are_the_squarefree_ones():
     # independent of fundamental_decomposition: D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree
-    def squarefree(n):
-        return n != 0 and all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
-
     for d in range(-4000, 4001):
         want = (d % 4 == 1 and squarefree(d)) or (d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4))
         assert is_fundamental_discriminant(d) == want, d
@@ -516,6 +526,38 @@ def test_generalized_bernoulli_matches_exp_series():
     oracle = exp_series_bernoulli(1, 21)
     for n in range(21):
         assert generalized_bernoulli(n, 1) == oracle[n], n
+
+
+def brute_power_sum(disc, e):
+    return sum(kronecker_symbol(disc, a) * a**e for a in range(1, abs(disc) + 1))
+
+
+def test_power_sums_reflection_identity():
+    # 2 S_e = chi(-1) sum_{i<e} C(e,i) |D|^(e-i) (-1)^i S_i when (-1)^e != chi(-1), on brute-force sums;
+    # D = 1 breaks it, since there chi(|D|) = 1
+    for disc in (-3, -4, -7, -8, -20, -23, 5, 8, 12, 13):
+        m, sign = abs(disc), (1 if disc > 0 else -1)
+        sums = [brute_power_sum(disc, e) for e in range(31)]
+        for e in range(31):
+            if (-1) ** e != sign:
+                reflected = sum(comb(e, i) * m ** (e - i) * (-1) ** i * sums[i] for i in range(e))
+                assert 2 * sums[e] == sign * reflected, (disc, e)
+    ones = [brute_power_sum(1, e) for e in range(31)]
+    assert ones == [1] * 31 and 2 * ones[1] != comb(1, 0) * ones[0]
+
+
+def test_power_sums_in_one_batch_match_brute_force(monkeypatch):
+    # both signs of D, D = 1, a repeated discriminant, and tuples cached at different lengths
+    monkeypatch.setattr(classical, "_POWER_SUMS", {})
+    discs = [d for d in range(-120, 121) if d and is_fundamental_discriminant(d)]
+    assert 1 in discs and min(discs) < 0 < max(discs)
+    classical._character_power_sums([-3, 5, 1], 7)
+    classical._character_power_sums([-4], 12)
+    batch = classical._character_power_sums(discs + [-3], 30)
+    assert len(batch) == len(discs) + 1 and batch[-1] == batch[discs.index(-3)]
+    for disc, sums in zip(discs, batch):
+        assert len(sums) == 31
+        assert list(sums) == [brute_power_sum(disc, e) for e in range(31)], disc
 
 
 def test_generalized_bernoulli_in_scrambled_order(monkeypatch):
@@ -579,6 +621,59 @@ def fraction_cohen_eisenstein(r, prec):
 
     h0 = -bernoulli_recursive(2 * r) / (2 * r)
     return {n: class_number(n) / h0 for n in range(1, prec + 1) if n % 4 in (0, 1)}
+
+
+class ExpSeriesCohen:
+    """H(r, N)/H(r, 0) from the definition of H(r, N).
+
+    B_{r,chi} comes from ``exp_series_bernoulli``, and the divisor sums from plain ``sigma`` and ``divisors``.
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self.bernoulli = {}
+
+    def b(self, disc, n):
+        if disc not in self.bernoulli:
+            self.bernoulli[disc] = exp_series_bernoulli(disc, self.order)
+        return self.bernoulli[disc][n]
+
+    def coefficients(self, r, prec):
+        # H(r, 0) = zeta(1 - 2r) = -B_2r / 2r and L(1 - r, chi_D) = -B_{r,chi_D} / r
+        h0 = -exp_series_bernoulli(1, 2 * r + 1)[2 * r] / (2 * r)
+        out = {}
+        for n in range(1, prec):
+            if n % 4 in (2, 3):
+                continue
+            # n = D f^2 with D fundamental: the largest f whose cofactor is squarefree and 1 mod 4,
+            # or 4 times a squarefree number that is 2 or 3 mod 4
+            f = max(
+                f
+                for f in range(1, isqrt(n) + 1)
+                if n % (f * f) == 0
+                and (
+                    ((d := n // (f * f)) % 4 == 1 and squarefree(d))
+                    or (d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4))
+                )
+            )
+            d = n // (f * f)
+            total = sum(
+                moebius(dd) * kronecker_symbol(d, dd) * dd ** (r - 1) * sigma(f // dd, 2 * r - 1) for dd in divisors(f)
+            )
+            out[n] = -self.b(d, r) / r * total / h0
+        return out
+
+
+def test_cohen_eisenstein_matches_the_exp_series_oracle():
+    # every even r <= 26 at O(q^105), which holds every discriminant e7-certify reads at (5, 5),
+    # and r = 2, 26 at O(q^261), the reach of (8, 8)
+    oracle = ExpSeriesCohen(27)
+    for r, prec in [(r, 105) for r in range(2, 27, 2)] + [(2, 261), (26, 261)]:
+        form = cohen_eisenstein(r, prec)
+        want = oracle.coefficients(r, prec)
+        assert form.coefficient(0) == 1 and form.series.truncation == prec
+        for n in range(1, prec):
+            assert form.coefficient(n) == want.get(n, 0), (r, n)
 
 
 def test_cohen_eisenstein_matches_a_fraction_recomputation():

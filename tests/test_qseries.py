@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omfree import qseries
 from omfree.classical import eisenstein_sl2
 from omfree.qseries import (
     ExponentDenominatorError,
@@ -132,6 +133,32 @@ def test_pow():
     s = series({0: 1, 1: 1}, 6)
     assert s**3 == series({0: 1, 1: 3, 2: 3, 3: 1}, 6)
     assert s**0 == QSeries.one(6)
+
+
+def test_pow_starts_from_the_lowest_set_bit(monkeypatch):
+    # e4**2 is one product, with no product by the constant 1 first
+    e4 = eisenstein_sl2(4, 65).series
+    square = e4 * e4
+    calls = []
+
+    def counted(f, g, bound, real=qseries.kronecker_product):
+        calls.append(bound)
+        return real(f, g, bound)
+
+    monkeypatch.setattr(qseries, "kronecker_product", counted)
+    assert e4**2 == square
+    assert len(calls) == 1
+    calls.clear()
+    assert e4**0 == QSeries.one(65)
+    assert e4**1 == e4
+    assert calls == []
+    # one squaring per bit below the top one, and one product per set bit past the lowest
+    power = e4
+    for n in range(2, 9):
+        power = power * e4
+        calls.clear()
+        assert e4**n == power, n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
 # ---------------------------------------------------------------------------
