@@ -1,26 +1,27 @@
 """Exact linear-algebra certificates for the lifted Eisenstein generators.
 
 Monomials in the generator lifts are compared coefficient by coefficient.
-The certificate first works mod the prime ``linalg.MODULUS`` in
-r-evaluation space: each generator's Jacobi input is pulled back once and
-its lift's residues are taken straight from it (``lifts.lift_values``), at
-the first ``SAMPLE_POINTS`` = K points x_j, without building the lift; a
-monomial is a chain of pointwise products (``lifts.multiply_values``), and
-its row is that sampled evaluation, flattened as it is.
+The certificate works mod the prime ``linalg.MODULUS`` in r-evaluation
+space: each generator's Jacobi input is pulled back once and its lift's
+residues are taken straight from it (``lifts.lift_values``), at the first
+K points x_j, without building the lift; a monomial is a chain of
+pointwise products (``lifts.multiply_values``), and its row is that
+evaluation, flattened as it is.
 
 Up to one integer factor per row (for a generator, the lcm of its input's
 denominator and A(0, 0, 0)'s over the lift's denominator), a monomial's
-sampled value of the slice (n, M) at x_j is sum_r A(n, r, M) x_j^r mod p,
-with A its exact numerators: a linear image of the slice's coefficients.
-So the residue matrix is D C E mod p, with C the exact numerator rows and
-D diagonal.  Its rank is at most rank(C mod p), which is at most the rank
-over Q, so a full rank on the sample certifies independence; a factor
-divisible by p only zeroes its row.  Only a weight whose sampled rows are
-deficient builds exact lifts, from the same pulled-back inputs, and their
-products, and takes the exact rank by fraction-free elimination.  On
-every case row (D8 to weight 18, E6 to 24, E7 to 30), the sample reached
-the full residue rank at every weight with K = 4 at (4, 4) and (5, 5),
-and with K = 7 at (2, 2), where D8 at weight 18 needs 7.
+value of the slice (n, M) at x_j is sum_r A(n, r, M) x_j^r mod p, with A
+its exact numerators: a linear image of the slice's coefficients.  So the
+residue matrix is D C E mod p, with C the exact numerator rows and D
+diagonal.  Its rank is at most rank(C mod p), which is at most the rank
+over Q, so a full rank certifies independence; a factor divisible by p
+only zeroes its row.  Residues decide every rank: each weight is ranked
+on the first ``SAMPLE_POINTS`` points and, if that is short, again on all
+W = ``lifts.evaluation_width`` points, which determine each slice's
+r-polynomial.  A weight still short at full width escalates to the next
+precision; at the last step it builds exact lifts and products, and one
+exact elimination of their numerator rows gives its rank and names its
+relations.
 
 Full rank certifies linear independence at that weight (and hence upstream,
 since any relation among the orthogonal series would restrict to a relation
@@ -40,7 +41,8 @@ import numpy as np
 
 from . import __version__
 from .freealg import dim_upper_bound
-from .lifts import ParamodularForm, gritsenko_lift, lift_values, multiply, multiply_values
+from .lifts import ParamodularForm, evaluation_width, gritsenko_lift, lift_values, multiply, multiply_values
+# bareiss_rank is unused here but stays bound: bench/tracer.py wraps it and left_kernel, and the tests import both from here
 from .linalg import _rank_mod_p, bareiss_rank, left_kernel
 from .weil import JacobiForm, e6_from_sl2, jacobi_eisenstein, pullback
 from .classical import ScalarForm, eisenstein_sl2
@@ -208,10 +210,10 @@ class _MonomialCache:
 
     The constructor pulls every row's Jacobi input back once, in row order,
     at truncation nq nxi, and reads the level from their common index.  A
-    monomial comes in two kinds, each kept under its exponent: its sampled
-    evaluation at the first ``SAMPLE_POINTS`` points (``lift_values``, then
-    ``multiply_values``), and, only when a weight falls back to the exact
-    rank, its exact product (``gritsenko_lift``, then ``multiply``).
+    monomial comes in two kinds, each kept under its exponent: its
+    evaluation at the first K points, per K (``lift_values``, then
+    ``multiply_values``), and, only when the last step names a weight's
+    relations, its exact product (``gritsenko_lift``, then ``multiply``).
     """
 
     def __init__(self, rows: Sequence[GeneratorRow], vector: Sequence[int], nq: int, nxi: int):
@@ -222,7 +224,7 @@ class _MonomialCache:
             if phi.index != self.level:
                 raise ValueError(f"level mismatch: {self.level} vs {phi.index}")
         self._products: Dict[Tuple[int, ...], ParamodularForm] = {}
-        self._values: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._values: Dict[int, Dict[Tuple[int, ...], np.ndarray]] = {}
 
     def _chain(self, expo: Tuple[int, ...], cache: dict, leaf: Callable, times: Callable):
         """The monomial of one kind: ``leaf`` of its generator's input in degree one, else
@@ -242,13 +244,13 @@ class _MonomialCache:
     def product(self, expo: Tuple[int, ...]) -> ParamodularForm:
         return self._chain(expo, self._products, lambda phi: gritsenko_lift(phi, self.nxi), multiply)
 
-    def values(self, expo: Tuple[int, ...]) -> np.ndarray:
-        """The monomial's evaluation: an integer multiple of ``product(expo)``'s, mod p."""
-        return self._chain(expo, self._values, lambda phi: lift_values(phi, self.nxi, SAMPLE_POINTS), multiply_values)
+    def values(self, expo: Tuple[int, ...], points: int) -> np.ndarray:
+        """The monomial's evaluation at the first ``points`` points: an integer multiple of ``product(expo)``'s, mod p."""
+        return self._chain(expo, self._values.setdefault(points, {}), lambda phi: lift_values(phi, self.nxi, points), multiply_values)
 
-    def residue_rows(self, monos: Sequence[Tuple[int, ...]]) -> np.ndarray:
-        """One row per monomial: its sampled evaluation, flattened."""
-        return np.stack([self.values(expo).reshape(-1) for expo in monos])
+    def residue_rows(self, monos: Sequence[Tuple[int, ...]], points: int) -> np.ndarray:
+        """One row per monomial: its evaluation at the first ``points`` points, flattened."""
+        return np.stack([self.values(expo, points).reshape(-1) for expo in monos])
 
 
 def independence(
@@ -260,13 +262,13 @@ def independence(
 ) -> IndependenceCertificate:
     """Certificate of monomial independence of the rows' lifts along ``vector``, for every weight <= w_max.
 
-    A weight whose sampled residue rows have full rank mod p is
-    independent; any other weight is decided by the exact rank of its
-    integer numerator rows on the keys of ``shared_support``.  Full rank
-    at the first precision is conclusive; deficient ranks escalate through
-    the schedule, and at the last step one elimination gives the rank and
-    the left kernel, whose vectors an inconclusive weight reports as
-    candidate relations.
+    Residues decide every rank: a weight's residue rows are ranked mod p on
+    the first ``SAMPLE_POINTS`` points, and on all W points if that is
+    short; a full rank is conclusive.  A weight still short at full width
+    escalates through the schedule.  At the last step one elimination of
+    its integer numerator rows, on the keys of ``shared_support``, gives
+    the rank and the left kernel, whose vectors an inconclusive weight
+    reports as candidate relations.
     """
     if not schedule:
         raise ValueError("the precision schedule is empty")
@@ -289,24 +291,20 @@ def independence(
         still_pending = []
         for w in pending:
             monos = by_weight[w]
-            if _rank_mod_p(cache.residue_rows(monos)) == len(monos):
-                rank = len(monos)
-            else:
+            rank = _rank_mod_p(cache.residue_rows(monos, SAMPLE_POINTS))
+            if rank < len(monos):
+                rank = _rank_mod_p(cache.residue_rows(monos, evaluation_width(cache.level, nq, nxi)))
+            if rank < len(monos) and step == len(schedule) - 1:
                 forms = [cache.product(m) for m in monos]
                 keys = shared_support(forms)
-                # each row is a form's numerators: its coefficients times its own denominator
-                numerators = [[f.nums.get(key, 0) for key in keys] for f in forms]
-                if step < len(schedule) - 1:
-                    rank = bareiss_rank(numerators)
-                else:
-                    # the last step's one elimination gives the rank and the kernel: y with
-                    # sum_i y_i nums_i = 0 is the relation sum_i (y_i den_i) f_i = 0 among the forms
-                    kernel = left_kernel(numerators)
-                    rank = len(monos) - len(kernel)
-                    for y in kernel:
-                        rel = [yi * f.den for yi, f in zip(y, forms)]
-                        g = gcd(*rel)
-                        relations.append({"w": w, "coefficients": [str(x // g) for x in rel]})
+                # each row is a form's numerators: its coefficients times its own denominator; y with
+                # sum_i y_i nums_i = 0 is the relation sum_i (y_i den_i) f_i = 0 among the forms
+                kernel = left_kernel([[f.nums.get(key, 0) for key in keys] for f in forms])
+                rank = len(monos) - len(kernel)
+                for y in kernel:
+                    rel = [yi * f.den for yi, f in zip(y, forms)]
+                    g = gcd(*rel)
+                    relations.append({"w": w, "coefficients": [str(x // g) for x in rel]})
             full = rank == len(monos)
             records[w] = WeightRecord(w, monos, (len(monos), width), rank, "independent" if full else "inconclusive")
             say(f"weight {w}: {len(monos)} monomials, rank {rank} at (nq,nxi)=({nq},{nxi}): {'independent' if full else 'deficient'}")

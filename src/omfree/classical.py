@@ -159,7 +159,7 @@ def kronecker_symbol(a: int, b: int) -> int:
 
 #: Character tables kept, one per fundamental discriminant D: the masks
 #: chi_D(a) = 1 and chi_D(a) = -1 over a = 1, ..., |D|, one byte per a, and
-#: the power sums read off them; the oldest insertion goes first.
+#: the power sums read off them; the oldest insertion goes first, but never one of the batch being made.
 _POWER_SUMS_LIMIT = 128
 _POWER_SUMS: Dict[int, Tuple[bytes, bytes, Tuple[int, ...]]] = {}
 
@@ -239,8 +239,9 @@ def _character_power_sums(discs: Sequence[int], n: int) -> List[Tuple[int, ...]]
             found[disc] = (plus, minus, tuple(sums))
             _POWER_SUMS.pop(disc, None)
             _POWER_SUMS[disc] = found[disc]
-            if len(_POWER_SUMS) > _POWER_SUMS_LIMIT:
-                del _POWER_SUMS[next(iter(_POWER_SUMS))]
+        # a batch larger than the limit outstays it: only discriminants outside the batch are evicted
+        for disc in [disc for disc in _POWER_SUMS if disc not in found][: max(len(_POWER_SUMS) - _POWER_SUMS_LIMIT, 0)]:
+            del _POWER_SUMS[disc]
     return [found[disc][2] for disc in discs]
 
 
@@ -332,16 +333,14 @@ def eisenstein_sl2(k: int, prec) -> ScalarForm:
 
 
 def eta_pow(m: int, prec) -> QSeries:
-    """eta^m for m a positive multiple of 8: q^(m/24) prod (1-q^n)^m."""
-    if m <= 0 or m % 8:
-        raise ValueError(f"exponent must be a positive multiple of 8, got {m}")
+    """eta^m = q^(m/24) P^m for m >= 1, P = prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) (Euler's pentagonal series)."""
+    if m <= 0:
+        raise ValueError(f"exponent must be positive, got {m}")
     prec = as_fraction(prec)
-    prod = QSeries.one(prec)
-    for n in range(1, ceil(prec)):
-        # (1 - q^n)^m without its terms at or past the truncation
-        factor = {Fraction(n * j): (-1) ** j * comb(m, j) for j in range(m + 1) if n * j < prec}
-        prod = prod * QSeries.from_numerators(factor, 1, prec)
-    return prod.shift(Fraction(m, 24)).truncate(prec)
+    # k = j and k = -j give the exponents j(3j + s)/2 >= j^2 for s = -1, 1
+    terms = ((j * (3 * j + s) // 2, (-1) ** j) for j in range(isqrt(ceil(prec)) + 1) for s in (-1, 1))
+    pentagonal = {Fraction(e): c for e, c in terms if e < prec}
+    return (QSeries.from_numerators(pentagonal, 1, prec) ** m).shift(Fraction(m, 24)).truncate(prec)
 
 
 # ---------------------------------------------------------------------------

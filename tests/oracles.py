@@ -15,6 +15,8 @@ Python ints.  :func:`rational_cosets` checks the discriminant cosets of
 ``omfree.lifts.multiply_values`` by one multiply-add per nonzero slice, and
 :func:`evaluate`, a scatter of a paramodular form's numerators against a
 power table of plain ``pow`` residues, checks ``omfree.lifts.lift_values``.
+:func:`eta_pow_product` checks the pentagonal power of
+``omfree.classical.eta_pow`` by one product of (1 - q^n)^m per n.
 :func:`bernoulli_recursive` checks the tangent-number Bernoulli numbers of
 ``omfree.classical.bernoulli`` by the defining recursion in ``Fraction``.
 The ``series_*`` functions check the ``omfree.qseries.QSeries`` operations
@@ -64,6 +66,17 @@ def bernoulli_recursive(n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     return -sum((comb(n + 1, j) * bernoulli_recursive(j) for j in range(n)), Fraction(0)) / (n + 1)
+
+
+def eta_pow_product(m: int, prec) -> QSeries:
+    """eta^m = q^(m/24) prod (1 - q^n)^m, one binomial expansion of (1 - q^n)^m per n < prec."""
+    prec = as_fraction(prec)
+    prod = QSeries.one(prec)
+    for n in range(1, ceil(prec)):
+        # (1 - q^n)^m without its terms at or past the truncation
+        factor = {Fraction(n * j): (-1) ** j * comb(m, j) for j in range(m + 1) if n * j < prec}
+        prod = prod * QSeries.from_numerators(factor, 1, prec)
+    return prod.shift(Fraction(m, 24)).truncate(prec)
 
 
 #: A truncated q-series as a plain table: ({exponent: nonzero coefficient}, truncation), all ``Fraction``.

@@ -274,19 +274,22 @@ def test_full_rank_certificate_builds_no_exact_lift(monkeypatch):
     [
         (
             ((2, 2), (4, 4)),
-            dict(pullback=22, lift_values=22, multiply_values=70, gritsenko_lift=11, multiply=35, bareiss_rank=2),
+            dict(pullback=22, lift_values=33, multiply_values=105),
         ),
         (
             ((2, 2),),
-            dict(pullback=11, lift_values=11, multiply_values=35, gritsenko_lift=11, multiply=35, left_kernel=2),
+            dict(pullback=11, lift_values=22, multiply_values=70, gritsenko_lift=11, multiply=35, left_kernel=2),
         ),
     ],
     ids=["escalated", "final"],
 )
 def test_exact_fallback_builds_each_lift_and_product_once(monkeypatch, schedule, want):
-    # D8 to weight 18 is deficient on the sample at (2, 2): each schedule step
-    # pulls every row back once, and the exact fallback lifts each generator
-    # and multiplies each monomial once, however many weights read them
+    # D8 to weight 18 is deficient on the sample at (2, 2), and weights 16 and
+    # 18 stay deficient on all W points: each schedule step pulls every row
+    # back once and evaluates it at K and at W points.  A step that is not
+    # the last escalates those weights with nothing exact; the last one lifts
+    # each generator and multiplies each monomial once, however many weights
+    # read them, and eliminates once per deficient weight
     calls = Counter()
 
     def count(name):
@@ -304,6 +307,15 @@ def test_exact_fallback_builds_each_lift_and_product_once(monkeypatch, schedule,
     assert dict(calls) == want
     assert cert.precision == schedule[-1]
     assert len(cert.relations) == (5 if len(schedule) == 1 else 0)
+
+
+def test_escalation_runs_no_exact_elimination(monkeypatch):
+    # E7 at weights 36 and 38 is short at full width at (4, 4) and full at
+    # (6, 6): the escalation is decided by residues alone
+    for name in ("gritsenko_lift", "multiply", "bareiss_rank", "left_kernel"):
+        monkeypatch.setattr(certify, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} called"))
+    report = certify_freeness("E7", 36)
+    assert report.precision == (6, 6) and report.consistent()
 
 
 @pytest.mark.parametrize(
@@ -354,11 +366,12 @@ CASE_WMAX = {"D8": 18, "E6": 24, "E7": 30}
 def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
     # the sample is a column subset of the full evaluation, so it can only lose
     # rank; on the case rows it must lose none, or a full-rank weight would pay
-    # for the exact Bareiss rank
+    # for a second ranking at full width, which must agree with the oracle's
     wmax = CASE_WMAX[case]
     gens = case_rows(case, wmax)
     cache = _MonomialCache(gens, CASES[case].vector, nq, nq)
-    assert evaluation_width(cache.level, nq, nq) > SAMPLE_POINTS
+    width = evaluation_width(cache.level, nq, nq)
+    assert width > SAMPLE_POINTS
     full = {}
 
     def full_values(expo):
@@ -373,34 +386,59 @@ def test_sampled_residue_rank_is_the_full_residue_rank(case, nq):
         monos = [m for m in monomials([g.weight for g in gens], w) if sum(m) > 0]
         if not monos:
             continue
-        sampled = cache.residue_rows(monos)
+        sampled = cache.residue_rows(monos, SAMPLE_POINTS)
         assert sampled.shape == (len(monos), (nq + 1) ** 2 * SAMPLE_POINTS)
+        full_width = cache.residue_rows(monos, width)
+        assert full_width.shape == (len(monos), (nq + 1) ** 2 * width)
         rows = np.array([full_values(m).reshape(-1) for m in monos])
-        assert _rank_mod_p(sampled) == _rank_mod_p(rows), (case, nq, w)
+        assert _rank_mod_p(sampled) == _rank_mod_p(full_width) == _rank_mod_p(rows), (case, nq, w)
 
 
-def test_sample_deficits_fall_back_to_bareiss(monkeypatch):
-    # with one point nearly every weight is deficient on the sample; the exact
-    # rank must then give the same certificate byte for byte.  The schedule
-    # has one step, whose exact rank comes from the left kernel's elimination
+def count_exact_calls(monkeypatch):
+    """Wrap certify's two exact eliminations; the list records each call's name and row count."""
     calls = []
 
-    def counting(real):
+    def counting(name, real):
         def counted(rows):
-            calls.append(len(rows))
+            calls.append((name, len(rows)))
             return real(rows)
 
         return counted
 
     for name in ("bareiss_rank", "left_kernel"):
-        monkeypatch.setattr(certify, name, counting(getattr(certify, name)))
-    cases = ("E7", "E6", "D8")
-    want = {case: certify_freeness(case, 16, schedule=((2, 2),)).to_json() for case in cases}
-    default_calls = len(calls)
+        monkeypatch.setattr(certify, name, counting(name, getattr(certify, name)))
+    return calls
+
+
+SAMPLE_CASES = ("E7", "E6", "D8")
+
+
+def test_one_sample_point_makes_the_same_exact_calls(monkeypatch):
+    # with one point nearly every weight is deficient on the sample, and the
+    # full width decides it: the certificates are the same byte for byte, and
+    # the only exact elimination is the one that names D8's weight-16 relations
+    calls = count_exact_calls(monkeypatch)
+    want = {case: json.dumps(certify_freeness(case, 16, schedule=((2, 2),)).to_json()) for case in SAMPLE_CASES}
+    assert calls == [("left_kernel", 12)]
     monkeypatch.setattr(certify, "SAMPLE_POINTS", 1)
-    for case in cases:
-        assert certify_freeness(case, 16, schedule=((2, 2),)).to_json() == want[case], case
-    assert len(calls) - default_calls > default_calls
+    for case in SAMPLE_CASES:
+        assert json.dumps(certify_freeness(case, 16, schedule=((2, 2),)).to_json()) == want[case], case
+    assert calls == [("left_kernel", 12)] * 2
+
+
+def test_residue_deficits_fall_back_to_the_left_kernel(monkeypatch):
+    # a residue rank that says nothing sends every weight to the last step's
+    # exact elimination, which must give the same certificate byte for byte
+    calls = count_exact_calls(monkeypatch)
+    want = {case: json.dumps(certify_freeness(case, 16, schedule=((2, 2),)).to_json()) for case in SAMPLE_CASES}
+    monkeypatch.setattr(certify, "_rank_mod_p", lambda rows: 0)
+    del calls[:]
+    weights = 0
+    for case in SAMPLE_CASES:
+        report = certify_freeness(case, 16, schedule=((2, 2),))
+        assert json.dumps(report.to_json()) == want[case], case
+        weights += sum(rec.verdict != "trivial" for rec in report.certificate.weights)
+    assert [name for name, _ in calls] == ["left_kernel"] * weights
 
 
 def test_case_generators_counts():

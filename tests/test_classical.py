@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, comb, factorial, isqrt
 
@@ -36,7 +37,7 @@ from omfree.classical import (
 )
 from omfree.qseries import QSeries
 from omfree.weil import jacobi_eisenstein
-from oracles import bernoulli_recursive, sl2_monomial_basis
+from oracles import bernoulli_recursive, eta_pow_product, sl2_monomial_basis
 
 
 def sigma_odd(n):
@@ -164,6 +165,25 @@ def test_eta8_leading_terms():
     assert eta8.coefficient(third) == 1
     assert eta8.coefficient(third + 1) == -8
     assert eta8.coefficient(third + 2) == 20
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 15, 21, 24])
+@pytest.mark.parametrize("prec", [1, Fraction(7, 2), 30])
+def test_eta_pow_is_the_product(m, prec):
+    assert eta_pow(m, prec) == eta_pow_product(m, prec)
+
+
+def test_eta_cubed_is_jacobis_series():
+    # eta^3 = sum_{k >= 0} (-1)^k (2k + 1) q^((2k+1)^2 / 8)
+    prec = 60
+    jacobi = {Fraction((2 * k + 1) ** 2, 8): (-1) ** k * (2 * k + 1) for k in range(isqrt(8 * prec) + 1)}
+    assert eta_pow(3, prec) == QSeries({e: c for e, c in jacobi.items() if e < prec}, prec)
+
+
+@pytest.mark.parametrize("m", [0, -8])
+def test_eta_pow_rejects_nonpositive_exponents(m):
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        eta_pow(m, 5)
 
 
 def test_delta_expansion():
@@ -716,6 +736,26 @@ def test_e7_cohen_series_list_each_character_once(monkeypatch):
     # listing it again at each new exponent made 16416
     assert len(calls) <= 2000
     classical._class_number_row.cache_clear()
+
+
+def test_e7_tower_batches_outstay_the_power_sums_limit(monkeypatch):
+    # at O(q^580), the truncation of a (12, 12) step, one batch holds 178
+    # discriminants, more than the 128 the cache keeps; the batch must not
+    # evict its own, or every later call lists its characters again
+    monkeypatch.setattr(classical, "_POWER_SUMS", {})
+    listed = Counter()
+    real = classical._character_masks
+
+    def counted(disc, least):
+        listed[disc] += 1
+        return real(disc, least)
+
+    monkeypatch.setattr(classical, "_character_masks", counted)
+    for r in (0, 2, 6, 8, 10, 12, 14, 18, 20, 26):
+        cohen_eisenstein(r, 580)
+    assert len(listed) > classical._POWER_SUMS_LIMIT == 128
+    assert set(listed.values()) == {1}
+    assert len(classical._POWER_SUMS) == len(listed)
 
 
 def test_e2_half_rescale_example():
